@@ -4,8 +4,8 @@ Regenerates the ``fig_ring`` companion figure — the hash-partitioned
 LRU (one arc per node, as the PartitionedDirectory homes blocks)
 against a single LRU of the aggregate capacity over the same seeded
 Zipf stream — and records the per-panel gap metrics as a trajectory
-record.  Like ``bench_sched`` this one is independent of the
-``REPRO_*`` workload knobs: its params are the analytic-model constants
+record.  It is independent of the ``REPRO_*`` workload knobs: its
+params are the analytic-model constants
 below, and the metrics are fully deterministic (seeded stream, stable
 ring hash), so any drift is a code change, not noise.
 """

@@ -134,7 +134,7 @@ class Disk:
     # -- client API ---------------------------------------------------------
     def submit(self, request: DiskRequest) -> Event:
         """Enqueue a run; the returned event fires when it has been read."""
-        done = self.sim.event()
+        done = Event(self.sim)
         if len(self._queue) >= self.queue_limit:
             from ..sim.servicecenter import QueueFullError
 
@@ -207,9 +207,11 @@ class Disk:
     def _dispatch(self) -> None:
         if not self._queue:
             return
-        if self.sim.now < self.stall_until:
+        sim = self.sim
+        now = sim._now
+        if now < self.stall_until:
             # Stalled: re-attempt dispatch the instant the stall clears.
-            self.sim.call_at(self.stall_until, self._maybe_dispatch)
+            sim.call_at(self.stall_until, self._maybe_dispatch)
             return
         idx = self._select_index()
         request, done = self._queue.pop(idx)
@@ -223,22 +225,22 @@ class Disk:
         else:
             self.seeks += 1
         self._busy = True
-        self.utilization.on_start(self.sim.now)
+        self.utilization.on_start(now)
         self._head = (request.file_id, request.extent, request.end_block)
         self.service_stats.record(service_ms)
         # Stamp service entry + seek/transfer split on the completion
         # event; the profiler reads these to decompose disk waits.
-        done.svc_start = self.sim.now
+        done.svc_start = now
         done.svc_ms = service_ms
         done.svc_seek_ms = (
             0.0 if contiguous
             else self.params.disk.seek_ms + self.params.disk.metadata_seek_ms
         )
-        self.sim.call_after(service_ms, self._finish, request, done)
+        sim.call_after(service_ms, self._finish, request, done)
 
     def _finish(self, request: DiskRequest, done: Event) -> None:
         self._busy = False
-        self.utilization.on_stop(self.sim.now)
+        self.utilization.on_stop(self.sim._now)
         self.completed += 1
         self.reads_kb += request.size_kb
         # Wake the waiter *before* picking the next request: a stream

@@ -414,8 +414,6 @@ def _sweep_parser() -> argparse.ArgumentParser:
 def _ledger_sweep_records(ledger, opts, outcomes, progress_summary,
                           workers, n_cells) -> None:
     """Append the sweep manifest + one cell record per outcome."""
-    from ..obs.ledger import measure_observability_overhead
-
     artifacts = {}
     if opts.bench_out:
         artifacts["bench"] = opts.bench_out
@@ -428,10 +426,6 @@ def _ledger_sweep_records(ledger, opts, outcomes, progress_summary,
         cells=n_cells,
         workers=workers,
         progress=progress_summary,
-        # Self-measured instrumentation cost: events/s through the
-        # kernel with the tracer on vs off, so observability overhead
-        # is a tracked number in the ledger, not folklore.
-        obs_overhead=measure_observability_overhead(num_events=5_000),
         artifacts=artifacts,
     )
     for out in outcomes:

@@ -44,8 +44,8 @@ logger = logging.getLogger(__name__)
 #: Named systems accepted by :class:`ExperimentConfig`.
 SYSTEMS = ("press", "cc-basic", "cc-sched", "cc-kmc")
 
-#: Environment knob selecting the middleware's directory implementation
-#: (mirrors ``REPRO_SCHEDULER``): ``oracle``/``perfect`` keeps the
+#: Environment knob selecting the middleware's directory implementation:
+#: ``oracle``/``perfect`` keeps the
 #: paper's perfect directory, ``partitioned`` swaps in the
 #: consistent-hash :class:`~repro.cache.hashring.PartitionedDirectory`.
 #: It only applies to configs that left ``directory`` at the default —

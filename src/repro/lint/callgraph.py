@@ -41,7 +41,7 @@ def module_name_for(path: str) -> str:
     """Dotted module name for a project-relative file path.
 
     ``src/repro/sim/engine.py`` -> ``repro.sim.engine``;
-    ``benchmarks/bench_sched.py`` -> ``benchmarks.bench_sched``;
+    ``benchmarks/bench_fig_ring.py`` -> ``benchmarks.bench_fig_ring``;
     package ``__init__.py`` files name the package itself.
     """
     parts = path.replace("\\", "/").strip("/").split("/")

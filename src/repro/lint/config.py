@@ -96,7 +96,7 @@ _DEFAULT_SL06_STATE_PATHS: tuple[str, ...] = (
 )
 
 # Environment keys under these prefixes are sanctioned runner knobs
-# (REPRO_SCHEDULER, REPRO_WORKERS, ...): explicitly designed so any
+# (REPRO_DIRECTORY, REPRO_WORKERS, ...): explicitly designed so any
 # value yields a valid deterministic run, and stamped into provenance.
 _DEFAULT_SL06_ENV_OK_PREFIXES: tuple[str, ...] = ("REPRO_",)
 

@@ -310,7 +310,6 @@ def fleet_report(
             "env": sweep.get("env"),
             "workers": sweep.get("workers"),
             "progress": sweep.get("progress"),
-            "obs_overhead": sweep.get("obs_overhead"),
             "cells": len(rows),
             "cells_ok": len(ok_rows),
             "cells_failed": len(failed),

@@ -4,7 +4,7 @@ Every experiment the harness executes — a single observable ``run``, a
 ``chaos`` run, a sharded ``sweep`` and each of its ``cell``s, a bench
 invocation — can append one JSONL *manifest record* describing what ran:
 git sha, seed, workload knobs and their digest, the active
-scheduler/directory environment, wall-clock, exit status, and the paths
+directory environment, wall-clock, exit status, and the paths
 of every artifact the run produced (trace, metrics, BENCH record,
 attribution summary).  The ledger is the registry a 100-cell sweep was
 missing: ``python -m repro.obs.ledger list`` answers *what ran*, ``show``
@@ -44,7 +44,6 @@ __all__ = [
     "filter_records",
     "latest_sweep",
     "environment_stamp",
-    "measure_observability_overhead",
     "main",
 ]
 
@@ -73,7 +72,6 @@ def run_id(record: dict[str, Any]) -> str:
 def environment_stamp() -> dict[str, str]:
     """The simulator-shaping environment knobs active right now."""
     return {
-        "scheduler": os.environ.get("REPRO_SCHEDULER") or "heap",
         "directory": os.environ.get("REPRO_DIRECTORY") or "oracle",
     }
 
@@ -191,56 +189,6 @@ def find_record(
         raise ValueError(f"run id prefix {run_id_prefix!r} is ambiguous "
                          f"({ids}...)")
     return matches[0] if matches else None
-
-
-# ---------------------------------------------------------------------------
-# self-measured observability overhead
-# ---------------------------------------------------------------------------
-def measure_observability_overhead(num_events: int = 20_000) -> dict[str, float]:
-    """Events/s through the kernel with the tracer on vs off.
-
-    Drives a self-rescheduling callback chain of ``num_events`` kernel
-    events twice — once emitting one span per event through a real
-    :class:`~repro.obs.tracing.Tracer`, once against the null tracer —
-    and reports both rates plus the overhead fraction.  This is the
-    instrumentation-cost number a sweep's ledger record tracks, so "how
-    much does observability cost us" is a measured, trended quantity
-    rather than folklore.  Wall-clock readings here measure *the
-    instrumentation itself*; the simulated results are not consumed.
-    """
-    if num_events < 1:
-        raise ValueError("num_events must be >= 1")
-    from ..sim.engine import Simulator
-    from .tracing import NULL_TRACER, Tracer
-
-    def drive(tracer: Any) -> float:
-        sim = Simulator()
-        tracer.attach(sim)
-        remaining = num_events
-
-        def tick() -> None:
-            nonlocal remaining
-            span = tracer.start("tick")
-            span.finish()
-            remaining -= 1
-            if remaining > 0:
-                sim.call_after(1.0, tick)
-
-        sim.call_after(1.0, tick)
-        t0 = time.perf_counter()  # simlint: disable=SL02 -- measuring instrumentation overhead, result never feeds sim state
-        sim.run()
-        return max(time.perf_counter() - t0, 1e-9)  # simlint: disable=SL02 -- measuring instrumentation overhead, result never feeds sim state
-
-    wall_off = drive(NULL_TRACER)
-    wall_on = drive(Tracer())
-    on = num_events / wall_on
-    off = num_events / wall_off
-    return {
-        "events": float(num_events),
-        "events_per_s_tracer_on": on,
-        "events_per_s_tracer_off": off,
-        "overhead_frac": max(0.0, 1.0 - on / off),
-    }
 
 
 # ---------------------------------------------------------------------------

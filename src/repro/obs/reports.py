@@ -630,14 +630,6 @@ def render_fleet_report(report: dict[str, Any]) -> str:
             f"  wall-clock: {progress.get('elapsed_s', 0.0):.1f}s at "
             f"{progress.get('cells_per_s', 0.0):.2f} cells/s"
         )
-    overhead = sweep.get("obs_overhead") or {}
-    if overhead:
-        parts.append(
-            f"  observability overhead: "
-            f"{overhead.get('events_per_s_tracer_on', 0.0):,.0f} events/s "
-            f"traced vs {overhead.get('events_per_s_tracer_off', 0.0):,.0f} "
-            f"untraced ({100.0 * overhead.get('overhead_frac', 0.0):.1f}%)"
-        )
 
     cons = report.get("conservation", {})
     parts.append("")

@@ -2,14 +2,10 @@
 
 Public surface:
 
-* :class:`~repro.sim.engine.Simulator` — the event loop.
+* :class:`~repro.sim.engine.Simulator` — the event loop over one heap.
 * :class:`~repro.sim.engine.Event`, :class:`~repro.sim.engine.Process`,
   :class:`~repro.sim.engine.Timeout`, :class:`~repro.sim.engine.AllOf`,
   :class:`~repro.sim.engine.AnyOf` — waitables for protocol coroutines.
-* :class:`~repro.sim.engine.Scheduler` protocol with
-  :class:`~repro.sim.engine.HeapScheduler` (reference) and
-  :class:`~repro.sim.engine.CalendarScheduler` (calendar queue) —
-  interchangeable pending-event sets (``REPRO_SCHEDULER`` selects).
 * :class:`~repro.sim.servicecenter.ServiceCenter` — finite-queue resource.
 * :mod:`~repro.sim.stats` — measurement instruments.
 * :func:`~repro.sim.rng.stream` — keyed deterministic RNG streams.
@@ -17,18 +13,13 @@ Public surface:
 
 from . import theory
 from .engine import (
-    SCHEDULERS,
     AllOf,
     AnyOf,
-    CalendarScheduler,
     Event,
-    HeapScheduler,
     Process,
-    Scheduler,
     SimulationError,
     Simulator,
     Timeout,
-    default_scheduler_name,
 )
 from .faults import (
     NULL_FAULTS,
@@ -50,11 +41,6 @@ from .stats import (
 
 __all__ = [
     "Simulator",
-    "Scheduler",
-    "HeapScheduler",
-    "CalendarScheduler",
-    "SCHEDULERS",
-    "default_scheduler_name",
     "Event",
     "Process",
     "Timeout",

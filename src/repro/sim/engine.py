@@ -10,20 +10,11 @@ with finite queues").  The design goals, in order:
 2. **Readability** — request flows are written as Python generators that
    ``yield`` events (:class:`Timeout`, service-center grants, or
    combinators), which keeps multi-hop protocol code linear.
-3. **Speed** — the hot path is a pending-event scheduler and plain
-   function calls; no reflection, no dynamic dispatch beyond one
-   ``callbacks`` list.
-
-The pending-event set lives behind the :class:`Scheduler` protocol with
-two interchangeable implementations: :class:`HeapScheduler` (a binary
-heap — the reference) and :class:`CalendarScheduler` (a Brown calendar
-queue with O(1) amortized enqueue/dequeue).  Both order strictly by
-``(time, seq)``, so they are *observationally identical*: the
-differential suite in ``tests/test_scheduler_differential.py`` proves
-pop-order equality on adversarial workloads, and the golden-trace tests
-pin byte-identical digests under either.  Select with
-``Simulator(scheduler="calendar")`` or the ``REPRO_SCHEDULER``
-environment variable (default: ``heap``).
+3. **Speed** — the pending-event set is one binary heap of
+   ``(time, seq, event)`` triples that the :class:`Simulator` pushes to
+   and pops from directly (``heapq`` is C-implemented); kernel-internal
+   paths read slots rather than properties, and nothing dispatches
+   dynamically beyond one ``callbacks`` list.
 
 This is intentionally a small subset of a general-purpose DES library:
 exactly what the cluster model needs, nothing more.
@@ -31,11 +22,9 @@ exactly what the cluster model needs, nothing more.
 
 from __future__ import annotations
 
-import heapq
-import os
-from bisect import insort
 from collections.abc import Callable, Generator, Iterable
-from typing import Any, Protocol, Union
+from heapq import heappop, heappush
+from typing import Any
 
 __all__ = [
     "Event",
@@ -43,10 +32,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Process",
-    "Scheduler",
-    "HeapScheduler",
-    "CalendarScheduler",
-    "SCHEDULERS",
     "Simulator",
     "SimulationError",
 ]
@@ -138,9 +123,13 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
-        super().__init__(sim)
-        self._triggered = True
+        # Slots set flat, without the Event.__init__ frame.
+        self.sim = sim
+        self.callbacks = []
         self._value = value
+        self._ok = True
+        self._triggered = True
+        self._processed = False
         sim._push(delay, self)
 
 
@@ -149,10 +138,9 @@ class _Callback(Event):
 
     This is the allocation-light fast path behind :meth:`Simulator.call_at`
     / :meth:`Simulator.call_after` — one slotted object, no closure, no
-    ``succeed`` round-trip.  It is pushed exactly once at construction, so
-    its position in the ``(time, seq)`` order is identical to the
-    ``Event`` + lambda chain it replaced; golden digests cannot observe
-    the difference.
+    ``succeed`` round-trip.  It is pushed exactly once, so its position in
+    the ``(time, seq)`` order is identical to the ``Event`` + lambda chain
+    it replaced; golden digests cannot observe the difference.
     """
 
     __slots__ = ("_fn", "_args")
@@ -181,7 +169,10 @@ class AllOf(Event):
     """Fires when *all* child events have fired; value = list of values.
 
     Used by nodes that fan out block fetches to several sources and resume
-    when the last reply arrives.  An empty iterable fires immediately.
+    when the last reply arrives.  An empty iterable fires immediately.  A
+    child that was already processed counts at once (and fails the
+    combinator at once if it failed), as :meth:`Process._resume` treats
+    an already-processed target.
     """
 
     __slots__ = ("_pending", "_values")
@@ -195,16 +186,20 @@ class AllOf(Event):
             self.succeed([])
             return
         for i, ev in enumerate(events):
-            ev.callbacks.append(self._make_child_cb(i))
+            cb = self._make_child_cb(i)
+            if ev._processed:
+                cb(ev)
+            else:
+                ev.callbacks.append(cb)
 
     def _make_child_cb(self, index: int) -> Callable[[Event], None]:
         def cb(ev: Event) -> None:
             """Collect child event values; fire when the last lands."""
-            if not ev.ok:
+            if not ev._ok:
                 if not self._triggered:
-                    self.fail(ev.value)
+                    self.fail(ev._value)
                 return
-            self._values[index] = ev.value
+            self._values[index] = ev._value
             self._pending -= 1
             if self._pending == 0 and not self._triggered:
                 self.succeed(self._values)
@@ -213,7 +208,11 @@ class AllOf(Event):
 
 
 class AnyOf(Event):
-    """Fires when the *first* child event fires; value = that event's value."""
+    """Fires when the *first* child event fires; value = that event's value.
+
+    An already-processed child wins at once (the first such in argument
+    order), as :meth:`Process._resume` treats an already-processed target.
+    """
 
     __slots__ = ()
 
@@ -223,15 +222,18 @@ class AnyOf(Event):
         if not events:
             raise SimulationError("AnyOf requires at least one event")
         for ev in events:
-            ev.callbacks.append(self._child_cb)
+            if ev._processed:
+                self._child_cb(ev)
+            else:
+                ev.callbacks.append(self._child_cb)
 
     def _child_cb(self, ev: Event) -> None:
         if self._triggered:
             return
-        if ev.ok:
-            self.succeed(ev.value)
+        if ev._ok:
+            self.succeed(ev._value)
         else:
-            self.fail(ev.value)
+            self.fail(ev._value)
 
 
 class Process(Event):
@@ -245,19 +247,35 @@ class Process(Event):
     __slots__ = ("_gen",)
 
     def __init__(self, sim: "Simulator", gen: Generator[Event, Any, Any]) -> None:
-        super().__init__(sim)
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self._processed = False
         self._gen = gen
-        # Bootstrap on the next kernel step so creation order == start order.
-        init = Event(sim)
-        init.callbacks.append(self._resume)
-        init.succeed(None)
+        # Bootstrap on the next kernel step so creation order == start
+        # order.  The process itself is the one pushed entry: it fires
+        # untriggered, which _fire reads as "start the generator".
+        sim._push(0.0, self)
+
+    def _fire(self) -> None:
+        if not self._triggered:
+            # Bootstrap: an untriggered process reads as ok with value
+            # None, so _resume starts the generator with send(None).
+            self._resume(self)
+            return
+        self._processed = True
+        callbacks, self.callbacks = self.callbacks, []
+        for cb in callbacks:
+            cb(self)
 
     def _resume(self, ev: Event) -> None:
         try:
-            if ev.ok:
-                target = self._gen.send(ev.value)
+            if ev._ok:
+                target = self._gen.send(ev._value)
             else:
-                target = self._gen.throw(ev.value)
+                target = self._gen.throw(ev._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -270,274 +288,32 @@ class Process(Event):
             raise SimulationError(
                 f"process yielded {target!r}; processes must yield Event objects"
             )
-        if target.processed:
+        if target._processed:
             # Already fired: resume on the next kernel step with its value.
             imm = Event(self.sim)
             imm.callbacks.append(self._resume)
-            if target.ok:
-                imm.succeed(target.value)
+            if target._ok:
+                imm.succeed(target._value)
             else:
-                imm.fail(target.value)
+                imm.fail(target._value)
         else:
             target.callbacks.append(self._resume)
 
 
-class Scheduler(Protocol):
-    """The pending-event set: a priority queue ordered by ``(time, seq)``.
-
-    Implementations must dequeue in strict ``(time, seq)`` order — the
-    determinism contract every golden digest rests on.  ``seq`` values
-    are assigned (monotonically) by the :class:`Simulator`; schedulers
-    only store and order them.
-    """
-
-    def push(self, when: float, seq: int, event: Event) -> None:
-        """Insert an entry.  ``when`` is absolute simulation time."""
-        ...  # pragma: no cover - protocol
-
-    def pop(self) -> tuple[float, int, Event]:
-        """Remove and return the least entry; raises IndexError if empty."""
-        ...  # pragma: no cover - protocol
-
-    def peek_time(self) -> float:
-        """Time of the least entry, or ``inf`` if empty."""
-        ...  # pragma: no cover - protocol
-
-    def __len__(self) -> int:
-        """Number of pending entries."""
-        ...  # pragma: no cover - protocol
-
-
-class HeapScheduler:
-    """The reference scheduler: a binary heap of ``(time, seq, event)``.
-
-    ``heapq`` is C-implemented and O(log n); with the modest queue
-    depths of the cluster model (hundreds of pending events) it is very
-    hard to beat, which is why it stays the default and the ground truth
-    the differential tests compare against.
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
-
-    def push(self, when: float, seq: int, event: Event) -> None:
-        heapq.heappush(self._heap, (when, seq, event))
-
-    def pop(self) -> tuple[float, int, Event]:
-        return heapq.heappop(self._heap)
-
-    def peek_time(self) -> float:
-        return self._heap[0][0] if self._heap else float("inf")
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
-_MIN_BUCKETS = 8
-_MAX_BUCKETS = 1 << 16
-
-
-class CalendarScheduler:
-    """A Brown calendar queue: pending events bucketed by time.
-
-    The time axis is divided into ``width``-ms *days* (buckets); a year
-    is ``nbuckets`` days, and times map to ``int(t / width) % nbuckets``
-    — events a full year out share buckets with near-term ones and are
-    skipped by the ``< bucket_top`` check during the scan.  Each bucket
-    is a list kept sorted by ``(time, seq)`` via :func:`bisect.insort`,
-    so dequeue order is *identical* to the heap's: strict ``(time, seq)``
-    ties-broken-by-schedule-order.  Enqueue and dequeue are O(1)
-    amortized while the queue obeys the sizing invariant
-    (``nbuckets/2 <= count <= 2*nbuckets``), which :meth:`_resize`
-    maintains by re-bucketing with a width sampled from the current
-    inter-event gaps — a deterministic function of queue content, never
-    of wall time.
-
-    Scheduling into the past (before the last popped entry) is the one
-    thing the bucket scan cannot survive; the :class:`Simulator` already
-    forbids it (negative delays raise), and :meth:`push` raises
-    :class:`SimulationError` if handed one anyway.
-    """
-
-    __slots__ = ("_buckets", "_nbuckets", "_width", "_count", "_cur",
-                 "_bucket_top", "_last_when")
-
-    def __init__(self, nbuckets: int = _MIN_BUCKETS, width: float = 1.0) -> None:
-        if nbuckets < 1:
-            raise ValueError("nbuckets must be >= 1")
-        if width <= 0.0:
-            raise ValueError("width must be positive")
-        self._count = 0
-        self._last_when = 0.0
-        self._setup(nbuckets, width)
-
-    def _setup(self, nbuckets: int, width: float) -> None:
-        """(Re)build empty buckets and point the scan at ``_last_when``."""
-        self._nbuckets = nbuckets
-        self._width = width
-        self._buckets: list[list[tuple[float, int, Event]]] = [
-            [] for _ in range(nbuckets)
-        ]
-        day = int(self._last_when / width)
-        self._cur = day % nbuckets
-        self._bucket_top = (day + 1) * width
-
-    def push(self, when: float, seq: int, event: Event) -> None:
-        if when < self._last_when:
-            # A real error, not an assert: under ``python -O`` an assert
-            # would vanish and the bucket scan would silently corrupt.
-            raise SimulationError(
-                f"calendar queue: push into the past "
-                f"({when} < {self._last_when})"
-            )
-        insort(self._buckets[int(when / self._width) % self._nbuckets],
-               (when, seq, event))
-        self._count += 1
-        if self._count > (self._nbuckets << 1) and self._nbuckets < _MAX_BUCKETS:
-            self._resize()
-
-    def _scan(self) -> int:
-        """Index of the bucket holding the least entry (queue non-empty).
-
-        Walks at most one year from the current day; if nothing lands
-        within it (a big time gap), falls back to a direct min scan and
-        jumps the calendar to that entry's day.  Updates ``_cur`` /
-        ``_bucket_top`` so the next scan resumes where this one ended —
-        callers that do NOT remove the returned entry (peeks) must save
-        and restore that state, because committing it is only valid once
-        ``_last_when`` advances past the skipped buckets.
-        """
-        i = self._cur
-        top = self._bucket_top
-        width = self._width
-        buckets = self._buckets
-        n = self._nbuckets
-        for _ in range(n):
-            b = buckets[i]
-            if b and b[0][0] < top:
-                self._cur = i
-                self._bucket_top = top
-                return i
-            i += 1
-            if i == n:
-                i = 0
-            top += width
-        # Rare: next event is over a year away.  Direct search — bucket
-        # heads compare by (time, seq), so the minimum is unambiguous.
-        best_i = -1
-        best: tuple[float, int, Event] | None = None
-        for j, b in enumerate(buckets):
-            if b and (best is None or b[0] < best):
-                best = b[0]
-                best_i = j
-        assert best is not None
-        day = int(best[0] / width)
-        self._cur = best_i
-        self._bucket_top = (day + 1) * width
-        return best_i
-
-    def pop(self) -> tuple[float, int, Event]:
-        if not self._count:
-            raise IndexError("pop from an empty calendar queue")
-        entry = self._buckets[self._scan()].pop(0)
-        self._count -= 1
-        self._last_when = entry[0]
-        if self._count < (self._nbuckets >> 2) and self._nbuckets > _MIN_BUCKETS:
-            self._resize()
-        return entry
-
-    def peek_time(self) -> float:
-        if not self._count:
-            return float("inf")
-        # _scan() commits the scan position (_cur/_bucket_top) as it
-        # skips empty buckets, which is only safe when the found entry
-        # is actually removed.  A peek leaves _last_when untouched, so a
-        # later *legal* push (when >= _last_when) may land in a bucket
-        # behind a committed position and dequeue out of order.  Peek
-        # must therefore be side-effect-free: restore the scan state.
-        cur, top = self._cur, self._bucket_top
-        when = self._buckets[self._scan()][0][0]
-        self._cur, self._bucket_top = cur, top
-        return when
-
-    def __len__(self) -> int:
-        return self._count
-
-    def _resize(self) -> None:
-        """Re-bucket so mean occupancy returns to ~1 entry per bucket.
-
-        Deterministic by construction: the new bucket count is the next
-        power of two covering the entry count, and the new width is
-        twice the mean gap over (up to) the 32 soonest entries — both
-        pure functions of the queue's current content.
-        """
-        entries: list[tuple[float, int, Event]] = []
-        for b in self._buckets:
-            entries.extend(b)
-        entries.sort()  # by (time, seq); seq uniqueness makes this total
-        nbuckets = _MIN_BUCKETS
-        while nbuckets < len(entries) and nbuckets < _MAX_BUCKETS:
-            nbuckets <<= 1
-        head = entries[:32]
-        gaps = [b[0] - a[0] for a, b in zip(head, head[1:])]
-        mean_gap = (sum(gaps) / len(gaps)) if gaps else 0.0
-        width = max(2.0 * mean_gap, 1e-9) if mean_gap > 0.0 else self._width
-        self._setup(nbuckets, width)
-        # Entries arrive in (time, seq) order, so each bucket's append
-        # stream is already sorted — no insort needed on rebuild.
-        buckets = self._buckets
-        for entry in entries:
-            buckets[int(entry[0] / width) % nbuckets].append(entry)
-
-
-#: Scheduler registry: name -> zero-argument factory.  ``heap`` is the
-#: reference implementation; ``calendar`` must stay observationally
-#: identical (the differential tests enforce it).
-SCHEDULERS: dict[str, Callable[[], "Scheduler"]] = {
-    "heap": HeapScheduler,
-    "calendar": CalendarScheduler,
-}
-
-#: Environment knob consulted when ``Simulator(scheduler=None)``.
-SCHEDULER_ENV = "REPRO_SCHEDULER"
-
-
-def default_scheduler_name() -> str:
-    """The scheduler chosen by the environment (default ``heap``)."""
-    return os.environ.get(SCHEDULER_ENV) or "heap"
-
-
 class Simulator:
-    """The event loop: pending ``(time, seq, event)`` triples behind a
-    :class:`Scheduler`.
+    """The event loop over one heap of pending ``(time, seq, event)`` triples.
 
     ``seq`` breaks timestamp ties in schedule order, which makes runs
-    deterministic regardless of scheduler internals.  ``scheduler`` may
-    be a registry name (``"heap"`` / ``"calendar"``), a ready
-    :class:`Scheduler` instance, or ``None`` to consult the
-    ``REPRO_SCHEDULER`` environment variable.
+    deterministic: same-timestamp events fire in the order they were
+    scheduled.
     """
 
-    __slots__ = ("_now", "_sched", "_seq", "_event_count", "_step_hooks")
+    __slots__ = ("_now", "_heap", "_seq", "_step_hooks")
 
-    def __init__(self, scheduler: Union[str, "Scheduler", None] = None) -> None:
+    def __init__(self) -> None:
         self._now: float = 0.0
-        if scheduler is None:
-            scheduler = default_scheduler_name()
-        if isinstance(scheduler, str):
-            try:
-                factory = SCHEDULERS[scheduler]
-            except KeyError:
-                raise SimulationError(
-                    f"unknown scheduler {scheduler!r}; "
-                    f"choose from {sorted(SCHEDULERS)}"
-                ) from None
-            scheduler = factory()
-        self._sched: Scheduler = scheduler
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
-        self._event_count = 0
         # Observability hooks fired after each processed event; empty on
         # the hot path (one truthiness check per step when unused).
         self._step_hooks: list[Callable[["Simulator"], None]] = []
@@ -549,13 +325,13 @@ class Simulator:
 
     @property
     def event_count(self) -> int:
-        """Total events processed so far (for budget checks in tests)."""
-        return self._event_count
+        """Total events processed so far (for budget checks in tests).
 
-    @property
-    def scheduler(self) -> "Scheduler":
-        """The active pending-event scheduler."""
-        return self._sched
+        Every push takes one ``seq`` and every pop processes one event,
+        so the count is the pushes less the entries still pending; the
+        dispatch loop keeps no counter.
+        """
+        return self._seq - len(self._heap)
 
     # -- factories ----------------------------------------------------------
     def event(self) -> Event:
@@ -597,14 +373,11 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay: {delay!r}")
         # The tie-break contract: seq is assigned here and ONLY here,
-        # strictly increasing across every scheduler implementation, so
-        # same-timestamp events fire in schedule order.  The assertion
-        # guards the latent fragility of a subclass or scheduler ever
-        # recycling sequence numbers.
+        # strictly increasing, so same-timestamp events fire in schedule
+        # order.
         seq = self._seq + 1
-        assert seq > self._seq, "sequence numbers must be strictly monotonic"
         self._seq = seq
-        self._sched.push(self._now + delay, seq, event)
+        heappush(self._heap, (self._now + delay, seq, event))
 
     # -- observability hooks -------------------------------------------------
     def add_step_hook(self, hook: Callable[["Simulator"], None]) -> None:
@@ -621,18 +394,17 @@ class Simulator:
         self._step_hooks.remove(hook)
 
     def step(self) -> None:
-        """Process the single next event."""
-        when, _seq, event = self._sched.pop()
+        """Process the single next event; IndexError if none is pending."""
+        when, _seq, event = heappop(self._heap)
         self._now = when
-        self._event_count += 1
         event._fire()
         if self._step_hooks:
             for hook in self._step_hooks:
                 hook(self)
 
     def peek(self) -> float:
-        """Time of the next event, or ``inf`` if the calendar is empty."""
-        return self._sched.peek_time()
+        """Time of the next event, or ``inf`` if none is pending."""
+        return self._heap[0][0] if self._heap else float("inf")
 
     def run(
         self,
@@ -640,47 +412,32 @@ class Simulator:
         max_events: int | None = None,
         stop: Event | None = None,
     ) -> None:
-        """Run until the calendar drains, ``until`` is reached, ``stop``
+        """Run until the heap drains, ``until`` is reached, ``stop``
         fires, or ``max_events`` more events have been processed.
 
         ``until`` is exclusive in the usual DES sense: an event scheduled
         exactly at ``until`` is *not* processed, and ``now`` is advanced to
         ``until``.
         """
-        sched = self._sched
+        heap = self._heap
         if until is None and max_events is None and stop is None:
             # The unconditional drain — every experiment's hot loop.
             # Same semantics as the general loop below, minus the three
             # per-event guard checks and the step() call indirection.
-            # For the reference heap the loop reads the entry list
-            # directly, skipping the per-event Scheduler method frames.
-            if type(sched) is HeapScheduler:
-                heap = sched._heap
-                heappop = heapq.heappop
-                while heap:
-                    when, _seq, event = heappop(heap)
-                    self._now = when
-                    self._event_count += 1
-                    event._fire()
-                    if self._step_hooks:
-                        for hook in self._step_hooks:
-                            hook(self)
-                return
-            pop = sched.pop
-            while len(sched):
-                when, _seq, event = pop()
+            hooks = self._step_hooks
+            while heap:
+                when, _seq, event = heappop(heap)
                 self._now = when
-                self._event_count += 1
                 event._fire()
-                if self._step_hooks:
-                    for hook in self._step_hooks:
+                if hooks:
+                    for hook in hooks:
                         hook(self)
             return
         budget = max_events if max_events is not None else -1
-        while len(sched):
-            if stop is not None and stop.processed:
+        while heap:
+            if stop is not None and stop._processed:
                 return
-            if until is not None and sched.peek_time() >= until:
+            if until is not None and heap[0][0] >= until:
                 self._now = until
                 return
             if budget == 0:

@@ -75,7 +75,7 @@ class ServiceCenter:
         """
         if demand_ms < 0:
             raise ValueError(f"negative service demand: {demand_ms!r}")
-        done = self.sim.event()
+        done = Event(self.sim)
         if self._in_service < self.capacity:
             self._start(demand_ms, done, value)
         elif len(self._queue) < self.queue_limit:
@@ -102,16 +102,18 @@ class ServiceCenter:
     # -- internals ------------------------------------------------------------
     def _start(self, demand_ms: float, done: Event, value: Any) -> None:
         self._in_service += 1
-        self.utilization.on_start(self.sim.now)
+        sim = self.sim
+        now = sim._now
+        self.utilization.on_start(now)
         # Stamp service entry on the completion event so the profiler can
         # split the wait into queueing vs. service after the fact.
-        done.svc_start = self.sim.now
+        done.svc_start = now
         done.svc_ms = demand_ms
-        self.sim.call_after(demand_ms, self._finish, done, value)
+        sim.call_after(demand_ms, self._finish, done, value)
 
     def _finish(self, done: Event, value: Any) -> None:
         self._in_service -= 1
-        self.utilization.on_stop(self.sim.now)
+        self.utilization.on_stop(self.sim._now)
         self.completed += 1
         # Batched dequeue: drain every startable job in one pass.  A
         # single completion frees exactly one server, so the loop body

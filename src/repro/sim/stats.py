@@ -43,27 +43,27 @@ class UtilizationTracker:
         self._busy_integral = 0.0
         self._window_start = now
 
-    def _accumulate(self, now: float) -> None:
-        self._busy_integral += self._busy * (now - self._last_change)
-        self._last_change = now
-
+    # on_start/on_stop run twice per service-center job, so each updates
+    # the busy integral in line rather than through a shared helper.
     def on_start(self, now: float) -> None:
         """A server became busy at ``now``."""
-        self._accumulate(now)
+        self._busy_integral += self._busy * (now - self._last_change)
+        self._last_change = now
         self._busy += 1
         if self._busy > self.capacity:
             raise ValueError("more busy servers than capacity")
 
     def on_stop(self, now: float) -> None:
         """A server became idle at ``now``."""
-        self._accumulate(now)
+        self._busy_integral += self._busy * (now - self._last_change)
+        self._last_change = now
         self._busy -= 1
         if self._busy < 0:
             raise ValueError("negative busy count")
 
     def reset(self, now: float) -> None:
         """Discard history; start a fresh measurement window at ``now``."""
-        self._accumulate(now)
+        self._last_change = now
         self._busy_integral = 0.0
         self._window_start = now
 

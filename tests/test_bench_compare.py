@@ -317,7 +317,7 @@ class TestCompareAll:
         capsys.readouterr()
 
     def test_all_skips_unbaselined_records(self, tmp_path, capsys):
-        """The CI semantics: sched/ring/sweep-smoke records have no
+        """The CI semantics: ring/sweep-smoke records have no
         committed baseline and must stay ungated under --all."""
         baselines = tmp_path / "baselines"
         baselines.mkdir()

@@ -9,8 +9,7 @@ agrees, through arbitrary interleavings of registrations, drops,
 purges, crashes and rejoins.  Partitioning then only ever *adds* costs
 (hops, staleness), never changes what the protocol computes.
 
-Mirrors ``test_scheduler_differential.py``: hypothesis drives both
-implementations with the same adversarial op sequences at the unit
+Hypothesis drives both implementations with the same adversarial op sequences at the unit
 level; full-system equivalence (byte-identical traces on the golden
 workload) is pinned at the bottom, and oracle-mode golden neutrality
 lives in ``test_golden_trace.py``.

@@ -26,11 +26,14 @@ import pytest
 
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.obs import Observability
+from repro.sim import Simulator
 from repro.traces import datasets
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 #: Separate fingerprints for runs under ``REPRO_DIRECTORY=partitioned``.
 PARTITIONED_GOLDEN_DIR = GOLDEN_DIR / "partitioned"
+#: Kernel event count and final clock of each system's golden run.
+EVENTS_FILE = GOLDEN_DIR / "events.json"
 
 #: The four Figure-2 curves.
 SYSTEMS = ["cc-basic", "cc-sched", "cc-kmc", "press"]
@@ -97,17 +100,35 @@ def test_golden(system):
     )
 
 
-@pytest.mark.parametrize("system", SYSTEMS)
-def test_golden_under_calendar_scheduler(system, monkeypatch):
-    """Full-system scheduler equivalence: with the calendar queue behind
-    the kernel (``REPRO_SCHEDULER=calendar``), every golden fingerprint
-    — trace digest, span count, full metrics snapshot — is reproduced
-    byte-for-byte.  The unit-level half of this argument lives in
-    ``test_scheduler_differential.py``."""
-    monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
-    path = GOLDEN_DIR / f"{system}.json"
-    assert path.exists(), "golden files must exist before this check"
-    assert _serialize(_fingerprint(_run(system))) == path.read_text()
+def test_golden_event_counts(monkeypatch):
+    """The kernel's event count and final clock for every golden run.
+
+    Trace digests and metrics do not see how many kernel events a run
+    took, so a kernel edit that adds or drops an event can pass the
+    fingerprints.  The end-to-end benchmark digests the count; this pins
+    it in tier 1, read the same way: from ``Simulator.run`` as it returns.
+    """
+    seen: dict = {}
+    run = Simulator.run
+
+    def counted_run(self, *args, **kwargs):
+        try:
+            return run(self, *args, **kwargs)
+        finally:
+            seen.update(events=self.event_count, now=self.now)
+
+    monkeypatch.setattr(Simulator, "run", counted_run)
+    current = {}
+    for system in SYSTEMS:
+        _run(system)
+        current[system] = dict(seen)
+    text = json.dumps(current, indent=2, sort_keys=True) + "\n"
+    if os.environ.get("REPRO_REFRESH_GOLDEN"):
+        EVENTS_FILE.write_text(text)
+    assert text == EVENTS_FILE.read_text(), (
+        "kernel event counts drifted; if intended, refresh with "
+        "REPRO_REFRESH_GOLDEN=1 and review the diff"
+    )
 
 
 @pytest.mark.parametrize("system", SYSTEMS)

@@ -1,7 +1,7 @@
 """Tests for the append-only provenance run ledger.
 
 The determinism contract: with an injected clock and a pinned
-``REPRO_GIT_SHA``/scheduler/directory environment, appending the same
+``REPRO_GIT_SHA``/directory environment, appending the same
 records produces a byte-identical ledger file — ``run_id`` is a digest
 of the record itself, so identical provenance means identical identity.
 """
@@ -21,7 +21,6 @@ from repro.obs.ledger import (
     find_record,
     latest_sweep,
     load_ledger,
-    measure_observability_overhead,
     run_id,
 )
 from repro.obs.ledger import main as ledger_main
@@ -37,7 +36,6 @@ def fake_clock(start=1_700_000_000.0, step=1.0):
 def pinned_env(monkeypatch):
     """Pin every environment input a ledger record captures."""
     monkeypatch.setenv("REPRO_GIT_SHA", "cafebabe")
-    monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
     monkeypatch.delenv("REPRO_DIRECTORY", raising=False)
 
 
@@ -66,7 +64,7 @@ class TestLedger:
         assert rec["status"] == "ok"
         assert rec["git_sha"] == "cafebabe"
         assert rec["recorded_at"] == 1_700_000_000.0
-        assert rec["env"] == {"scheduler": "heap", "directory": "oracle"}
+        assert rec["env"] == {"directory": "oracle"}
         assert rec["run_id"] == run_id(rec)
         assert len(rec["run_id"]) == 16
 
@@ -110,14 +108,10 @@ class TestLedger:
         assert [r["seed"] for r in records] == [0, 1]
 
     def test_environment_stamp_tracks_knobs(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
         monkeypatch.delenv("REPRO_DIRECTORY", raising=False)
-        assert environment_stamp() == {"scheduler": "heap",
-                                       "directory": "oracle"}
-        monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
+        assert environment_stamp() == {"directory": "oracle"}
         monkeypatch.setenv("REPRO_DIRECTORY", "partitioned")
-        assert environment_stamp() == {"scheduler": "calendar",
-                                       "directory": "partitioned"}
+        assert environment_stamp() == {"directory": "partitioned"}
 
 
 class TestQueries:
@@ -149,19 +143,6 @@ class TestQueries:
         assert find_record(records, "zzz") is None
         with pytest.raises(ValueError, match="ambiguous"):
             find_record(records, "aaa")
-
-
-class TestOverheadProbe:
-    def test_shape_and_sanity(self):
-        probe = measure_observability_overhead(num_events=300)
-        assert probe["events"] == 300.0
-        assert probe["events_per_s_tracer_on"] > 0
-        assert probe["events_per_s_tracer_off"] > 0
-        assert probe["overhead_frac"] >= 0.0
-
-    def test_rejects_degenerate_event_count(self):
-        with pytest.raises(ValueError):
-            measure_observability_overhead(num_events=0)
 
 
 class TestCli:

@@ -108,6 +108,100 @@ class TestSimulatorBasics:
         sim.timeout(3.0)
         assert sim.peek() == 3.0
 
+    def test_event_count_is_pops_across_run_modes(self):
+        """event_count counts processed events only: pending entries,
+        run(until) stops and step() all leave it exact."""
+        sim = Simulator()
+        for d in (1.0, 2.0, 3.0):
+            sim.call_after(d, lambda: None)
+        assert sim.event_count == 0
+        sim.run(until=2.5)
+        assert sim.event_count == 2
+        sim.step()
+        assert sim.event_count == 3
+        with pytest.raises(IndexError):
+            sim.step()
+        assert sim.event_count == 3
+
+
+class TestOrdering:
+    """The ``(time, seq)`` tie-break contract of ``Simulator._push``."""
+
+    def test_same_timestamp_from_handler_fires_fifo(self):
+        """Events scheduled *from within a handler* at the current
+        timestamp fire after the already-pending same-time events, in
+        schedule order.  This pins the seq tie-break golden digests rest
+        on."""
+        sim = Simulator()
+        order = []
+
+        def late(tag: str) -> None:
+            order.append((sim.now, tag))
+
+        def handler() -> None:
+            order.append((sim.now, "handler"))
+            sim.call_after(0.0, late, "h1")
+            sim.call_at(sim.now, late, "h2")
+
+        sim.call_after(5.0, handler)
+        sim.call_after(5.0, late, "pre1")
+        sim.call_after(5.0, late, "pre2")
+        sim.run()
+        assert order == [
+            (5.0, "handler"), (5.0, "pre1"), (5.0, "pre2"),
+            (5.0, "h1"), (5.0, "h2"),
+        ]
+
+    def test_zero_delay_self_reschedule_chain(self):
+        """A handler rescheduling itself with delay 0 runs strictly after
+        each prior firing (seq keeps advancing), never starving or looping
+        within one timestamp pop."""
+        sim = Simulator()
+        fired = []
+
+        def tick(n: int) -> None:
+            fired.append((sim.now, n))
+            if n < 5:
+                sim.call_after(0.0, tick, n + 1)
+
+        sim.call_after(1.0, tick, 0)
+        sim.run()
+        assert fired == [(1.0, n) for n in range(6)]
+
+    def test_run_until_then_schedule_earlier(self):
+        """Scheduling after run(until=...) returns, earlier than the
+        still-pending event, fires in time order and never runs the clock
+        backwards."""
+        sim = Simulator()
+        order: list[tuple[float, str]] = []
+
+        def fire(tag: str) -> None:
+            order.append((sim.now, tag))
+
+        sim.call_after(100.0, fire, "late")
+        sim.run(until=5.0)
+        assert sim.now == 5.0
+        assert order == []
+        sim.call_after(1.0, fire, "early")
+        sim.run()
+        assert order == [(6.0, "early"), (100.0, "late")]
+        assert sim.now == 100.0
+
+    def test_push_into_the_past_raises(self):
+        """Every way of scheduling before ``now`` fails loudly with a
+        SimulationError and leaves the pending set untouched."""
+        sim = Simulator()
+        sim.timeout(10.0)
+        sim.run()
+        with pytest.raises(SimulationError, match="negative delay"):
+            sim.event().succeed(delay=-1.0)
+        with pytest.raises(SimulationError, match="negative delay"):
+            sim.call_after(-0.5, lambda: None)
+        with pytest.raises(SimulationError, match="into the past"):
+            sim.call_at(5.0, lambda: None)
+        assert sim.peek() == float("inf")
+        assert sim.event_count == 1
+
 
 class TestEvent:
     def test_succeed_delivers_value(self):
@@ -338,6 +432,88 @@ class TestCombinators:
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.any_of([])
+
+    def test_allof_counts_processed_children(self):
+        """A child that fired before the AllOf was built counts at once
+        (regression: its callback was appended and never ran, so the
+        AllOf never fired and its waiter hung)."""
+        sim = Simulator()
+        done = sim.event()
+        done.succeed("early")
+        got = []
+
+        def proc():
+            yield sim.timeout(1.0)
+            vals = yield sim.all_of([done, sim.timeout(2.0, "late")])
+            got.append((sim.now, vals))
+
+        sim.process(proc())
+        sim.run()
+        assert got == [(3.0, ["early", "late"])]
+
+    def test_allof_of_only_processed_children_fires(self):
+        sim = Simulator()
+        a, b = sim.event(), sim.event()
+        a.succeed(1)
+        b.succeed(2)
+        sim.run()
+        got = []
+
+        def proc():
+            got.append((yield sim.all_of([a, b])))
+
+        sim.process(proc())
+        sim.run()
+        assert got == [[1, 2]]
+
+    def test_allof_fails_at_once_on_processed_failed_child(self):
+        sim = Simulator()
+        bad = sim.event()
+        bad.fail(RuntimeError("gone"))
+        sim.run()
+        caught = []
+
+        def proc():
+            try:
+                yield sim.all_of([sim.timeout(5.0), bad])
+            except RuntimeError as exc:
+                caught.append((sim.now, str(exc)))
+
+        sim.process(proc())
+        sim.run()
+        assert caught == [(0.0, "gone")]
+
+    def test_anyof_processed_child_wins_at_once(self):
+        sim = Simulator()
+        done = sim.event()
+        done.succeed("first")
+        sim.run()
+        got = []
+
+        def proc():
+            got.append((yield sim.any_of([sim.timeout(4.0, "slow"), done])))
+            got.append(sim.now)
+
+        sim.process(proc())
+        sim.run()
+        assert got == ["first", 0.0]
+
+    def test_anyof_processed_failed_child_fails(self):
+        sim = Simulator()
+        bad = sim.event()
+        bad.fail(KeyError("k"))
+        sim.run()
+        caught = []
+
+        def proc():
+            try:
+                yield sim.any_of([bad, sim.timeout(4.0)])
+            except KeyError:
+                caught.append(sim.now)
+
+        sim.process(proc())
+        sim.run()
+        assert caught == [0.0]
 
     def test_allof_is_event_subclass(self):
         sim = Simulator()

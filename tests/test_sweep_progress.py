@@ -239,7 +239,6 @@ class TestObservedSweepEndToEnd:
         (2 memories x 4 systems = 8 cells after scaling)."""
         monkeypatch.setattr(defaults, "BENCH_MEMORY_MB", [20, 100])
         monkeypatch.setenv("REPRO_GIT_SHA", "cafebabe")
-        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
         monkeypatch.delenv("REPRO_DIRECTORY", raising=False)
 
     def test_ledgered_sweep_is_passive_and_fleet_checks_out(
@@ -273,7 +272,6 @@ class TestObservedSweepEndToEnd:
                                parent=sweeps[0]["run_id"])
         assert len(sweeps) == 1 and len(cells) == 8
         assert sweeps[0]["git_sha"] == "cafebabe"
-        assert sweeps[0]["obs_overhead"]["events_per_s_tracer_on"] > 0
         for cell in cells:
             assert cell["status"] == "ok"
             assert len(cell["params_digest"]) == 16
