@@ -48,10 +48,6 @@ class Cluster:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def alive_nodes(self) -> list[Node]:
-        """Nodes currently up (all of them, absent fault injection)."""
-        return [n for n in self.nodes if n.up]
-
     def reset_stats(self) -> None:
         """Start a fresh measurement window everywhere (end of warm-up)."""
         for node in self.nodes:

@@ -107,10 +107,6 @@ class WholeFileCache:
             return (mas[0], mas[1], True)
         return None
 
-    def size_of(self, file_id: int) -> float:
-        """Resident file's size (KB)."""
-        return self._sizes[file_id]
-
 
 class WholeFileCoopServer:
     """Web service over file-granularity cooperative caching."""

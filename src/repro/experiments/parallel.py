@@ -87,11 +87,6 @@ def default_workers() -> int:
     return value
 
 
-def _run_cell(cfg: ExperimentConfig) -> ExperimentResult:
-    """Worker entry point: simulate one cell, fully isolated."""
-    return run_experiment(cfg)
-
-
 # ---------------------------------------------------------------------------
 # cell identity & outcomes
 # ---------------------------------------------------------------------------

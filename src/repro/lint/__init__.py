@@ -2,7 +2,7 @@
 
 An AST-based lint suite whose rules encode the properties the golden
 traces, chaos replay, and CC-KMC invariant claims silently rely on.
-Per-file rules (v1):
+Each file is parsed once and walked once by every rule in scope:
 
 * **SL01** — no unordered set/dict iteration feeding simulation state
 * **SL02** — no wall-clock or ambient randomness outside ``repro.sim.rng``
@@ -11,20 +11,10 @@ Per-file rules (v1):
 * **SL05** — no mutable default arguments
 * **SL00** — suppression hygiene (pragmas must carry a justification)
 
-Whole-program rules (v2), built on a project-wide call graph
-(:mod:`~repro.lint.callgraph`) and a fixed-point taint dataflow engine
-(:mod:`~repro.lint.dataflow`, :mod:`~repro.lint.taint`):
+A full run ends with one whole-run pass:
 
-* **SL06** — interprocedural nondeterminism taint: unordered iteration,
-  ambient randomness, wall-clock, or non-``REPRO_*`` environment values
-  flowing into sim state, trace output, or BENCH records — reported
-  with the full source→sink witness path, across module boundaries
-* **SL07** — units flow: ``*_ms``/``*_s``/``*_bytes``/``*_kb``/``*_mb``/
-  ``*_blocks`` naming conventions checked across assignments,
-  comparisons, ``+``/``-``, and call arguments
 * **SL08** — stale suppressions: pragmas and allow entries must still
   suppress something, so the suppression inventory can only shrink
-* **SL09** — no mutation of worker-reachable state after pool creation
 
 Run it with ``python -m repro.lint [paths...]``; configuration lives in
 ``[tool.simlint]`` in ``pyproject.toml``.  ``--explain SLxx`` prints a
@@ -34,18 +24,15 @@ rule's rationale and examples.  See DESIGN.md §16.
 from .config import LintConfig, load_config
 from .docs import RULE_DOCS, RuleDoc, render_explain, rule_doc
 from .engine import Finding, lint_paths, lint_source
-from .project import all_project_rules
 from .report import (
     JSON_SCHEMA_VERSION, findings_from_json, render_text, to_json_dict,
 )
 from .rules import all_rules, rule_catalog
-from .taint import TaintStep
 
 __all__ = [
     "LintConfig",
     "load_config",
     "Finding",
-    "TaintStep",
     "lint_paths",
     "lint_source",
     "render_text",
@@ -53,7 +40,6 @@ __all__ = [
     "findings_from_json",
     "JSON_SCHEMA_VERSION",
     "all_rules",
-    "all_project_rules",
     "rule_catalog",
     "RuleDoc",
     "RULE_DOCS",

@@ -2,11 +2,11 @@
 
 Exit codes: 0 = clean, 1 = findings, 2 = usage/configuration error.
 
-By default both layers run: the per-file rules (SL00–SL05) and the
-whole-program rules (SL06–SL09).  The suppression-staleness audit
-(SL08) only engages on *full* runs — no explicit paths, or paths
-covering the configured default set — because a partial run cannot
-prove a suppression dead.
+By default every per-file rule (SL00–SL05) runs.  The
+suppression-staleness audit (SL08) only engages on *full* runs — no
+``--select`` and no explicit paths, or paths naming at least the
+configured default set (``src/repro/`` and ``./src/repro`` both name
+``src/repro``) — because a partial run cannot prove a suppression dead.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from collections.abc import Sequence
 from .config import load_config
 from .docs import render_explain, rule_doc
 from .engine import lint_paths
-from .project import all_project_rules
 from .report import render_text, to_json_dict
 from .rules import all_rules, rule_catalog
 
@@ -71,19 +70,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     config = load_config()
     rules = list(all_rules())
-    project_rules = list(all_project_rules())
-    selected_all = args.select is None
     if args.select:
         wanted = {r.strip().upper() for r in args.select.split(",") if r.strip()}
-        known = ({r.id for r in rules} | {r.id for r in project_rules}
-                 | {"SL00"})
+        known = {r.id for r in rules} | {"SL00", "SL08"}
         unknown = wanted - known
         if unknown:
             print(f"error: unknown rule id(s): {', '.join(sorted(unknown))}",
                   file=sys.stderr)
             return 2
         rules = [r for r in rules if r.id in wanted]
-        project_rules = [r for r in project_rules if r.id in wanted]
 
     paths: list[str] = list(args.paths) or list(config.paths)
     missing = [p for p in paths if not Path(p).exists()]
@@ -92,12 +87,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
     # SL08 needs every rule to have run over the full configured file
-    # set; otherwise an unused pragma proves nothing.
-    full_run = selected_all and (not args.paths
-                                 or set(paths) >= set(config.paths))
+    # set; otherwise an unused pragma proves nothing.  Paths are compared
+    # resolved, so any spelling of the configured set counts.
+    full_run = args.select is None and (
+        {Path(p).resolve() for p in paths}
+        >= {Path(p).resolve() for p in config.paths})
 
     findings, files_checked = lint_paths(paths, config, rules,
-                                         project_rules=project_rules,
                                          full_run=full_run)
     if files_checked == 0:
         print("error: no python files found under the given paths",

@@ -17,7 +17,7 @@ dependencies.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Mapping, Sequence
 
@@ -36,14 +36,8 @@ _DEFAULT_RULE_PATHS: dict[str, tuple[str, ...]] = {
              "repro/obs"),
     "SL04": ("repro", "benchmarks"),
     "SL05": ("repro", "benchmarks"),
-    # v2 whole-program rules.  SL06/SL07 findings attach at the *sink* /
-    # mixing site, so they are scoped wherever code can consume a
-    # nondeterministic value or mix units; sources are tracked globally.
-    "SL06": ("repro", "benchmarks"),
-    "SL07": ("repro", "benchmarks"),
+    # Stale-suppression audit: wherever pragmas may appear.
     "SL08": ("repro", "benchmarks"),
-    # Cross-process mutation hazards live where pools are created.
-    "SL09": ("repro/experiments", "benchmarks"),
 }
 
 # Rule id -> path prefixes exempt from the rule even inside its scope.
@@ -74,46 +68,6 @@ _DEFAULT_QUANTITY_PATTERNS: tuple[str, ...] = (
     r"_ms$",
 )
 
-# SL06 taint sinks: callables whose arguments become simulation state,
-# trace output, or BENCH records.  Entries are matched against resolved
-# call targets by qualname suffix; a bare "Cls" entry designates the
-# class's constructor; "Cls.meth" entries also match unresolved
-# attribute calls by method name (receiver unknown -> conservative).
-_DEFAULT_SL06_SINKS: tuple[str, ...] = (
-    # event scheduling: a tainted delay/value perturbs the event order
-    "Simulator.call_at", "Simulator.call_after", "Simulator.run",
-    "Event.succeed", "Event.fail", "Timeout", "Process",
-    # trace output: tainted attrs land in the golden digests
-    "Tracer.start", "Tracer.point", "Span.finish",
-    # BENCH records: tainted metrics corrupt the gated trajectory
-    "wrap_result", "params_digest",
-)
-
-# SL06 state zone: an assignment into any object attribute/subscript in
-# these packages stores the value into simulation state.
-_DEFAULT_SL06_STATE_PATHS: tuple[str, ...] = (
-    "repro/sim", "repro/core", "repro/cache", "repro/cluster", "repro/press",
-)
-
-# Environment keys under these prefixes are sanctioned runner knobs
-# (REPRO_DIRECTORY, REPRO_WORKERS, ...): explicitly designed so any
-# value yields a valid deterministic run, and stamped into provenance.
-_DEFAULT_SL06_ENV_OK_PREFIXES: tuple[str, ...] = ("REPRO_",)
-
-# SL07 units lattice: unit -> identifier regexes that bind a name to it.
-# Matched in declaration order ("per_s" must win over the bare "_s"
-# seconds suffix), case-insensitively, against the last identifier
-# component of a name/attribute/call target.
-_DEFAULT_UNIT_PATTERNS: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("per_s", (r"_per_s$", r"_rps$", r"^rps$", r"_per_sec$")),
-    ("ms", (r"_ms$", r"^ms$", r"_msec$")),
-    ("s", (r"_s$", r"_secs?$", r"^seconds$", r"^secs$")),
-    ("bytes", (r"_bytes$", r"^bytes$", r"^nbytes$")),
-    ("kb", (r"_kb$", r"^kb$")),
-    ("mb", (r"_mb$", r"^mb$")),
-    ("blocks", (r"_blocks$", r"^blocks$", r"^nblocks$")),
-)
-
 
 @dataclass(frozen=True)
 class LintConfig:
@@ -128,24 +82,15 @@ class LintConfig:
     protected_attrs: Mapping[str, tuple[str, ...]] = field(
         default_factory=lambda: dict(_DEFAULT_PROTECTED_ATTRS))
     quantity_patterns: tuple[str, ...] = _DEFAULT_QUANTITY_PATTERNS
-    sl06_sinks: tuple[str, ...] = _DEFAULT_SL06_SINKS
-    sl06_state_paths: tuple[str, ...] = _DEFAULT_SL06_STATE_PATHS
-    sl06_env_ok_prefixes: tuple[str, ...] = _DEFAULT_SL06_ENV_OK_PREFIXES
-    unit_patterns: tuple[tuple[str, tuple[str, ...]], ...] = _DEFAULT_UNIT_PATTERNS
-
-    def rule_applies(self, rule_id: str, path: str) -> bool:
-        """True when ``rule_id`` is enforced for the file at ``path``.
-
-        SL00 (suppression hygiene) is unconditional: a malformed pragma
-        is a defect wherever it appears.
-        """
-        return (self.rule_in_scope(rule_id, path)
-                and self.allow_entry_for(rule_id, path) is None)
 
     def rule_in_scope(self, rule_id: str, path: str) -> bool:
         """Scope check only, ignoring the allowlist (the engine applies
         allow entries at finding time so it can credit the entries that
-        actually suppress something — SL08's staleness signal)."""
+        actually suppress something — SL08's staleness signal).
+
+        SL00 (suppression hygiene) is unconditional: a malformed pragma
+        is a defect wherever it appears.
+        """
         if rule_id == "SL00":
             return True
         scopes = self.rule_paths.get(rule_id, ())
@@ -160,12 +105,6 @@ class LintConfig:
 
     def quantity_regex(self) -> "re.Pattern[str]":
         return re.compile("|".join(f"(?:{p})" for p in self.quantity_patterns))
-
-    def unit_matchers(self) -> tuple[tuple[str, "re.Pattern[str]"], ...]:
-        """SL07 ``(unit, regex)`` pairs, in declaration (priority) order."""
-        return tuple((unit, re.compile("|".join(f"(?:{p})" for p in pats),
-                                       re.IGNORECASE))
-                     for unit, pats in self.unit_patterns)
 
 
 def path_matches(path: str, prefix: str) -> bool:
@@ -289,16 +228,4 @@ def load_config(root: Path | None = None) -> LintConfig:
         kwargs["protected_attrs"] = merged
     if "quantity_patterns" in table:
         kwargs["quantity_patterns"] = _as_tuple(table["quantity_patterns"])
-    if "sl06_sinks" in table:
-        kwargs["sl06_sinks"] = _as_tuple(table["sl06_sinks"])
-    if "sl06_state_paths" in table:
-        kwargs["sl06_state_paths"] = _as_tuple(table["sl06_state_paths"])
-    if "sl06_env_ok_prefixes" in table:
-        kwargs["sl06_env_ok_prefixes"] = _as_tuple(table["sl06_env_ok_prefixes"])
-    if "units" in table:
-        # [tool.simlint.units] — unit name -> list of identifier regexes.
-        # Declaration order in TOML is preserved by both parsers.
-        kwargs["unit_patterns"] = tuple(
-            _as_table(table["units"], "units").items())
-    known = {f.name for f in fields(LintConfig)}
-    return LintConfig(**{k: v for k, v in kwargs.items() if k in known})  # type: ignore[arg-type]
+    return LintConfig(**kwargs)  # type: ignore[arg-type]

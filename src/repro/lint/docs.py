@@ -95,36 +95,6 @@ RULE_DOCS: tuple[RuleDoc, ...] = (
         pragma="`disable=SL05 -- <reason>` (rarely justified)",
     ),
     RuleDoc(
-        id="SL06",
-        title="interprocedural nondeterminism taint into sim state or records",
-        rationale=(
-            "The whole-program layer tracks values born from unordered "
-            "iteration, ambient randomness, wall-clock reads, or os.environ "
-            "outside the REPRO_* knobs, through assignments, returns, and "
-            "call edges.  Any such value reaching simulation state, trace "
-            "output, or a BENCH record is an error even when the source and "
-            "sink live in different modules; the report prints the full "
-            "source→sink witness path."),
-        good="self.order = sorted(node_ids(nodes))",
-        bad="self.order = list(node_ids(nodes))   # node_ids returns a set",
-        pragma=("`disable=SL06 -- <reason>` at the *sink* line; prefer "
-                "fixing the source (sorted(), seeded rng, REPRO_* knob)"),
-    ),
-    RuleDoc(
-        id="SL07",
-        title="units-flow checking on *_ms/*_s/*_bytes/*_kb/*_mb/*_blocks names",
-        rationale=(
-            "A units lattice is inferred from naming conventions and checked "
-            "across assignments, comparisons, +/- arithmetic, and call "
-            "arguments (keyword names and resolved parameter names).  "
-            "Mixing ms with s or bytes with blocks without an explicit "
-            "conversion (* or /) is the config-knob bug class SL03 only "
-            "catches at float-compare sites."),
-        good="deadline_ms = now_ms + timeout_s * 1000.0",
-        bad="deadline_ms = now_ms + timeout_s",
-        pragma="`disable=SL07 -- <why the units agree>`",
-    ),
-    RuleDoc(
         id="SL08",
         title="stale suppressions: pragmas and allow entries must stay live",
         rationale=(
@@ -135,18 +105,6 @@ RULE_DOCS: tuple[RuleDoc, ...] = (
         good="(delete the pragma once the flagged code is gone)",
         bad="x = simulated_now()  # simlint: disable=SL02 -- leftover",
         pragma="not suppressible — delete the stale suppression instead",
-    ),
-    RuleDoc(
-        id="SL09",
-        title="no mutation of worker-reachable state after pool creation",
-        rationale=(
-            "Module globals reachable from a multiprocessing worker are "
-            "snapshotted at an OS-dependent instant (fork time / pickle "
-            "time).  Mutating one after the pool exists makes the sharded "
-            "sweep's byte-identity depend on that instant."),
-        good="CONFIG.update(opts)\nwith _pool_context(n) as pool: ...",
-        bad="with _pool_context(n) as pool:\n    CONFIG.update(opts)",
-        pragma="`disable=SL09 -- <why workers cannot observe the mutation>`",
     ),
 )
 

@@ -5,11 +5,11 @@ shape changes; the text reporter is the default for humans and mirrors
 the ``path:line:col: RULE message`` convention of ruff/mypy so editors
 pick the locations up.
 
-Schema 2 (simlint v2) adds a ``trace`` array per finding: the ordered
-source→sink witness hops of a whole-program flow (SL06), each hop a
-``{path, line, note}`` object.  Per-file findings carry an empty array.
-``findings_from_json`` round-trips the document back into
-:class:`~repro.lint.engine.Finding` objects for tooling and tests.
+Schema 3 findings are flat ``{path, line, col, rule, message}``
+objects (schema 2 also carried a per-finding ``trace`` array for the
+retired whole-program rules).  ``findings_from_json`` round-trips the
+document back into :class:`~repro.lint.engine.Finding` objects for
+tooling and tests.
 """
 
 from __future__ import annotations
@@ -18,22 +18,17 @@ from collections.abc import Sequence
 from typing import Any
 
 from .engine import Finding
-from .taint import TaintStep
 
 __all__ = ["render_text", "to_json_dict", "findings_from_json",
            "JSON_SCHEMA_VERSION"]
 
-JSON_SCHEMA_VERSION = 2
+JSON_SCHEMA_VERSION = 3
 
 
 def render_text(findings: Sequence[Finding], files_checked: int) -> str:
-    """One line per finding (plus its witness path) and a summary line."""
-    lines: list[str] = []
-    for f in findings:
-        lines.append(f"{f.path}:{f.line}:{f.col}: {f.rule} {f.message}")
-        for i, step in enumerate(f.trace):
-            arrow = "└─" if i == len(f.trace) - 1 else "├─"
-            lines.append(f"    {arrow} {step.render()}")
+    """One line per finding and a summary line."""
+    lines = [f"{f.path}:{f.line}:{f.col}: {f.rule} {f.message}"
+             for f in findings]
     noun = "file" if files_checked == 1 else "files"
     if findings:
         by_rule = _count_by_rule(findings)
@@ -62,10 +57,6 @@ def to_json_dict(findings: Sequence[Finding], files_checked: int) -> dict[str, A
             "col": f.col,
             "rule": f.rule,
             "message": f.message,
-            "trace": [
-                {"path": s.path, "line": s.line, "note": s.note}
-                for s in f.trace
-            ],
         }
         for f in findings
     ]
@@ -82,20 +73,15 @@ def to_json_dict(findings: Sequence[Finding], files_checked: int) -> dict[str, A
 
 
 def findings_from_json(doc: dict[str, Any]) -> list[Finding]:
-    """Rehydrate findings from a schema-2 JSON document (round-trip)."""
+    """Rehydrate findings from a schema-3 JSON document (round-trip)."""
     schema = doc.get("schema")
     if schema != JSON_SCHEMA_VERSION:
         raise ValueError(
             f"unsupported simlint report schema {schema!r}; "
             f"expected {JSON_SCHEMA_VERSION}")
-    out: list[Finding] = []
-    for item in doc.get("findings", []):
-        trace = tuple(
-            TaintStep(path=str(s["path"]), line=int(s["line"]),
-                      note=str(s["note"]))
-            for s in item.get("trace", ()))
-        out.append(Finding(
-            path=str(item["path"]), line=int(item["line"]),
-            col=int(item["col"]), rule=str(item["rule"]),
-            message=str(item["message"]), trace=trace))
-    return out
+    return [
+        Finding(path=str(item["path"]), line=int(item["line"]),
+                col=int(item["col"]), rule=str(item["rule"]),
+                message=str(item["message"]))
+        for item in doc.get("findings", [])
+    ]

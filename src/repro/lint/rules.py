@@ -321,7 +321,7 @@ def rule_catalog() -> Iterable[tuple[str, str]]:
 
     Sourced from the shared rule-doc table (:mod:`repro.lint.docs`) so
     the CLI, DESIGN.md, and ``--explain`` cannot drift apart; covers the
-    per-file rules (SL00–SL05) and the whole-program rules (SL06–SL09).
+    per-file rules (SL00–SL05) and the stale-suppression audit (SL08).
     """
     from .docs import RULE_DOCS
     for doc in RULE_DOCS:

@@ -2,13 +2,11 @@
 
 Each per-file rule gets paired good/bad fixtures, the pragma contract
 (disable / ordered / SL00 hygiene) is exercised directly, and the JSON
-report shape is pinned.  The v2 whole-program layer is covered by
-small synthetic projects written to a tmp dir: cross-module taint
-(SL06, including the seeded set-ordering regression fixture), units
-flow (SL07), suppression staleness (SL08), and cross-process mutation
-(SL09).  The final test self-hosts the linter over the full configured
-path set — the repository must stay clean under its own rules, with
-the staleness audit engaged.
+report shape is pinned.  The suppression-staleness audit (SL08) runs
+over small synthetic projects written to a tmp dir, through both
+``lint_paths`` and the CLI.  The final test self-hosts the linter over
+the full configured path set — the repository must stay clean under
+its own rules, with the staleness audit engaged.
 """
 
 import dataclasses
@@ -21,8 +19,6 @@ import pytest
 from repro.lint import (
     JSON_SCHEMA_VERSION,
     LintConfig,
-    TaintStep,
-    all_project_rules,
     all_rules,
     findings_from_json,
     lint_paths,
@@ -33,12 +29,12 @@ from repro.lint import (
 from repro.lint.__main__ import main as lint_main
 from repro.lint.config import load_config, path_matches
 from repro.lint.docs import RULE_DOCS
-from repro.lint.engine import Finding, iter_python_files
+from repro.lint.engine import iter_python_files
 from repro.lint.report import render_text
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-ALL_RULE_IDS = [f"SL0{i}" for i in range(10)]
+ALL_RULE_IDS = ["SL00", "SL01", "SL02", "SL03", "SL04", "SL05", "SL08"]
 
 # A path inside every default rule scope.
 CORE = "src/repro/core/example.py"
@@ -53,24 +49,21 @@ def run(source, path=CORE, config=None, select=None):
                        rules)
 
 
-def run_project(tmp_path, monkeypatch, files, *, paths=("src/repro",),
-                rules=(), select=None, full_run=False, config=None):
-    """Materialise ``files`` as a tmp project and lint it whole-program.
-
-    ``select`` limits the project rules; ``rules`` are the per-file
-    rules to co-run (needed by the SL08 tests so pragmas get used).
-    """
+def write_project(tmp_path, monkeypatch, files):
+    """Materialise ``files`` as a tmp project and chdir into it."""
     for rel, src in files.items():
         p = tmp_path / rel
         p.parent.mkdir(parents=True, exist_ok=True)
         p.write_text(textwrap.dedent(src), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    project_rules = all_project_rules()
-    if select is not None:
-        project_rules = [r for r in project_rules if r.id in select]
+
+
+def run_project(tmp_path, monkeypatch, files, *, paths=("src/repro",),
+                full_run=False, config=None):
+    """Lint a tmp project through ``lint_paths`` with every rule."""
+    write_project(tmp_path, monkeypatch, files)
     findings, _files = lint_paths(list(paths), config or LintConfig(),
-                                  list(rules), project_rules,
-                                  full_run=full_run)
+                                  all_rules(), full_run=full_run)
     return findings
 
 
@@ -387,220 +380,6 @@ class TestPragmas:
 
 
 # ---------------------------------------------------------------------------
-# SL06 — interprocedural nondeterminism taint
-# ---------------------------------------------------------------------------
-
-# The seeded regression fixture from the determinism post-mortem: an
-# unordered set is born in one module and materialised into simulation
-# state in another.  `sorted()` at the consumption site is the fix.
-_TOPO = """
-    def node_ids(nodes):
-        return {n for n in nodes}
-"""
-
-_SCHED_BAD = """
-    from repro.cluster.topo import node_ids
-
-    class Scheduler:
-        def __init__(self, nodes):
-            self.order = list(node_ids(nodes))
-"""
-
-_SCHED_GOOD = """
-    from repro.cluster.topo import node_ids
-
-    class Scheduler:
-        def __init__(self, nodes):
-            self.order = sorted(node_ids(nodes))
-"""
-
-
-class TestSL06:
-    def _bad_findings(self, tmp_path, monkeypatch):
-        return run_project(tmp_path, monkeypatch, {
-            "src/repro/cluster/topo.py": _TOPO,
-            "src/repro/sim/sched.py": _SCHED_BAD,
-        }, select={"SL06"})
-
-    def test_cross_module_set_order_flagged_with_path(self, tmp_path,
-                                                      monkeypatch):
-        findings = self._bad_findings(tmp_path, monkeypatch)
-        assert rule_ids(findings) == ["SL06"]
-        f = findings[0]
-        assert f.path == "src/repro/sim/sched.py"
-        assert "hash-order-dependent" in f.message
-        assert "src/repro/cluster/topo.py" in f.message
-        # The witness path crosses the module boundary: it starts at the
-        # set birth in topo.py and ends at the state store in sched.py.
-        assert len(f.trace) >= 2
-        assert f.trace[0].path == "src/repro/cluster/topo.py"
-        assert any(s.path == "src/repro/sim/sched.py" for s in f.trace)
-
-    def test_sorted_at_consumption_site_is_clean(self, tmp_path, monkeypatch):
-        findings = run_project(tmp_path, monkeypatch, {
-            "src/repro/cluster/topo.py": _TOPO,
-            "src/repro/sim/sched.py": _SCHED_GOOD,
-        }, select={"SL06"})
-        assert findings == []
-
-    def test_environ_read_into_state_flagged(self, tmp_path, monkeypatch):
-        findings = run_project(tmp_path, monkeypatch, {
-            "src/repro/sim/cfg.py": """
-                import os
-
-                class Cfg:
-                    def __init__(self):
-                        self.mode = os.environ.get("MODE", "x")
-            """,
-        }, select={"SL06"})
-        assert rule_ids(findings) == ["SL06"]
-        assert "environment-derived" in findings[0].message
-
-    def test_sanctioned_env_prefix_is_clean(self, tmp_path, monkeypatch):
-        findings = run_project(tmp_path, monkeypatch, {
-            "src/repro/sim/cfg.py": """
-                import os
-
-                class Cfg:
-                    def __init__(self):
-                        self.mode = os.environ.get("REPRO_MODE", "x")
-            """,
-        }, select={"SL06"})
-        assert findings == []
-
-    def test_env_helper_judged_by_caller_literals(self, tmp_path, monkeypatch):
-        # A helper reading os.environ[name] is clean when every caller
-        # passes a sanctioned literal key — and tainted when one doesn't.
-        helper = """
-            import os
-
-            def knob(name, default):
-                raw = os.environ.get(name)
-                return raw if raw is not None else default
-
-            class Cfg:
-                def __init__(self):
-                    self.scale = knob({key!r}, "1")
-        """
-        clean = run_project(tmp_path, monkeypatch, {
-            "src/repro/sim/cfg.py": textwrap.dedent(helper).format(
-                key="REPRO_SCALE"),
-        }, select={"SL06"})
-        assert clean == []
-        tainted = run_project(tmp_path, monkeypatch, {
-            "src/repro/sim/cfg.py": textwrap.dedent(helper).format(
-                key="SCALE"),
-        }, select={"SL06"})
-        assert rule_ids(tainted) == ["SL06"]
-
-    def test_findings_round_trip_through_schema2_json(self, tmp_path,
-                                                      monkeypatch):
-        findings = self._bad_findings(tmp_path, monkeypatch)
-        doc = json.loads(json.dumps(to_json_dict(findings, files_checked=2)))
-        assert doc["schema"] == JSON_SCHEMA_VERSION == 2
-        rehydrated = findings_from_json(doc)
-        assert rehydrated == findings
-        assert rehydrated[0].trace == findings[0].trace
-
-    def test_wrong_schema_version_rejected(self):
-        with pytest.raises(ValueError, match="schema"):
-            findings_from_json({"schema": 1, "findings": []})
-
-
-# ---------------------------------------------------------------------------
-# SL07 — units flow from naming conventions
-# ---------------------------------------------------------------------------
-
-class TestSL07:
-    def _run(self, tmp_path, monkeypatch, source):
-        return run_project(tmp_path, monkeypatch, {
-            "src/repro/core/units.py": source,
-        }, select={"SL07"})
-
-    def test_mixed_unit_arithmetic_flagged(self, tmp_path, monkeypatch):
-        findings = self._run(tmp_path, monkeypatch, """
-            def f(timeout_ms, delay_s):
-                return timeout_ms + delay_s
-        """)
-        assert rule_ids(findings) == ["SL07"]
-        assert "[ms]" in findings[0].message and "[s]" in findings[0].message
-
-    def test_mixed_unit_comparison_flagged(self, tmp_path, monkeypatch):
-        findings = self._run(tmp_path, monkeypatch, """
-            def f(size_bytes, quota_kb):
-                return size_bytes > quota_kb
-        """)
-        assert rule_ids(findings) == ["SL07"]
-
-    def test_mixed_unit_assignment_flagged(self, tmp_path, monkeypatch):
-        findings = self._run(tmp_path, monkeypatch, """
-            def f(delay_s):
-                wait_ms = delay_s
-                return wait_ms
-        """)
-        assert rule_ids(findings) == ["SL07"]
-
-    def test_multiplication_is_an_explicit_conversion(self, tmp_path,
-                                                      monkeypatch):
-        findings = self._run(tmp_path, monkeypatch, """
-            def f(delay_s):
-                delay_ms = delay_s * 1000.0
-                return delay_ms
-        """)
-        assert findings == []
-
-    def test_keyword_argument_unit_mismatch_flagged(self, tmp_path,
-                                                    monkeypatch):
-        findings = self._run(tmp_path, monkeypatch, """
-            def wait(timeout_ms):
-                return timeout_ms
-
-            def g(delay_s):
-                return wait(timeout_ms=delay_s)
-        """)
-        assert rule_ids(findings) == ["SL07"]
-        assert "timeout_ms=" in findings[0].message
-
-    def test_positional_argument_resolved_through_callee(self, tmp_path,
-                                                         monkeypatch):
-        findings = self._run(tmp_path, monkeypatch, """
-            def wait(timeout_ms):
-                return timeout_ms
-
-            def g(delay_s):
-                return wait(delay_s)
-        """)
-        assert rule_ids(findings) == ["SL07"]
-        assert "parameter timeout_ms" in findings[0].message
-
-    def test_converter_named_call_resets_unit(self, tmp_path, monkeypatch):
-        findings = self._run(tmp_path, monkeypatch, """
-            def blocks_for_mb(size_mb):
-                return int(size_mb * 256)
-
-            def f(size_mb):
-                blocks = blocks_for_mb(size_mb)
-                return blocks
-        """)
-        assert findings == []
-
-    def test_same_unit_everywhere_clean(self, tmp_path, monkeypatch):
-        findings = self._run(tmp_path, monkeypatch, """
-            def f(read_ms, write_ms):
-                total_ms = read_ms + write_ms
-                return total_ms > read_ms
-        """)
-        assert findings == []
-
-    def test_per_s_wins_over_bare_s_suffix(self, tmp_path, monkeypatch):
-        findings = self._run(tmp_path, monkeypatch, """
-            def f(rate_per_s, other_rps):
-                return rate_per_s + other_rps
-        """)
-        assert findings == []
-
-
-# ---------------------------------------------------------------------------
 # SL08 — stale suppressions
 # ---------------------------------------------------------------------------
 
@@ -610,7 +389,7 @@ class TestSL08:
             "src/repro/core/x.py": """
                 X = 1  # simlint: disable=SL02 -- obsolete: the clock read moved.
             """,
-        }, rules=all_rules(), full_run=True)
+        }, full_run=True)
         assert rule_ids(findings) == ["SL08"]
         assert "stale suppression" in findings[0].message
 
@@ -620,7 +399,7 @@ class TestSL08:
                 import time
                 T = time.time()  # simlint: disable=SL02 -- fixture: pragma is live.
             """,
-        }, rules=all_rules(), full_run=True, select={"SL08"})
+        }, full_run=True)
         assert findings == []
 
     def test_partial_runs_do_not_audit(self, tmp_path, monkeypatch):
@@ -628,7 +407,7 @@ class TestSL08:
             "src/repro/core/x.py": """
                 X = 1  # simlint: disable=SL02 -- obsolete: nothing here.
             """,
-        }, rules=all_rules(), full_run=False)
+        }, full_run=False)
         assert findings == []
 
     def test_stale_allow_entry_flagged(self, tmp_path, monkeypatch):
@@ -636,7 +415,7 @@ class TestSL08:
             LintConfig(), allow_paths={"SL02": ("repro/ghost.py",)})
         findings = run_project(tmp_path, monkeypatch, {
             "src/repro/core/x.py": "X = 1\n",
-        }, rules=all_rules(), full_run=True, config=config)
+        }, full_run=True, config=config)
         assert rule_ids(findings) == ["SL08"]
         assert findings[0].path == "pyproject.toml"
         assert "stale allow entry" in findings[0].message
@@ -649,77 +428,8 @@ class TestSL08:
                 import time
                 T = time.time()
             """,
-        }, rules=all_rules(), full_run=True, config=config, select={"SL08"})
+        }, full_run=True, config=config)
         # The allow entry suppressed the SL02 finding, so it is live.
-        assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# SL09 — cross-process mutation after pool creation
-# ---------------------------------------------------------------------------
-
-_SWEEP_BAD = """
-    from multiprocessing import Pool
-
-    TABLE = {}
-
-    def worker(x):
-        return TABLE.get(x, 0)
-
-    def sweep(items):
-        pool = Pool(4)
-        TABLE["k"] = 1
-        return pool.map(worker, items)
-"""
-
-_SWEEP_GOOD = """
-    from multiprocessing import Pool
-
-    TABLE = {}
-
-    def worker(x):
-        return TABLE.get(x, 0)
-
-    def sweep(items):
-        TABLE["k"] = 1
-        pool = Pool(4)
-        return pool.map(worker, items)
-"""
-
-
-class TestSL09:
-    def test_mutation_after_pool_creation_flagged(self, tmp_path, monkeypatch):
-        findings = run_project(tmp_path, monkeypatch, {
-            "src/repro/experiments/sweep.py": _SWEEP_BAD,
-        }, select={"SL09"})
-        assert rule_ids(findings) == ["SL09"]
-        f = findings[0]
-        assert "TABLE" in f.message and "worker" in f.message
-        assert "after the pool is created" in f.message
-
-    def test_mutation_before_pool_creation_clean(self, tmp_path, monkeypatch):
-        findings = run_project(tmp_path, monkeypatch, {
-            "src/repro/experiments/sweep.py": _SWEEP_GOOD,
-        }, select={"SL09"})
-        assert findings == []
-
-    def test_local_shadowing_global_not_flagged(self, tmp_path, monkeypatch):
-        findings = run_project(tmp_path, monkeypatch, {
-            "src/repro/experiments/sweep.py": """
-                from multiprocessing import Pool
-
-                TABLE = {}
-
-                def worker(x):
-                    return TABLE.get(x, 0)
-
-                def sweep(items):
-                    pool = Pool(4)
-                    TABLE2 = {}
-                    TABLE2["k"] = 1
-                    return pool.map(worker, items)
-            """,
-        }, select={"SL09"})
         assert findings == []
 
 
@@ -740,13 +450,11 @@ class TestReports:
         findings = self._findings()
         doc = to_json_dict(findings, files_checked=1)
         assert set(doc) == {"schema", "tool", "findings", "summary"}
-        assert doc["schema"] == JSON_SCHEMA_VERSION == 2
+        assert doc["schema"] == JSON_SCHEMA_VERSION == 3
         assert doc["tool"] == "simlint"
         for item in doc["findings"]:
-            assert set(item) == {"path", "line", "col", "rule", "message",
-                                 "trace"}
+            assert set(item) == {"path", "line", "col", "rule", "message"}
             assert isinstance(item["line"], int) and item["line"] >= 1
-            assert item["trace"] == []  # per-file findings carry no trace
         assert doc["summary"]["findings"] == len(findings) == 2
         assert doc["summary"]["files_checked"] == 1
         assert doc["summary"]["by_rule"] == {"SL01": 1, "SL02": 1}
@@ -756,20 +464,34 @@ class TestReports:
         assert json.loads(json.dumps(doc)) == doc
         assert findings_from_json(doc) == self._findings()
 
+    def test_findings_round_trip_through_schema3_json(self, tmp_path,
+                                                      monkeypatch):
+        # Findings from several files and rules, SL08 included.
+        findings = run_project(tmp_path, monkeypatch, {
+            "src/repro/core/a.py": "import time\nT = time.time()\n",
+            "src/repro/sim/b.py": """
+                X = 1  # simlint: disable=SL02 -- obsolete: nothing here.
+
+                def f(x=[]):
+                    return x
+            """,
+        }, full_run=True)
+        assert rule_ids(findings) == ["SL02", "SL08", "SL05"]
+        doc = json.loads(json.dumps(to_json_dict(findings, files_checked=2)))
+        assert doc["schema"] == JSON_SCHEMA_VERSION == 3
+        assert findings_from_json(doc) == findings
+
+    def test_wrong_schema_version_rejected(self):
+        for schema in (1, 2):  # schema 2 still carried per-finding traces
+            with pytest.raises(ValueError, match="schema"):
+                findings_from_json({"schema": schema, "findings": []})
+
     def test_text_report_format(self):
         findings = self._findings()
         text = render_text(findings, files_checked=1)
         first = findings[0]
         assert f"{first.path}:{first.line}:{first.col}: {first.rule}" in text
         assert "2 finding(s) in 1 file" in text
-
-    def test_text_report_renders_witness_path(self):
-        f = Finding("src/repro/sim/x.py", 3, 1, "SL06", "tainted flow",
-                    trace=(TaintStep("src/repro/a.py", 1, "set birth"),
-                           TaintStep("src/repro/sim/x.py", 3, "state store")))
-        text = render_text([f], files_checked=1)
-        assert "├─" in text and "└─" in text
-        assert "set birth" in text and "state store" in text
 
     def test_text_report_clean(self):
         assert "clean" in render_text([], files_checked=3)
@@ -784,6 +506,27 @@ class TestReports:
 # ---------------------------------------------------------------------------
 
 class TestCLI:
+    @pytest.mark.parametrize("spelling, code", [
+        ("src/repro", 1),
+        ("src/repro/", 1),
+        ("./src/repro", 1),
+        ("src/repro/core", 0),  # a subset: the audit must stay off
+    ])
+    def test_full_run_check_normalizes_path_spellings(
+            self, tmp_path, monkeypatch, capsys, spelling, code):
+        write_project(tmp_path, monkeypatch, {
+            "pyproject.toml": """
+                [tool.simlint]
+                paths = ["src/repro"]
+            """,
+            "src/repro/core/x.py": """
+                X = 1  # simlint: disable=SL02 -- obsolete: nothing here.
+            """,
+        })
+        assert lint_main([spelling]) == code
+        out = capsys.readouterr().out
+        assert ("SL08" in out) == (code == 1)
+
     def test_exit_zero_on_clean_file(self, tmp_path, capsys):
         f = tmp_path / "repro" / "core" / "clean.py"
         f.parent.mkdir(parents=True)
@@ -830,13 +573,13 @@ class TestCLI:
         assert "SL05" in out and "SL02" not in out
 
     def test_explain_prints_rule_doc(self, capsys):
-        assert lint_main(["--explain", "SL06"]) == 0
+        assert lint_main(["--explain", "SL03"]) == 0
         out = capsys.readouterr().out
-        assert "SL06" in out and "disable=SL06" in out
+        assert "SL03" in out and "disable=SL03" in out
 
     def test_explain_is_case_insensitive(self, capsys):
-        assert lint_main(["--explain", "sl07"]) == 0
-        assert "SL07" in capsys.readouterr().out
+        assert lint_main(["--explain", "sl08"]) == 0
+        assert "SL08" in capsys.readouterr().out
 
     def test_explain_unknown_rule_exits_two(self, capsys):
         assert lint_main(["--explain", "SL42"]) == 2
@@ -881,23 +624,12 @@ class TestConfig:
         config = load_config(REPO_ROOT)
         assert config.paths == ("src/repro", "benchmarks")
         assert "repro/press" in config.rule_paths["SL01"]
-        assert "benchmarks" in config.rule_paths["SL06"]
+        assert "benchmarks" in config.rule_paths["SL08"]
+        # Only live rules carry a scope.
+        assert set(config.rule_paths) == set(ALL_RULE_IDS) - {"SL00"}
         # SL08 keeps the allow table honest: entries exist only while
         # they suppress something, and none are needed right now.
         assert dict(config.allow_paths) == {}
-
-    def test_sl06_defaults_cover_the_sink_contract(self):
-        config = LintConfig()
-        assert "Tracer.start" in config.sl06_sinks
-        assert "wrap_result" in config.sl06_sinks
-        assert "repro/sim" in config.sl06_state_paths
-        assert config.sl06_env_ok_prefixes == ("REPRO_",)
-
-    def test_unit_matchers_priority_order(self):
-        matchers = LintConfig().unit_matchers()
-        assert matchers[0][0] == "per_s"  # must win over the bare _s suffix
-        units = [u for u, _rx in matchers]
-        assert units == ["per_s", "ms", "s", "bytes", "kb", "mb", "blocks"]
 
     def test_iter_python_files_deduplicates(self, tmp_path):
         f = tmp_path / "a.py"
@@ -914,7 +646,7 @@ class TestSelfHost:
     def test_full_run_is_clean_including_staleness_audit(self, capsys,
                                                          monkeypatch):
         # No explicit paths -> the configured set (src/repro + benchmarks)
-        # with all four project rules AND the SL08 staleness audit live.
+        # with every rule AND the SL08 staleness audit live.
         monkeypatch.chdir(REPO_ROOT)
         assert lint_main([]) == 0
         assert "clean" in capsys.readouterr().out

@@ -4,24 +4,23 @@ reports are deterministic.
 Three properties, over two corpora:
 
 * generated modules — small programs composed from statement templates
-  biased toward the constructs the rules care about (sets, clocks,
-  environ reads, pools, unit-suffixed names, pragmas) — lint cleanly in
-  the sense that the linter returns findings rather than raising, and
-  linting twice yields the identical report (fresh rule instances each
-  time, so rule state cannot leak between runs);
+  biased toward the constructs the rules care about (sets, dict views,
+  clocks, ambient randomness, quantity-named comparisons, pragmas) — lint
+  cleanly in the sense that the linter returns findings rather than
+  raising, and linting twice yields the identical report (fresh rule
+  instances each time, so rule state cannot leak between runs);
 * arbitrary text — including non-parsing garbage and null bytes — is
   reported as SL00, never an exception;
 * the real repository corpus (every file under the configured lint
   paths) is linted twice per file with identical results.
 
-The whole-program layer gets the same treatment: synthetic two-module
-projects are linted twice through ``lint_paths`` with all project rules
-and the staleness audit live.
+Full runs get the same treatment: synthetic two-module projects are
+linted twice through ``lint_paths`` with every rule and the SL08
+staleness pass live.
 """
 
 import os
 import tempfile
-import textwrap
 from pathlib import Path
 
 import pytest
@@ -31,7 +30,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 
 from repro.lint import (  # noqa: E402
     LintConfig,
-    all_project_rules,
     all_rules,
     lint_paths,
     lint_source,
@@ -116,14 +114,14 @@ def test_arbitrary_text_never_crashes(src):
 
 
 # ---------------------------------------------------------------------------
-# Whole-program layer
+# Full run (per-file rules + the SL08 staleness pass)
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(_statement(), min_size=1, max_size=5),
        st.lists(_statement(), min_size=1, max_size=5))
-def test_project_rules_never_crash_and_are_idempotent(stmts_a, stmts_b):
+def test_full_run_never_crashes_and_is_idempotent(stmts_a, stmts_b):
     cfg = LintConfig()
     with tempfile.TemporaryDirectory() as td:
         root = Path(td)
@@ -135,8 +133,7 @@ def test_project_rules_never_crash_and_are_idempotent(stmts_a, stmts_b):
         old = os.getcwd()
         os.chdir(td)
         try:
-            runs = [lint_paths(["src/repro"], cfg, list(all_rules()),
-                               all_project_rules(), full_run=True)
+            runs = [lint_paths(["src/repro"], cfg, all_rules(), full_run=True)
                     for _ in range(2)]
         finally:
             os.chdir(old)
