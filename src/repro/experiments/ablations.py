@@ -432,7 +432,6 @@ def _run_rw_point(trace, mem_mb, write_ratio, write_policy, num_nodes):
             if rng.random() < write_ratio:
                 yield node.cpu.submit(layer.params.cpu.parse_ms)
                 yield from layer.write(node, file_id)
-                size_kb = layout.size_kb(file_id)
                 yield node.nic.submit(
                     layer.params.network.transfer_ms(0.3)  # small ACK
                 )

@@ -949,12 +949,12 @@ def analyze_command(argv) -> int:
         or opts.json_out or opts.cache or opts.critical or opts.critical_out
     )
 
+    if opts.json_out or want_report:
+        attr = attribute(records, measured_only=measured_only)
     if opts.json_out:
         from ..obs.analyze import attribution_to_dict
 
-        summary = attribution_to_dict(
-            attribute(records, measured_only=measured_only), metrics=metrics
-        )
+        summary = attribution_to_dict(attr, metrics=metrics)
         text = json.dumps(summary, indent=2, sort_keys=True, default=float)
         if opts.json_out == "-":
             print(text)
@@ -966,9 +966,7 @@ def analyze_command(argv) -> int:
         from ..obs.reports import render_profile_report
 
         print(banner(f"profile: {opts.trace}"))
-        print(render_profile_report(
-            attribute(records, measured_only=measured_only), metrics=metrics
-        ))
+        print(render_profile_report(attr, metrics=metrics))
     if opts.top:
         from ..obs.reports import render_top_requests
 

@@ -1,24 +1,12 @@
-"""Offline trace analysis: span trees and critical-path attribution.
+"""Offline trace analysis: span trees and per-request phase attribution.
 
 Input is the tracer's JSONL (or its in-memory record list) from a
-*profiled* run (``Observability(profile=True)``).  The decomposition
-rests on two structural facts about the simulator:
-
-* Protocol coroutines are **serial** — between two yields no simulated
-  time passes — so the profiler's phase spans (name ``"ph"``) tile each
-  span's duration exactly, telescoping with zero-duration gaps.
-* Parallel fan-out happens only behind an ``all_of`` wrapped in a
-  ``fetch`` phase; the spawned fetch spans are *siblings* of that phase
-  under the same parent.  A backward walk from the end of the fetch
-  interval — always stepping to the candidate span that ends latest but
-  no later than the current frontier — recovers the serial chain that
-  actually bounded the wait (the critical path), and any unexplained
-  remainder is genuine waiting on another request's work (coalesce /
-  peer / master wait).
-
-``attribute()`` turns a trace into per-request phase tables whose sums
-equal the span-tree root durations (and, over measured client roots,
-the run's measured mean response time) up to float tolerance.
+*profiled* run (``Observability(profile=True)``).  This module wires the
+records into span trees; :mod:`repro.obs.critical` walks them.
+``attribute()`` sums each request's critical path by phase, so its
+per-request phase tables sum to the span-tree root durations (and, over
+measured client roots, to the run's measured mean response time) up to
+float tolerance.
 """
 
 from __future__ import annotations
@@ -30,7 +18,6 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable
 from typing import Any
 
-from .profile import PHASE_SPAN
 from .schema import as_report
 
 __all__ = [
@@ -65,9 +52,6 @@ PHASE_ORDER: tuple[str, ...] = (
 #: Span names treated as per-request roots (profiled runs produce
 #: ``client`` roots; plain traced runs produce ``request`` roots).
 REQUEST_ROOT_NAMES = ("client", "request")
-
-#: Absolute float slack for interval containment / chain stepping (ms).
-_EPS = 1e-9
 
 
 class SpanNode:
@@ -186,132 +170,8 @@ def request_roots(
 
 
 # ---------------------------------------------------------------------------
-# decomposition
+# attribution
 # ---------------------------------------------------------------------------
-def _contains(p: SpanNode, c: SpanNode) -> bool:
-    """True if finished span ``c`` lies within phase ``p``'s interval.
-
-    Span ids are monotone in creation order, so a span created during a
-    wait always has a higher id than the wait's phase span — which
-    disambiguates exact-timestamp boundaries (zero-duration gaps).
-    """
-    if c.dur is None:
-        return False
-    return (
-        p.span_id < c.span_id
-        and p.start - _EPS <= c.start
-        and c.end <= p.end + _EPS
-    )
-
-
-def _decompose_span(span: SpanNode, phases: dict[str, float]) -> None:
-    """Attribute ``span``'s duration into ``phases`` via its children.
-
-    Serial children (phases and sub-spans not inside any phase interval)
-    tile the span; anything not covered by a child lands in ``other``.
-    """
-    children = [c for c in span.children if c.dur is not None]
-    ph_children = [c for c in children if c.name == PHASE_SPAN]
-    segments = [
-        c for c in children
-        if not any(p is not c and _contains(p, c) for p in ph_children)
-    ]
-    covered = 0.0
-    for seg in segments:
-        if seg.name == PHASE_SPAN:
-            _attribute_phase(seg, phases)
-        else:
-            _decompose_span(seg, phases)
-        covered += seg.dur
-    leftover = (span.dur or 0.0) - covered
-    if leftover:
-        phases["other"] += leftover
-
-
-def _attribute_phase(p: SpanNode, phases: dict[str, float]) -> None:
-    """Assign one phase span's duration to named attribution buckets."""
-    attrs = p.attrs
-    name = attrs.get("p", "other")
-    dur = p.dur or 0.0
-    if name in ("cpu", "nic", "bus"):
-        q = attrs.get("q", 0.0)
-        phases[f"{name}.queue"] += q
-        phases[f"{name}.service"] += dur - q
-    elif name == "disk":
-        svc = attrs.get("svc", dur)
-        seek = attrs.get("seek", 0.0)
-        phases["disk.queue"] += dur - svc
-        phases["disk.seek"] += seek
-        phases["disk.transfer"] += svc - seek
-    elif name in ("router", "wire"):
-        phases[name] += dur
-    elif name == "master_wait":
-        phases["master.wait"] += dur
-    elif name == "coalesce_wait":
-        phases["coalesce.wait"] += dur
-    elif name == "fault_detect":
-        phases["fault.detect"] += dur
-    elif name == "retry_wait":
-        phases["retry.backoff"] += dur
-    elif name == "fetch":
-        _refine_fetch(p, phases)
-    else:
-        phases["other"] += dur
-
-
-def _refine_fetch(p: SpanNode, phases: dict[str, float]) -> None:
-    """Decompose a parallel fan-out wait along its critical path.
-
-    The fetch spans spawned during the wait are siblings of ``p`` under
-    the same parent, contained in ``p``'s interval.  Walking backward
-    from the end of the interval — always taking the span that ends
-    latest but at or before the current frontier — recovers the serial
-    chain that bounded the wait (e.g. ``master_wait`` phase followed by
-    the retried ``peer_fetch``).  Time not explained by the chain was
-    spent waiting on work owned by *other* requests; it goes to
-    ``coalesce.wait`` / ``peer.wait`` / ``disk.queue`` according to what
-    the fan-out contained.
-    """
-    parent = p.parent
-    candidates = [
-        c for c in (parent.children if parent is not None else [])
-        if c is not p and _contains(p, c) and (c.dur or 0.0) > 0.0
-    ]
-    frontier = p.end
-    attributed = 0.0
-    used: set = set()
-    while True:
-        best = None
-        for c in candidates:
-            if c.span_id in used or c.end > frontier + _EPS:
-                continue
-            if best is None or (c.end, c.dur, c.span_id) > (
-                best.end, best.dur, best.span_id
-            ):
-                best = c
-        if best is None:
-            break
-        used.add(best.span_id)
-        if best.name == PHASE_SPAN:
-            _attribute_phase(best, phases)
-        else:
-            _decompose_span(best, phases)
-        attributed += best.dur
-        frontier = best.start
-        if frontier <= p.start + _EPS:
-            break
-    leftover = (p.dur or 0.0) - attributed
-    if leftover:
-        attrs = p.attrs
-        if attrs.get("j"):
-            bucket = "coalesce.wait"
-        elif attrs.get("pe"):
-            bucket = "peer.wait"
-        else:
-            bucket = "disk.queue"
-        phases[bucket] += leftover
-
-
 @dataclass
 class RequestProfile:
     """One request's phase decomposition."""
@@ -331,9 +191,13 @@ class RequestProfile:
 
 
 def decompose_request(root: SpanNode) -> RequestProfile:
-    """Phase decomposition of one finished request root span."""
+    """Phase decomposition of one finished request root span: the
+    per-phase sum of its critical path."""
+    from .critical import critical_path
+
     phases: dict[str, float] = defaultdict(float)
-    _decompose_span(root, phases)
+    for seg in critical_path(root):
+        phases[seg.phase] += seg.dur
     return RequestProfile(
         trace_id=root.trace_id,
         root_name=root.name,

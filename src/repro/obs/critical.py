@@ -1,12 +1,14 @@
-"""Critical-path extraction over the causal span DAG.
+"""Critical-path extraction over the causal span DAG: the one span walker.
 
-:mod:`repro.obs.analyze` answers "where was time *spent*" — it sums
-phase durations into buckets.  This module answers the sharper question
-"where was latency *created*": for each request it extracts the
-**critical path**, the ordered chain of leaf intervals that actually
-bounded the response time, and aggregates those chains cluster-wide.
+For each request this module extracts the **critical path**, the ordered
+chain of leaf intervals that bounded its response time.  Everything that
+turns spans into time derives from it: :func:`repro.obs.analyze.attribute`
+is the per-phase sum of each request's path, and
+:mod:`repro.obs.timeseries` takes its queue/service intervals from
+:func:`phase_segments`, so the rules that turn a phase span's ``q`` /
+``svc`` / ``seek`` stamps into time live only here.
 
-The walk uses the same two structural facts the analyzer rests on:
+The walk rests on two structural facts about the simulator:
 
 * serial protocol coroutines — the phase spans (and nested sub-spans)
   under a span tile its interval, so every serial child is on the
@@ -18,31 +20,21 @@ The walk uses the same two structural facts the analyzer rests on:
   chain that bounded the wait, and uncovered time is waiting on another
   request's work (coalesce / peer / disk queue).
 
-Unlike ``attribute()`` the result is *ordered*: each request yields a
-list of :class:`CriticalSegment` tiling its root span exactly, which
-lets :func:`critical_profile` aggregate per-phase critical-seconds *and*
-the top-K critical **edges** — the phase→phase (node→node) transitions
-latency flows through most.  By the tiling property, per-phase critical
-milliseconds sum to the same totals ``attribute()`` reports, so the
-conservation argument (phases sum to measured mean response, ~0
-residual) carries over unchanged.
+Each request's :class:`CriticalSegment` list tiles its root span
+exactly, so per-phase critical milliseconds sum to the measured response
+time (~0 residual).  :func:`critical_profile` aggregates the paths
+cluster-wide, adding the top-K critical **edges** — the phase→phase
+(node→node) transitions latency flows through most.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import defaultdict
-from dataclasses import dataclass
 from collections.abc import Iterable
-from typing import Any
+from typing import Any, NamedTuple
 
-from .analyze import (
-    _EPS,
-    _contains,
-    SpanNode,
-    build_trees,
-    request_roots,
-)
+from .analyze import SpanNode, build_trees, request_roots
 from .profile import PHASE_SPAN
 from .schema import as_report
 
@@ -50,13 +42,16 @@ __all__ = [
     "CriticalSegment",
     "critical_path",
     "critical_profile",
+    "phase_segments",
 ]
 
 logger = logging.getLogger(__name__)
 
+#: Absolute float slack for interval containment / chain stepping (ms).
+_EPS = 1e-9
 
-@dataclass(frozen=True)
-class CriticalSegment:
+
+class CriticalSegment(NamedTuple):
     """One leaf interval on a request's critical path."""
 
     #: Attribution bucket (``disk.queue``, ``cpu.service``, ...).
@@ -70,6 +65,24 @@ class CriticalSegment:
     @property
     def dur(self) -> float:
         return self.end - self.start
+
+
+def _inside(phases: Iterable[SpanNode], c: SpanNode) -> bool:
+    """True if finished span ``c`` lies within one of ``phases``' intervals.
+
+    Span ids are monotone in creation order, so a span created during a
+    wait always has a higher id than the wait's phase span — which
+    disambiguates exact-timestamp boundaries (zero-duration gaps).
+    """
+    c_id, c_start, c_end = c.span_id, c.start, c.end
+    if c_end is None:
+        return False
+    for p in phases:
+        if p.span_id < c_id and p.start - _EPS <= c_start:
+            p_end = p.end
+            if p_end is not None and c_end <= p_end + _EPS:
+                return True
+    return False
 
 
 def _seg(phase: str, src: SpanNode, start: float, end: float,
@@ -98,19 +111,19 @@ def _fill_gaps(
         _seg(bucket, src, cur, hi, out)
 
 
-def _phase_segments(p: SpanNode, out: list[CriticalSegment]) -> None:
-    """Split one profiler phase span into bucket-labelled segments.
+def phase_segments(p: SpanNode, out: list[CriticalSegment]) -> None:
+    """Append one profiler phase span's bucket-labelled segments to ``out``.
 
-    The queue/service split mirrors ``analyze._attribute_phase``: the
-    stamps (``q`` / ``svc`` / ``seek``) position the service portion at
-    the *end* of the wait, which is where the service center ran it.
+    The stamps (``q`` / ``svc`` / ``seek``) position the service portion
+    at the *end* of the wait, which is where the service center ran it;
+    a ``fetch`` phase expands into the critical chain of its fan-out.
     """
     attrs = p.attrs
     name = attrs.get("p", "other")
     s, e = p.start, p.end
     if e is None:  # unfinished phase: nothing bounded the response
         return
-    dur = p.dur or 0.0
+    dur = e - s
     if name in ("cpu", "nic", "bus"):
         q = min(max(attrs.get("q", 0.0), 0.0), dur)
         _seg(f"{name}.queue", p, s, s + q, out)
@@ -140,11 +153,10 @@ def _phase_segments(p: SpanNode, out: list[CriticalSegment]) -> None:
 def _fetch_segments(p: SpanNode, out: list[CriticalSegment]) -> None:
     """Critical chain through a parallel fan-out wait.
 
-    Same backward walk as ``analyze._refine_fetch`` — the chosen spans
-    are pairwise disjoint by construction (each new frontier is the
-    previous choice's start) — but the chain is kept as ordered
-    intervals, and uncovered time becomes wait segments labelled by what
-    the fan-out contained (coalesce / peer / disk queue).
+    The backward walk's chosen spans are pairwise disjoint by
+    construction (each new frontier is the previous choice's start);
+    uncovered time becomes wait segments labelled by what the fan-out
+    contained (coalesce / peer / disk queue).
     """
     parent = p.parent
     p_end = p.end
@@ -152,7 +164,7 @@ def _fetch_segments(p: SpanNode, out: list[CriticalSegment]) -> None:
         return
     candidates = [
         c for c in (parent.children if parent is not None else [])
-        if c is not p and _contains(p, c) and (c.dur or 0.0) > 0.0
+        if _inside((p,), c) and (c.dur or 0.0) > 0.0
     ]
     frontier = p_end
     chosen: list[SpanNode] = []
@@ -178,7 +190,7 @@ def _fetch_segments(p: SpanNode, out: list[CriticalSegment]) -> None:
             break
     for c in chosen:
         if c.name == PHASE_SPAN:
-            _phase_segments(c, out)
+            phase_segments(c, out)
         else:
             _span_segments(c, out)
     attrs = p.attrs
@@ -194,21 +206,17 @@ def _fetch_segments(p: SpanNode, out: list[CriticalSegment]) -> None:
 
 
 def _span_segments(span: SpanNode, out: list[CriticalSegment]) -> None:
-    """Serial decomposition of a span into ordered leaf segments.
+    """Serial decomposition of a span into leaf segments.
 
-    Uses the same child filter as ``analyze._decompose_span``: phase
-    spans plus sub-spans not contained in any phase interval tile the
-    span; anything uncovered is an ``other`` gap.
+    Phase spans plus sub-spans not contained in any phase interval tile
+    the span; anything uncovered is an ``other`` gap.
     """
-    children = [c for c in span.children if c.dur is not None]
+    children = [c for c in span.children if c.end is not None]
     ph_children = [c for c in children if c.name == PHASE_SPAN]
-    segments = [
-        c for c in children
-        if not any(p is not c and _contains(p, c) for p in ph_children)
-    ]
+    segments = [c for c in children if not _inside(ph_children, c)]
     for child in segments:
         if child.name == PHASE_SPAN:
-            _phase_segments(child, out)
+            phase_segments(child, out)
         else:
             _span_segments(child, out)
     span_end = span.end

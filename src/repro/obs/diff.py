@@ -151,6 +151,6 @@ def diff_attributions(
         "binding_resource": {
             "base": base_res,
             "current": cur_res,
-            "changed": base_res != cur_res,
+            "changed": bool(base_res and cur_res and base_res != cur_res),
         },
     })

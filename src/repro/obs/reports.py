@@ -413,11 +413,9 @@ def render_critical_report(profile: dict[str, Any]) -> str:
                 "(was the run profiled with --profile?)")
     phase_ms = profile.get("phase_critical_ms", {})
     share = profile.get("phase_critical_share", {})
-    known = [p for p in PHASE_ORDER if p in phase_ms]
-    extra = sorted(set(phase_ms) - set(PHASE_ORDER))
     rows = [
         (p, phase_ms[p] / n, 100.0 * share.get(p, 0.0))
-        for p in known + extra
+        for p in _ordered_phases(phase_ms)
     ]
     rows.append(("total = mean critical path",
                  profile.get("mean_critical_ms", 0.0), 100.0))
@@ -450,10 +448,8 @@ def render_diff_report(diff: dict[str, Any]) -> str:
     cur = diff.get("current", {})
     delta = diff.get("delta_ms", 0.0)
     phase_delta = diff.get("phase_delta_ms", {})
-    known = [p for p in PHASE_ORDER if p in phase_delta]
-    extra = sorted(set(phase_delta) - set(PHASE_ORDER))
     rows = []
-    for p in known + extra:
+    for p in _ordered_phases(phase_delta):
         d = phase_delta[p]
         rows.append((p, d, 100.0 * d / delta if delta else 0.0))
     rows.append(("(residual)", diff.get("residual_delta_ms", 0.0),

@@ -12,6 +12,9 @@ Bins a run's span records into fixed-width windows of simulated time:
 * **queue depth** — time-averaged number of request-path jobs queued
   per resource class.
 
+The queue and service intervals are the critical-path walker's split of
+each phase span (:func:`repro.obs.critical.phase_segments`).
+
 Windows overlapping the warm-up prefix are flagged ``"warm": false``
 (the boundary is inferred from the first measured client root), so the
 steady-state portion the paper measures is directly visible.
@@ -26,6 +29,7 @@ from typing import Any
 
 from ..sim.stats import WindowedSeries
 from .analyze import build_trees, request_roots
+from .critical import CriticalSegment, phase_segments
 from .profile import PHASE_SPAN
 
 __all__ = ["build_timeseries", "dump_timeseries"]
@@ -80,20 +84,16 @@ def build_timeseries(
             series = by_class[cls] = WindowedSeries(window_ms)
         series.add(root.end)
 
+    segs: list[CriticalSegment] = []
     for span in spans:
-        if span.name != PHASE_SPAN or span.dur is None:
+        if span.name != PHASE_SPAN or span.attrs.get("p") not in _RESOURCES:
             continue
-        attrs = span.attrs
-        phase = attrs.get("p")
-        if phase in ("cpu", "nic", "bus"):
-            svc_start = span.start + attrs.get("q", 0.0)
-            queued[phase].add_interval(span.start, min(svc_start, span.end))
-            busy[phase].add_interval(min(svc_start, span.end), span.end)
-        elif phase == "disk":
-            svc = min(attrs.get("svc", span.dur), span.dur)
-            svc_start = max(span.start, span.end - svc)
-            queued["disk"].add_interval(span.start, svc_start)
-            busy["disk"].add_interval(svc_start, span.end)
+        segs.clear()
+        phase_segments(span, segs)
+        for seg in segs:
+            res, part = seg.phase.split(".")
+            target = queued if part == "queue" else busy
+            target[res].add_interval(seg.start, seg.end)
 
     first = 0
     last = max(throughput.window_range()[1], int(t_end // window_ms))

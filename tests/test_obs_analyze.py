@@ -123,6 +123,99 @@ class TestAttribution:
         assert attr_disk.mean_response_ms == attr_mem.mean_response_ms
 
 
+def _rec(span, parent, name, start, end, node=None, **attrs):
+    return {"trace": 1, "span": span, "parent": parent, "name": name,
+            "node": node, "start": start, "end": end, "attrs": attrs}
+
+
+def _ph(span, parent, start, end, **attrs):
+    return _rec(span, parent, "ph", start, end, node=0, **attrs)
+
+
+#: Hand-built span trees (binary-exact times) -> exact nonzero buckets.
+PHASE_RULE_CASES = {
+    "cpu-nic-bus-queue-split": (
+        [_rec(1, None, "request", 0.0, 6.0),
+         _ph(2, 1, 0.0, 2.0, p="cpu", q=0.5),
+         _ph(3, 1, 2.0, 4.0, p="nic", q=1.25),
+         _ph(4, 1, 4.0, 6.0, p="bus", q=0.25)],
+        {"cpu.queue": 0.5, "cpu.service": 1.5, "nic.queue": 1.25,
+         "nic.service": 0.75, "bus.queue": 0.25, "bus.service": 1.75},
+    ),
+    "disk-svc-seek-split": (
+        [_rec(1, None, "request", 0.0, 8.0),
+         _ph(2, 1, 0.0, 8.0, p="disk", svc=4.0, seek=1.5)],
+        {"disk.queue": 4.0, "disk.seek": 1.5, "disk.transfer": 2.5},
+    ),
+    "router-and-wire": (
+        [_rec(1, None, "request", 0.0, 3.0),
+         _ph(2, 1, 0.0, 0.5, p="router"),
+         _ph(3, 1, 0.5, 3.0, p="wire")],
+        {"router": 0.5, "wire": 2.5},
+    ),
+    "named-waits": (
+        [_rec(1, None, "request", 0.0, 10.0),
+         _ph(2, 1, 0.0, 1.0, p="master_wait"),
+         _ph(3, 1, 1.0, 3.0, p="coalesce_wait"),
+         _ph(4, 1, 3.0, 6.0, p="fault_detect"),
+         _ph(5, 1, 6.0, 10.0, p="retry_wait")],
+        {"master.wait": 1.0, "coalesce.wait": 2.0, "fault.detect": 3.0,
+         "retry.backoff": 4.0},
+    ),
+    "unknown-phase-is-other": (
+        [_rec(1, None, "request", 0.0, 2.0),
+         _ph(2, 1, 0.0, 2.0, p="mystery")],
+        {"other": 2.0},
+    ),
+    "fetch-join-gap-is-coalesce-wait-even-with-peers": (
+        [_rec(1, None, "request", 0.0, 8.0),
+         _ph(2, 1, 0.0, 8.0, p="fetch", j=1, pe=1),
+         _ph(3, 1, 6.0, 8.0, p="nic", q=0.5)],
+        {"coalesce.wait": 6.0, "nic.queue": 0.5, "nic.service": 1.5},
+    ),
+    "fetch-peer-gap-is-peer-wait": (
+        # The chain that bounded the wait is a sub-span, walked serially.
+        [_rec(1, None, "request", 0.0, 8.0),
+         _ph(2, 1, 0.0, 8.0, p="fetch", pe=1),
+         _rec(3, 1, "peer_fetch", 3.0, 8.0, node=1),
+         _ph(4, 3, 3.0, 4.0, p="wire"),
+         _ph(5, 3, 4.0, 8.0, p="cpu", q=1.0)],
+        {"peer.wait": 3.0, "wire": 1.0, "cpu.queue": 1.0, "cpu.service": 3.0},
+    ),
+    "fetch-gap-defaults-to-disk-queue": (
+        # Backward walk: disk [3, 8], then master_wait [1, 3]; the
+        # parallel disk read [0, 6] never bounded the wait, and [0, 1]
+        # is uncovered.
+        [_rec(1, None, "request", 0.0, 8.0),
+         _ph(2, 1, 0.0, 8.0, p="fetch"),
+         _ph(3, 1, 0.0, 6.0, p="disk", svc=2.0, seek=0.5),
+         _ph(4, 1, 1.0, 3.0, p="master_wait"),
+         _ph(5, 1, 3.0, 8.0, p="disk", svc=4.0, seek=1.0)],
+        {"disk.queue": 2.0, "master.wait": 2.0, "disk.seek": 1.0,
+         "disk.transfer": 3.0},
+    ),
+    "nested-span-and-gaps": (
+        # Gaps [0, 2] and [8, 10] in the root and [7, 8] in the sub-span.
+        [_rec(1, None, "request", 0.0, 10.0),
+         _rec(2, 1, "serve", 2.0, 8.0, node=1),
+         _ph(3, 2, 2.0, 4.0, p="cpu", q=0.5),
+         _ph(4, 2, 4.0, 7.0, p="wire")],
+        {"other": 5.0, "cpu.queue": 0.5, "cpu.service": 1.5, "wire": 3.0},
+    ),
+}
+
+
+class TestPhaseRules:
+    @pytest.mark.parametrize("records, expected",
+                             list(PHASE_RULE_CASES.values()),
+                             ids=list(PHASE_RULE_CASES))
+    def test_buckets(self, records, expected):
+        roots, _ = build_trees(records)
+        profile = decompose_request(roots[0])
+        assert {k: v for k, v in profile.phases.items() if v} == expected
+        assert profile.residual == 0.0
+
+
 class TestBindingResource:
     def test_disk_binds_at_small_memory(self, kmc_run):
         obs, _ = kmc_run

@@ -51,7 +51,8 @@ class TestCriticalPath:
             assert covered == pytest.approx(root.dur, abs=1e-6)
 
     def test_phase_totals_match_attribution(self, kmc_records):
-        """Tiling property: per-phase critical ms == attribute() buckets."""
+        """critical_profile and attribute() aggregate the same segments
+        the same way: per-phase critical ms / request == phase means."""
         profile = critical_profile(kmc_records)
         attr = attribute(kmc_records)
         assert profile["requests"] == attr.count

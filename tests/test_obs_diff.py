@@ -2,6 +2,10 @@
 versioned output schema (repro.obs.schema)."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +21,9 @@ from repro.obs.schema import (
     check_report,
 )
 from repro.traces import datasets
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+ATTR_BASELINE = ROOT / "benchmarks" / "baselines" / "ATTR_cc-kmc_rutgers.json"
 
 
 def _attr(mean, phases, residual=0.0, requests=100, by_class=None,
@@ -98,6 +105,17 @@ class TestDiffAttributions:
             "base": "disk", "current": "cpu", "changed": True,
         }
 
+    def test_binding_change_needs_both_sides(self):
+        """A side without metrics names no resource, so nothing moved."""
+        with_metrics = _attr(6.0, {"disk.queue": 6.0},
+                             binding={"resource": "disk"})
+        without = _attr(6.0, {"disk.queue": 6.0})
+        assert diff_attributions(with_metrics, without)["binding_resource"] == {
+            "base": "disk", "current": None, "changed": False,
+        }
+        assert not diff_attributions(
+            without, with_metrics)["binding_resource"]["changed"]
+
     def test_conservation_on_real_runs(self):
         """Memory pressure perturbation: deltas telescope exactly and the
         report names a disk-side phase (less cache -> more disk time)."""
@@ -140,6 +158,60 @@ class TestLoadAttribution:
         path.write_text("not json {")
         with pytest.raises(json.JSONDecodeError):
             load_attribution(path)
+
+
+def _assert_same_report(got, want, path="$"):
+    """Equal up to float rounding: the same keys, list lengths, strings
+    and integers, and floats within 1e-9 (ms, or a utilization share).
+    Bytes would over-pin the file: ``sum()`` over floats rounds
+    differently from Python 3.12 on, so the last bits of a mean depend
+    on the interpreter."""
+    if isinstance(want, float) or isinstance(got, float):
+        assert isinstance(got, (int, float)), path
+        assert abs(got - want) <= 1e-9, (path, got, want)
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), path
+        for key, value in want.items():
+            _assert_same_report(got[key], value, f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_report(g, w, f"{path}[{i}]")
+    else:
+        assert got == want, (path, got, want)
+
+
+class TestAttrBaseline:
+    def test_explain_recipe_reproduces_committed_baseline(self, tmp_path):
+        """The nightly explain step diffs against the committed ATTR
+        baseline, so the recipe must reproduce it: the same request
+        counts, classes and binding resource, every value within 1e-9.
+        Re-bless it on purpose (README "Explaining a regression") when
+        attribution changes.  Workload knobs from the environment (e.g.
+        the partitioned-directory CI leg) must not leak into the
+        recipe."""
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("REPRO_SCALE", "REPRO_FULL", "REPRO_DIRECTORY")}
+        env.update(
+            REPRO_REQUESTS="800", REPRO_CLIENTS="16",
+            PYTHONPATH=os.pathsep.join(
+                filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+            ),
+        )
+        cli = [sys.executable, "-m", "repro.experiments.cli"]
+        for args in (
+            ["run", "--system", "cc-kmc", "--nodes", "4", "--mem-mb", "0.5",
+             "--profile", "--trace", "t.jsonl", "--metrics-out", "m.json"],
+            ["analyze", "t.jsonl", "m.json", "--json", "attr.json"],
+        ):
+            proc = subprocess.run(cli + args, cwd=tmp_path, env=env,
+                                  capture_output=True, text=True,
+                                  timeout=300)
+            assert proc.returncode == 0, proc.stderr
+        _assert_same_report(
+            json.loads((tmp_path / "attr.json").read_text()),
+            json.loads(ATTR_BASELINE.read_text()),
+        )
 
 
 class TestRenderDiff:
