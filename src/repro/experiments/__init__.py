@@ -31,8 +31,14 @@ from .figures import (
     render_fig6b,
 )
 from .report import banner, format_kv, format_table
-from .runner import SYSTEMS, ExperimentConfig, ExperimentResult, run_experiment
-from .sweep import memory_sweep, node_sweep, system_label
+from .runner import (
+    SYSTEMS,
+    ExperimentConfig,
+    ExperimentResult,
+    run_experiment,
+    system_label,
+)
+from .sweep import memory_sweep, node_sweep
 from .tables import render_table1, render_table2, table1, table2
 
 __all__ = [

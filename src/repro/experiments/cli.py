@@ -73,6 +73,7 @@ import json
 import logging
 import sys
 from collections.abc import Callable
+from functools import partial
 
 from . import ablations, defaults, figures, tables
 from .report import banner
@@ -82,6 +83,11 @@ __all__ = [
     "analyze_diff_command", "analyze_fleet_command", "chaos_command",
     "sweep_command",
 ]
+
+
+def _render_ablation(name: str) -> str:
+    return ablations.render_ablation(ablations.run_ablation(name))
+
 
 #: artifact name -> zero-argument renderer.
 ARTIFACTS: dict[str, Callable[[], str]] = {
@@ -95,15 +101,7 @@ ARTIFACTS: dict[str, Callable[[], str]] = {
     "fig6a": figures.render_fig6a,
     "fig6b": figures.render_fig6b,
     "fig_ring": figures.render_fig_ring,
-    "a1": ablations.render_a1,
-    "a2": ablations.render_a2,
-    "a3": ablations.render_a3,
-    "a4": ablations.render_a4,
-    "a5": ablations.render_a5,
-    "a6": ablations.render_a6,
-    "a7": ablations.render_a7,
-    "a8": ablations.render_a8,
-    "a9": ablations.render_a9,
+    **{name: partial(_render_ablation, name) for name in ablations.ABLATIONS},
     "a10": ablations.render_a10,
 }
 
@@ -157,9 +155,10 @@ def _ledger_run_record(ledger, kind, opts, cfg, *, status, wall_s,
                        result=None, error=None) -> None:
     """Append one run/chaos manifest record for a CLI invocation."""
     from ..bench.schema import params_digest
+    from .runner import system_label
 
     coords = {
-        "system": cfg.system_name(),
+        "system": system_label(cfg.system),
         "workload": cfg.trace.spec.name,
         "num_nodes": cfg.num_nodes,
         "mem_mb_per_node": cfg.mem_mb_per_node,
@@ -278,7 +277,7 @@ def run_command(argv) -> int:
     import time
 
     from ..obs import Observability
-    from .runner import ExperimentConfig, run_experiment
+    from .runner import ExperimentConfig, run_experiment, system_label
 
     opts = _run_parser().parse_args(argv)
     slo_spec = _load_slo_spec(opts)
@@ -318,7 +317,7 @@ def run_command(argv) -> int:
     # are part of the JSONL (and the golden digest, when pinned).
     slo_report = obs.slo.finalize() if obs.slo is not None else None
 
-    print(banner(f"run {cfg.system_name()} / {opts.workload}"))
+    print(banner(f"run {system_label(cfg.system)} / {opts.workload}"))
     print(f"throughput        {result.throughput_rps:.1f} req/s")
     print(f"mean response     {result.mean_response_ms:.2f} ms")
     for cls in sorted(result.workload.response_by_class_ms):
@@ -615,7 +614,7 @@ def chaos_command(argv) -> int:
 
     from ..obs import Observability
     from ..sim.faults import FaultPlan
-    from .runner import ExperimentConfig, run_experiment
+    from .runner import ExperimentConfig, run_experiment, system_label
 
     opts = _chaos_parser().parse_args(argv)
     slo_spec = _load_slo_spec(opts)
@@ -671,7 +670,7 @@ def chaos_command(argv) -> int:
     wall_s = time.perf_counter() - t0  # simlint: disable=SL02 -- ledger wall-clock provenance, not sim state
     slo_report = obs.slo.finalize() if obs.slo is not None else None
 
-    print(banner(f"chaos {base_cfg.system_name()} / {opts.workload}"))
+    print(banner(f"chaos {system_label(base_cfg.system)} / {opts.workload}"))
     print(f"fault plan        {len(plan)} events over "
           f"{plan.horizon_ms:.0f} ms"
           + (f" (replaying {opts.plan})" if opts.plan else "")

@@ -57,7 +57,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Callable, IO, Optional
 
-from .runner import ExperimentConfig, ExperimentResult, run_experiment
+from .runner import (
+    ExperimentConfig, ExperimentResult, run_experiment, system_label,
+)
 
 __all__ = [
     "default_workers",
@@ -116,7 +118,7 @@ def cell_info(index: int, cfg: ExperimentConfig) -> CellInfo:
     from ..bench.schema import params_digest
 
     coords = {
-        "system": cfg.system_name(),
+        "system": system_label(cfg.system),
         "workload": cfg.trace.spec.name,
         "num_nodes": cfg.num_nodes,
         "mem_mb_per_node": cfg.mem_mb_per_node,
@@ -125,7 +127,7 @@ def cell_info(index: int, cfg: ExperimentConfig) -> CellInfo:
     }
     return CellInfo(
         index=index,
-        system=cfg.system_name(),
+        system=system_label(cfg.system),
         workload=cfg.trace.spec.name,
         num_nodes=cfg.num_nodes,
         mem_mb_per_node=cfg.mem_mb_per_node,

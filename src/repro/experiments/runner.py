@@ -7,7 +7,12 @@ Everything in :mod:`repro.experiments` boils down to calling
 * ``"press"`` — the locality-conscious baseline;
 * ``"cc-basic"`` / ``"cc-sched"`` / ``"cc-kmc"`` — the middleware
   variants (paper Figure 2's four curves);
-* any :class:`~repro.core.CoopCacheConfig` instance — ablations.
+* any :class:`~repro.core.CoopCacheConfig` instance — the ad-hoc
+  configurations the ablation specs
+  (:mod:`~repro.experiments.ablations`) sweep.
+
+:func:`system_label` names either kind, distinctly per configuration, for
+sweep keys, logs and the sweep runner's cell identities.
 """
 
 from __future__ import annotations
@@ -35,8 +40,8 @@ from ..web.client import ClosedLoopDriver, WorkloadResult
 from ..web.server import CoopCacheWebServer
 
 __all__ = [
-    "ExperimentConfig", "ExperimentResult", "run_experiment", "SYSTEMS",
-    "DIRECTORY_ENV",
+    "ExperimentConfig", "ExperimentResult", "run_experiment", "system_label",
+    "SYSTEMS", "DIRECTORY_ENV",
 ]
 
 logger = logging.getLogger(__name__)
@@ -88,11 +93,18 @@ class ExperimentConfig:
     #: adds zero kernel events and reproduces the golden traces.
     faults: FaultPlan = field(default_factory=FaultPlan.none)
 
-    def system_name(self) -> str:
-        """Printable system label."""
-        if isinstance(self.system, str):
-            return self.system
-        return f"cc[{self.system.policy}]"
+
+def system_label(system: str | CoopCacheConfig) -> str:
+    """A stable display label for a named system or an ad-hoc
+    middleware configuration (``cc[kmc,scan,hints0.98]``)."""
+    if isinstance(system, str):
+        return system
+    bits = [system.policy, system.disk_discipline]
+    if not system.forward_on_evict:
+        bits.append("nofwd")
+    if system.directory == "hints":
+        bits.append(f"hints{system.hint_accuracy:g}")
+    return "cc[" + ",".join(bits) + "]"
 
 
 @dataclass
@@ -212,7 +224,7 @@ def run_experiment(cfg: ExperimentConfig, obs=None) -> ExperimentResult:
 
     logger.info(
         "running %s / %s: %d nodes, %g MB/node, %d clients, seed %d",
-        cfg.system_name(), cfg.trace.spec.name, cfg.num_nodes,
+        system_label(cfg.system), cfg.trace.spec.name, cfg.num_nodes,
         cfg.mem_mb_per_node, cfg.num_clients or 0, cfg.seed,
     )
     driver = ClosedLoopDriver(

@@ -17,7 +17,7 @@ from ..params import DEFAULT_PARAMS, SimParams
 from ..traces.model import Trace
 from . import defaults
 from .parallel import run_cells
-from .runner import ExperimentConfig, ExperimentResult
+from .runner import ExperimentConfig, ExperimentResult, system_label
 
 __all__ = ["memory_sweep", "node_sweep"]
 
@@ -44,8 +44,7 @@ def memory_sweep(
     memories = list(memories_mb if memories_mb is not None
                     else defaults.memory_points_mb())
     clients = num_clients if num_clients is not None else defaults.NUM_CLIENTS
-    labels = [system if isinstance(system, str) else system_label(system)
-              for system in systems]
+    labels = [system_label(system) for system in systems]
     cells = [
         ExperimentConfig(
             system=system,
@@ -90,13 +89,3 @@ def node_sweep(
         for n in node_counts
     ]
     return run_cells(cells, workers=workers)
-
-
-def system_label(config: CoopCacheConfig) -> str:
-    """A stable display label for an ad-hoc middleware configuration."""
-    bits = [config.policy, config.disk_discipline]
-    if not config.forward_on_evict:
-        bits.append("nofwd")
-    if config.directory == "hints":
-        bits.append(f"hints{config.hint_accuracy:g}")
-    return "cc[" + ",".join(bits) + "]"

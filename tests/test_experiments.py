@@ -96,7 +96,7 @@ class TestRunner:
             )
         )
         assert res.throughput_rps > 0
-        assert res.config.system_name() == "cc[basic]"
+        assert system_label(res.config.system) == "cc[basic,scan,nofwd]"
 
     def test_deterministic(self):
         def run():
