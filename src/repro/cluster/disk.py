@@ -15,6 +15,10 @@ This is the component the paper's Section 5 turns on:
   the head is on, then sweeps in (file, extent, block) order — the
   "simple scheduling algorithm in our queue of disk requests" that turns
   CC-Basic into CC-Sched.
+
+A run is one :class:`Event`, pushed once when it enters service, that
+completes in place when it is the kernel's next pop, as a service-centre
+job does (see :mod:`repro.sim.servicecenter`).
 """
 
 from __future__ import annotations
@@ -69,6 +73,50 @@ class DiskRequest:
         return (self.file_id, self.extent, self.start_block)
 
 
+class _Run(Event):
+    """One accepted run: its own service-completion event and the event
+    its waiter waits on (with the request as value)."""
+
+    __slots__ = ("_disk", "request")
+
+    def __init__(self, disk: "Disk", request: DiskRequest) -> None:
+        self.sim = disk.sim
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self._processed = False
+        self._disk = disk
+        self.request = request
+
+    def _fire(self) -> None:
+        if self._triggered:  # delivered through the heap
+            Event._fire(self)
+            return
+        self._triggered = True
+        sim = self.sim
+        disk = self._disk
+        request = self._value = self.request
+        disk._busy = False
+        disk.utilization.on_stop(sim._now)
+        disk.completed += 1
+        disk.reads_kb += request.size_kb
+        # Wake the waiter *before* picking the next request: a stream
+        # that immediately submits its next block (same timestamp) gets
+        # that block into the queue in time for SCAN to recognise the
+        # head continuation.  The deferred dispatch is a no-op if the
+        # waiter's own submit() already restarted the disk.
+        if not sim._fire_in_place():
+            sim._push(0.0, self)
+            sim.call_after(0.0, disk._maybe_dispatch)
+            return
+        Event._fire(self)
+        # The deferred dispatch is the next pop too: the waiter's pushes
+        # all come after it.  Run it in place with the seq it would take.
+        sim._seq += 1
+        disk._maybe_dispatch()
+
+
 class Disk:
     """A single disk with one head, a bounded queue and a discipline.
 
@@ -110,7 +158,7 @@ class Disk:
         self.completed = 0
         #: Total KB read.
         self.reads_kb = 0.0
-        self._queue: list[tuple[DiskRequest, Event]] = []
+        self._queue: list[_Run] = []
         self._busy = False
         #: (file_id, extent, next_block) the head would continue at.
         self._head: tuple[int, int, int] | None = None
@@ -134,16 +182,15 @@ class Disk:
     # -- client API ---------------------------------------------------------
     def submit(self, request: DiskRequest) -> Event:
         """Enqueue a run; the returned event fires when it has been read."""
-        done = Event(self.sim)
         if len(self._queue) >= self.queue_limit:
             from ..sim.servicecenter import QueueFullError
 
-            done.fail(QueueFullError(self))  # type: ignore[arg-type]
-            return done
-        self._queue.append((request, done))
+            return Event(self.sim).fail(QueueFullError(self))  # type: ignore[arg-type]
+        run = _Run(self, request)
+        self._queue.append(run)
         if not self._busy:
             self._dispatch()
-        return done
+        return run
 
     @property
     def queue_length(self) -> int:
@@ -187,7 +234,8 @@ class Disk:
         # position; 2) otherwise sweep upward in (file, extent, block)
         # order from the head, wrapping at the end.
         if self._head is not None:
-            for i, (req, _) in enumerate(self._queue):
+            for i, run in enumerate(self._queue):
+                req = run.request
                 if (req.file_id, req.extent, req.start_block) == self._head:
                     return i
         best_idx = 0
@@ -195,8 +243,8 @@ class Disk:
         wrap_idx = 0
         wrap_key = None
         head_key = self._head if self._head is not None else (-1, -1, -1)
-        for i, (req, _) in enumerate(self._queue):
-            key = req.sort_key()
+        for i, run in enumerate(self._queue):
+            key = run.request.sort_key()
             if key >= head_key:
                 if best_key is None or key < best_key:
                     best_key, best_idx = key, i
@@ -213,8 +261,8 @@ class Disk:
             # Stalled: re-attempt dispatch the instant the stall clears.
             sim.call_at(self.stall_until, self._maybe_dispatch)
             return
-        idx = self._select_index()
-        request, done = self._queue.pop(idx)
+        run = self._queue.pop(self._select_index())
+        request = run.request
         contiguous = (
             self._head is not None
             and self._head == (request.file_id, request.extent, request.start_block)
@@ -228,28 +276,15 @@ class Disk:
         self.utilization.on_start(now)
         self._head = (request.file_id, request.extent, request.end_block)
         self.service_stats.record(service_ms)
-        # Stamp service entry + seek/transfer split on the completion
-        # event; the profiler reads these to decompose disk waits.
-        done.svc_start = now
-        done.svc_ms = service_ms
-        done.svc_seek_ms = (
+        # Stamp service entry + seek/transfer split on the run; the
+        # profiler reads these to decompose disk waits.
+        run.svc_start = now
+        run.svc_ms = service_ms
+        run.svc_seek_ms = (
             0.0 if contiguous
             else self.params.disk.seek_ms + self.params.disk.metadata_seek_ms
         )
-        sim.call_after(service_ms, self._finish, request, done)
-
-    def _finish(self, request: DiskRequest, done: Event) -> None:
-        self._busy = False
-        self.utilization.on_stop(self.sim._now)
-        self.completed += 1
-        self.reads_kb += request.size_kb
-        # Wake the waiter *before* picking the next request: a stream
-        # that immediately submits its next block (same timestamp) gets
-        # that block into the queue in time for SCAN to recognise the
-        # head continuation.  The deferred dispatch is a no-op if the
-        # waiter's own submit() already restarted the disk.
-        done.succeed(request)
-        self.sim.call_after(0.0, self._maybe_dispatch)
+        sim._push(service_ms, run)
 
     def _maybe_dispatch(self) -> None:
         if not self._busy and self._queue:

@@ -51,9 +51,10 @@ class Event:
 
     __slots__ = (
         "sim", "callbacks", "_value", "_ok", "_triggered", "_processed",
-        # Service-phase stamps, assigned only by service centers when a
-        # job enters service (see ServiceCenter._start / Disk._dispatch).
-        # Left unset on every other event; the profiler reads them with
+        # Service-phase stamps, assigned only by service centers: the
+        # service time once it is known, and the instant a job enters
+        # service (see ServiceCenter._start / Disk._dispatch).  Left
+        # unset on every other event; the profiler reads them with
         # getattr(ev, ..., None) to split queueing from service time.
         "svc_start", "svc_ms", "svc_seek_ms",
     )
@@ -121,8 +122,8 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
+        if not delay >= 0:  # also rejects NaN, which passes "delay < 0"
+            raise SimulationError(f"negative timeout delay (or NaN): {delay!r}")
         # Slots set flat, without the Event.__init__ frame.
         self.sim = sim
         self.callbacks = []
@@ -308,7 +309,7 @@ class Simulator:
     scheduled.
     """
 
-    __slots__ = ("_now", "_heap", "_seq", "_step_hooks")
+    __slots__ = ("_now", "_heap", "_seq", "_step_hooks", "_draining")
 
     def __init__(self) -> None:
         self._now: float = 0.0
@@ -317,6 +318,9 @@ class Simulator:
         # Observability hooks fired after each processed event; empty on
         # the hot path (one truthiness check per step when unused).
         self._step_hooks: list[Callable[["Simulator"], None]] = []
+        # True only while run()'s unconditional drain runs with no step
+        # hooks: the one mode in which _fire_in_place may say yes.
+        self._draining = False
 
     @property
     def now(self) -> float:
@@ -327,9 +331,10 @@ class Simulator:
     def event_count(self) -> int:
         """Total events processed so far (for budget checks in tests).
 
-        Every push takes one ``seq`` and every pop processes one event,
-        so the count is the pushes less the entries still pending; the
-        dispatch loop keeps no counter.
+        Every event takes one ``seq``: a push takes it when scheduling,
+        and a completion fired in place takes the one its push would
+        have.  So the count is ``seq`` less the entries still pending;
+        the dispatch loop keeps no counter.
         """
         return self._seq - len(self._heap)
 
@@ -370,14 +375,32 @@ class Simulator:
 
     # -- kernel --------------------------------------------------------------
     def _push(self, delay: float, event: Event) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay!r}")
-        # The tie-break contract: seq is assigned here and ONLY here,
-        # strictly increasing, so same-timestamp events fire in schedule
-        # order.
+        if not delay >= 0:  # also rejects NaN, which passes "delay < 0"
+            raise SimulationError(f"negative delay (or NaN): {delay!r}")
+        # The tie-break contract: seq is assigned here, strictly
+        # increasing, so same-timestamp events fire in schedule order.
+        # The only other takers are events that skip a push they would
+        # have made (see _fire_in_place); they take the same seq.
         seq = self._seq + 1
         self._seq = seq
         heappush(self._heap, (self._now + delay, seq, event))
+
+    def _fire_in_place(self) -> bool:
+        """May an event about to push itself at ``now`` fire in place?
+
+        Yes when that push would be the very next pop and nothing can run
+        in between: run()'s drain is running with no step hooks, and no
+        pending entry is due at ``now`` (one there has a smaller ``seq``).
+        The caller then fires the event itself, and this takes the
+        ``seq`` the push would have, so ``event_count`` and the order of
+        later pushes are unchanged.  step(), budgeted runs and hooked
+        runs always get no, so they see one event per pop.
+        """
+        heap = self._heap
+        if self._draining and (not heap or heap[0][0] > self._now):
+            self._seq += 1
+            return True
+        return False
 
     # -- observability hooks -------------------------------------------------
     def add_step_hook(self, hook: Callable[["Simulator"], None]) -> None:
@@ -385,9 +408,11 @@ class Simulator:
 
         This is the attachment point for samplers and tracers (see
         :mod:`repro.obs`); hooks must not schedule into the past and
-        should be cheap — they run on the kernel hot path.
+        should be cheap — they run on the kernel hot path.  A hook sees
+        every event, so it turns in-place firing off.
         """
         self._step_hooks.append(hook)
+        self._draining = False
 
     def remove_step_hook(self, hook: Callable[["Simulator"], None]) -> None:
         """Detach a previously added step hook."""
@@ -424,14 +449,20 @@ class Simulator:
             # The unconditional drain — every experiment's hot loop.
             # Same semantics as the general loop below, minus the three
             # per-event guard checks and the step() call indirection.
+            # Nothing here stops between two events, so an event that
+            # is the next pop may fire in place (see _fire_in_place).
             hooks = self._step_hooks
-            while heap:
-                when, _seq, event = heappop(heap)
-                self._now = when
-                event._fire()
-                if hooks:
-                    for hook in hooks:
-                        hook(self)
+            self._draining = not hooks
+            try:
+                while heap:
+                    when, _seq, event = heappop(heap)
+                    self._now = when
+                    event._fire()
+                    if hooks:
+                        for hook in hooks:
+                            hook(self)
+            finally:
+                self._draining = False
             return
         budget = max_events if max_events is not None else -1
         while heap:

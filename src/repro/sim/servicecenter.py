@@ -7,6 +7,15 @@ FIFO queue; jobs carry a fixed service demand in milliseconds.  CPUs,
 NICs, buses and the router are plain service centers; the disk (which
 needs state-dependent service times and a reorderable queue) subclasses
 the queue-management core in :mod:`repro.cluster.disk`.
+
+A job is one :class:`Event`, pushed once when service starts.  When it
+pops, the centre's bookkeeping runs (free the server, start the next
+queued job), then the job completes.  If that completion would be the
+kernel's very next pop (``Simulator._fire_in_place``), the waiters fire
+in place and the job takes the ``seq`` its ``succeed`` push would have
+taken; otherwise it pushes itself at ``now`` exactly as ``succeed`` does.
+Either way every event, its ``(time, seq)`` order and the event count
+are unchanged.
 """
 
 from __future__ import annotations
@@ -29,6 +38,47 @@ class QueueFullError(RuntimeError):
     def __init__(self, center: "ServiceCenter") -> None:
         super().__init__(f"queue full at service center {center.name!r}")
         self.center = center
+
+
+class _Job(Event):
+    """One accepted job: its own service-completion event and the event
+    its waiters wait on.  Service demand is ``svc_ms``; ``svc_start`` is
+    stamped when it enters service."""
+
+    __slots__ = ("_center",)
+
+    def __init__(self, center: "ServiceCenter", demand_ms: float, value: Any) -> None:
+        self.sim = center.sim
+        self.callbacks = []
+        self._value = value
+        self._ok = True
+        self._triggered = False
+        self._processed = False
+        self._center = center
+        self.svc_ms = demand_ms
+
+    def _fire(self) -> None:
+        if not self._triggered:
+            # Service ends: free the server, then complete the job.
+            self._triggered = True
+            sim = self.sim
+            center = self._center
+            center._in_service -= 1
+            center.utilization.on_stop(sim._now)
+            center.completed += 1
+            # The freed server takes the next queued job before this job
+            # completes, so that job's push precedes the waiters' pushes.
+            queue = center._queue
+            if queue:
+                center._start(queue.popleft())
+            if not sim._fire_in_place():
+                sim._push(0.0, self)  # deliver on a later pop, as succeed() does
+                return
+        # Event._fire, inlined: this runs once per job.
+        self._processed = True
+        callbacks, self.callbacks = self.callbacks, []
+        for cb in callbacks:
+            cb(self)
 
 
 class ServiceCenter:
@@ -60,7 +110,7 @@ class ServiceCenter:
         self.queue_limit = queue_limit
         #: Busy-time integral, feeds Figure 6a.
         self.utilization = UtilizationTracker(capacity, sim.now)
-        self._queue: deque[tuple[float, Event]] = deque()
+        self._queue: deque[_Job] = deque()
         self._in_service = 0
         #: Total jobs completed since construction (not windowed).
         self.completed = 0
@@ -73,18 +123,18 @@ class ServiceCenter:
 
         The returned event fires with ``value`` when service completes.
         """
-        if demand_ms < 0:
-            raise ValueError(f"negative service demand: {demand_ms!r}")
-        done = Event(self.sim)
+        if not demand_ms >= 0:  # also rejects NaN, which passes "demand_ms < 0"
+            raise ValueError(f"negative service demand (or NaN): {demand_ms!r}")
         if self._in_service < self.capacity:
-            self._start(demand_ms, done, value)
-        elif len(self._queue) < self.queue_limit:
-            self._queue.append((demand_ms, done))
-            done._value = value  # stash; delivered on completion
-        else:
-            self.dropped += 1
-            done.fail(QueueFullError(self))
-        return done
+            job = _Job(self, demand_ms, value)
+            self._start(job)
+            return job
+        if len(self._queue) < self.queue_limit:
+            job = _Job(self, demand_ms, value)
+            self._queue.append(job)
+            return job
+        self.dropped += 1
+        return Event(self.sim).fail(QueueFullError(self))
 
     @property
     def queue_length(self) -> int:
@@ -100,33 +150,15 @@ class ServiceCenter:
         return len(self._queue) + self._in_service
 
     # -- internals ------------------------------------------------------------
-    def _start(self, demand_ms: float, done: Event, value: Any) -> None:
+    def _start(self, job: _Job) -> None:
         self._in_service += 1
         sim = self.sim
         now = sim._now
         self.utilization.on_start(now)
-        # Stamp service entry on the completion event so the profiler can
-        # split the wait into queueing vs. service after the fact.
-        done.svc_start = now
-        done.svc_ms = demand_ms
-        sim.call_after(demand_ms, self._finish, done, value)
-
-    def _finish(self, done: Event, value: Any) -> None:
-        self._in_service -= 1
-        self.utilization.on_stop(self.sim._now)
-        self.completed += 1
-        # Batched dequeue: drain every startable job in one pass.  A
-        # single completion frees exactly one server, so the loop body
-        # runs at most once today (same event stream as the old
-        # single-dequeue — golden-pinned); it only iterates further if
-        # capacity grows while jobs wait, instead of stranding them.
-        queue = self._queue
-        while queue and self._in_service < self.capacity:
-            demand_ms, next_done = queue.popleft()
-            stashed = next_done._value
-            next_done._value = None
-            self._start(demand_ms, next_done, stashed)
-        done.succeed(value)
+        # Stamp service entry on the job so the profiler can split the
+        # wait into queueing vs. service after the fact.
+        job.svc_start = now
+        sim._push(job.svc_ms, job)
 
     def reset_stats(self) -> None:
         """Start a fresh measurement window (end of warm-up)."""

@@ -1,11 +1,18 @@
 """Unit tests for the discrete-event kernel (repro.sim.engine)."""
 
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.cluster import FIFO, SCAN, Disk, DiskRequest
+from repro.params import DEFAULT_PARAMS, DiskParams
 from repro.sim import (
     AllOf,
     AnyOf,
     Event,
+    QueueFullError,
+    ServiceCenter,
     SimulationError,
     Simulator,
 )
@@ -201,6 +208,37 @@ class TestOrdering:
             sim.call_at(5.0, lambda: None)
         assert sim.peek() == float("inf")
         assert sim.event_count == 1
+
+
+class TestNaNDelays:
+    """NaN passes a ``delay < 0`` guard; every entry point rejects it and
+    leaves the pending set and the clock untouched."""
+
+    def test_call_after_nan_rejected(self):
+        sim = Simulator()
+        order = []
+        for d in (1.0, 2.0, 3.0):
+            sim.call_after(d, order.append, d)
+        with pytest.raises(SimulationError, match="nan"):
+            sim.call_after(float("nan"), order.append, "nan")
+        sim.run()
+        assert order == [1.0, 2.0, 3.0]
+
+    def test_timeout_nan_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="nan"):
+            sim.timeout(float("nan"))
+        sim.run()
+        assert sim.now == 0.0 and sim.event_count == 0
+
+    def test_submit_nan_rejected(self):
+        sim = Simulator()
+        sc = ServiceCenter(sim, "cpu", capacity=1)
+        sc.submit(1.0)
+        with pytest.raises(ValueError, match="nan"):
+            sc.submit(float("nan"))  # would queue, then start at t=1
+        sim.run()
+        assert sim.now == 1.0 and sc.completed == 1 and sc.load == 0
 
 
 class TestEvent:
@@ -520,3 +558,215 @@ class TestCombinators:
         assert isinstance(sim.all_of([sim.timeout(1)]), Event)
         assert isinstance(AllOf(sim, [sim.timeout(1)]), Event)
         assert isinstance(AnyOf(sim, [sim.timeout(1)]), Event)
+
+
+# -- in-place completion of service-centre jobs and disk runs -------------
+
+#: Disk times that are exact binary fractions (contiguous 8 KB run:
+#: 0.5 ms; with both seeks: 2.0 ms), so disk completions tie with CPU
+#: completions and with the ticks below.
+TIE_PARAMS = dataclasses.replace(
+    DEFAULT_PARAMS,
+    disk=DiskParams(seek_ms=1.0, metadata_seek_ms=0.5, transfer_per_kb_ms=1 / 16),
+)
+
+
+class CountingSimulator(Simulator):
+    """A simulator that counts heap pushes (in-place firing makes none)."""
+
+    __slots__ = ("pushes",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.pushes = 0
+
+    def _push(self, delay, event):
+        self.pushes += 1
+        super()._push(delay, event)
+
+
+def _drain_by_steps(sim):
+    """The reference loop: one event per step(), never in place."""
+    while sim.peek() != float("inf"):
+        sim.step()
+
+
+def _start_mix(sim, mix, log):
+    """Start the clients and ticks of one job mix; every completion,
+    drop and tick appends ``(now, tag)`` to ``log``.  The tag includes
+    ``event_count``, so a waiter fired in place must see the count a
+    waiter fired by its own pop sees."""
+    cpu = ServiceCenter(sim, "cpu", capacity=mix["capacity"],
+                        queue_limit=mix["queue_limit"])
+    disk = Disk(sim, "disk", TIE_PARAMS, discipline=mix["discipline"],
+                queue_limit=mix["disk_queue_limit"])
+    bpe = TIE_PARAMS.extent_kb // TIE_PARAMS.block_kb
+
+    def client(cid, steps):
+        for i, (think, on_disk, arg) in enumerate(steps):
+            if think:
+                yield sim.timeout(think)
+            if on_disk:
+                file_id, block = arg
+                ev = disk.submit(DiskRequest(file_id, block // bpe, block, 1, 8.0))
+            else:
+                ev = cpu.submit(arg, (cid, i))
+            # A second waiter, ahead of the process: callbacks keep order.
+            ev.callbacks.append(lambda e, tag=(cid, i): log.append(
+                (sim.now, ("cb", tag, sim.event_count))))
+            try:
+                yield ev
+            except QueueFullError:
+                log.append((sim.now, ("drop", (cid, i), sim.event_count)))
+                continue
+            log.append((sim.now, ("done", (cid, i), sim.event_count)))
+
+    for cid, steps in enumerate(mix["clients"]):
+        sim.process(client(cid, steps))
+    for t in mix["ticks"]:
+        sim.call_at(t, lambda t=t: log.append((sim.now, ("tick", t, sim.event_count))))
+    if mix["stall"] is not None:
+        at, duration = mix["stall"]
+        sim.call_at(at, disk.stall, duration)
+
+
+def _replay(mix, drain):
+    """((log, event_count, now), heap pushes) of one mix under run() or
+    a step() loop."""
+    sim = CountingSimulator()
+    log = []
+    _start_mix(sim, mix, log)
+    if drain:
+        sim.run()
+    else:
+        _drain_by_steps(sim)
+    return (log, sim.event_count, sim.now), sim.pushes
+
+
+_steps = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 0.5, 1.0]),                    # think time
+        st.booleans(),                                           # on the disk?
+        st.sampled_from([0.0, 0.5, 1.0]),                        # CPU demand
+        st.tuples(st.integers(0, 2), st.integers(0, 15)),        # disk run
+    ).map(lambda s: (s[0], s[1], s[3] if s[1] else s[2])),
+    min_size=1, max_size=5,
+)
+_mixes = st.fixed_dictionaries({
+    "capacity": st.integers(1, 3),
+    "queue_limit": st.integers(0, 3),
+    "discipline": st.sampled_from([FIFO, SCAN]),
+    "disk_queue_limit": st.integers(1, 4),
+    "clients": st.lists(_steps, min_size=1, max_size=6),
+    "ticks": st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, 4.0]), max_size=4),
+    "stall": st.none() | st.tuples(st.sampled_from([0.0, 0.5, 2.0]),
+                                   st.sampled_from([0.5, 1.0, 3.0])),
+})
+
+#: Two clients on one CPU and one disk, with a stall: jobs and runs each
+#: complete both in place and through the heap (a zero-demand job that
+#: starts at a completion's instant forces the latter).
+_FIXED_MIX = {
+    "capacity": 1, "queue_limit": 2, "discipline": SCAN, "disk_queue_limit": 4,
+    "clients": [
+        [(0.0, False, 0.5), (0.0, True, (0, 0)), (0.0, True, (0, 1)), (0.0, False, 0.0)],
+        [(0.0, False, 0.0), (2.0, True, (1, 8)), (0.0, False, 0.5)],
+    ],
+    "ticks": [0.5],
+    "stall": (1.0, 0.5),
+}
+
+
+class TestInPlaceCompletion:
+    """A completion that is the kernel's next pop fires in place, inside
+    run()'s drain only.  Same events, same order, same count as one
+    push per completion; only the heap round trips go away."""
+
+    def test_drain_fires_in_place_with_same_stream(self):
+        drained, drained_pushes = _replay(_FIXED_MIX, drain=True)
+        stepped, stepped_pushes = _replay(_FIXED_MIX, drain=False)
+        assert drained == stepped
+        assert drained_pushes < stepped_pushes
+
+    def test_budget_and_step_count_one_event_per_pop(self):
+        """run(max_events=k) processes exactly k events and step() one,
+        with service-centre and disk jobs in flight."""
+        (drained_log, total, _), _ = _replay(_FIXED_MIX, drain=True)
+        for k in (1, 2, 3, 5):
+            sim = Simulator()
+            log = []
+            _start_mix(sim, _FIXED_MIX, log)
+            while sim.peek() != float("inf"):
+                before = sim.event_count
+                sim.run(max_events=k)
+                assert sim.event_count - before == min(k, total - before)
+                if sim.peek() != float("inf"):
+                    before = sim.event_count
+                    sim.step()
+                    assert sim.event_count == before + 1
+            assert sim.event_count == total
+            assert log == drained_log
+
+    def test_step_hook_sees_every_event(self):
+        (drained_log, count, now), _ = _replay(_FIXED_MIX, drain=True)
+        sim = Simulator()
+        log = []
+        calls = []
+        sim.add_step_hook(lambda s: calls.append(s.now))
+        _start_mix(sim, _FIXED_MIX, log)
+        sim.run()
+        assert len(calls) == sim.event_count == count
+        assert (log, sim.now) == (drained_log, now)
+
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_completion_tied_with_pending_event_fires_after_it(self, on_disk):
+        """A job finishing at the instant of an event scheduled after it
+        started fires its waiter after that event, as a push would."""
+        sim = Simulator()
+        order = []
+        if on_disk:
+            job = Disk(sim, "d", TIE_PARAMS).submit(DiskRequest(0, 0, 0, 1, 8.0))
+        else:
+            job = ServiceCenter(sim, "cpu").submit(2.0, "job")
+        sim.call_at(2.0, order.append, "pending")
+        job.callbacks.append(lambda e: order.append("job"))
+        sim.run()
+        assert order == ["pending", "job"]
+        # job pop + pending + completion (+ the disk's deferred dispatch)
+        assert sim.event_count == (4 if on_disk else 3)
+
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_queue_full_job_fails_its_waiter(self, on_disk):
+        sim = Simulator()
+        cpu = ServiceCenter(sim, "cpu", capacity=1, queue_limit=0)
+        disk = Disk(sim, "d", TIE_PARAMS, queue_limit=1)
+        outcomes = []
+
+        def client(tag):
+            try:
+                if on_disk:
+                    yield disk.submit(DiskRequest(tag, 0, 0, 1, 8.0))
+                else:
+                    yield cpu.submit(1.0)
+            except QueueFullError:
+                outcomes.append((sim.now, tag, "dropped"))
+            else:
+                outcomes.append((sim.now, tag, "done"))
+
+        for tag in range(3 if on_disk else 2):
+            sim.process(client(tag))
+        sim.run()
+        if on_disk:  # one run in service, one queued, the third dropped
+            assert outcomes == [(0.0, 2, "dropped"), (2.0, 0, "done"), (4.0, 1, "done")]
+        else:
+            assert outcomes == [(0.0, 1, "dropped"), (1.0, 0, "done")]
+
+    @given(_mixes)
+    @settings(max_examples=150, deadline=None)
+    def test_drain_matches_step_reference(self, mix):
+        """Random mixes: run() (in place) and a step() loop (never in
+        place) give the same (now, tag) stream, count and final clock."""
+        drained, drained_pushes = _replay(mix, drain=True)
+        stepped, stepped_pushes = _replay(mix, drain=False)
+        assert drained == stepped
+        assert drained_pushes <= stepped_pushes
