@@ -9,7 +9,8 @@ last block of a file is usually partial).
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+import math
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from ..params import SimParams
@@ -27,19 +28,34 @@ class BlockId(NamedTuple):
 class FileLayout:
     """Geometry of a file set under a given parameterization.
 
-    Built once per simulation from the trace's per-file sizes (KB); every
-    query is O(1).
+    Built once per simulation from the trace's per-file sizes (KB).  The
+    constructor also builds the block table: each file's tuple of
+    canonical :class:`BlockId` objects and the KB held by its last block,
+    so every query is a lookup and no request rebuilds a block list.
     """
 
-    __slots__ = ("params", "_sizes_kb", "_blocks_per_extent")
+    __slots__ = ("params", "_sizes_kb", "_blocks_per_extent", "_full_kb",
+                 "_blocks", "_last_kb")
 
     def __init__(self, sizes_kb: Sequence[float], params: SimParams) -> None:
-        for i, s in enumerate(sizes_kb):
-            if s <= 0:
-                raise ValueError(f"file {i} has non-positive size {s!r}")
+        sizes: list[float] = list(sizes_kb)
+        full = params.block_kb
+        blocks: list[tuple[BlockId, ...]] = []
+        last_kb: list[float] = []
+        for f, s in enumerate(sizes):
+            if not 0 < s < math.inf:
+                raise ValueError(
+                    f"file {f} has non-positive or non-finite size {s!r}")
+            nblocks = params.blocks_of(s)
+            blocks.append(tuple([BlockId(f, i) for i in range(nblocks)]))
+            rem = s - (nblocks - 1) * full
+            last_kb.append(float(rem if rem > 0 else full))
         self.params = params
-        self._sizes_kb: list[float] = list(sizes_kb)
-        self._blocks_per_extent = params.extent_kb // params.block_kb
+        self._sizes_kb = sizes
+        self._blocks_per_extent = params.extent_kb // full
+        self._full_kb = float(full)
+        self._blocks = blocks
+        self._last_kb = last_kb
 
     # -- file-level queries ---------------------------------------------------
     @property
@@ -53,7 +69,7 @@ class FileLayout:
 
     def num_blocks(self, file_id: int) -> int:
         """Blocks needed to cache ``file_id``."""
-        return self.params.blocks_of(self._sizes_kb[file_id])
+        return len(self._blocks[file_id])
 
     def num_extents(self, file_id: int) -> int:
         """Extents ``file_id`` spans on disk."""
@@ -62,28 +78,26 @@ class FileLayout:
     def total_blocks(self) -> int:
         """Blocks needed to cache the entire file set (the theoretical
         aggregate-memory requirement Figure 1 discusses)."""
-        return sum(self.num_blocks(f) for f in range(self.num_files))
+        return sum(map(len, self._blocks))
 
     def total_size_kb(self) -> float:
         """File-set size in KB (paper Table 2 last column)."""
         return sum(self._sizes_kb)
 
     # -- block-level queries ----------------------------------------------------
-    def blocks(self, file_id: int) -> Iterator[BlockId]:
-        """All blocks of ``file_id`` in order."""
-        for i in range(self.num_blocks(file_id)):
-            yield BlockId(file_id, i)
+    def blocks(self, file_id: int) -> tuple[BlockId, ...]:
+        """All blocks of ``file_id`` in order (the same tuple every call)."""
+        return self._blocks[file_id]
 
     def block_size_kb(self, block: BlockId) -> float:
         """KB of data in ``block`` (the final block may be partial)."""
-        full = self.params.block_kb
-        nblocks = self.num_blocks(block.file_id)
-        if not 0 <= block.index < nblocks:
+        file_id, index = block
+        nblocks = len(self._blocks[file_id])
+        if not 0 <= index < nblocks:
             raise IndexError(f"{block} out of range for file of {nblocks} blocks")
-        if block.index < nblocks - 1:
-            return float(full)
-        rem = self._sizes_kb[block.file_id] - (nblocks - 1) * full
-        return float(rem if rem > 0 else full)
+        if index < nblocks - 1:
+            return self._full_kb
+        return self._last_kb[file_id]
 
     def extent_of(self, block: BlockId) -> int:
         """Extent index containing ``block``."""

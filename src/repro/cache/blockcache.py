@@ -5,7 +5,8 @@ A node's memory holds up to ``capacity_blocks`` blocks.  Master copies
 (local replicas made on remote hits) live in separate age-ordered sets so
 replacement policies can ask for "the oldest block overall" (CC-Basic's
 global-LRU victim) or "the oldest non-master" (CC-KMC's preferred victim)
-in O(log n).
+in O(log n) amortized.  Each set is an :class:`~repro.cache.lru.AgedLRU`,
+itself the block -> age dict, so membership and size checks run in C.
 
 The cache is a passive data structure: *deciding* what to do with a
 victim (drop vs forward to a peer) is the middleware's job in
@@ -67,7 +68,7 @@ class BlockCache:
     @property
     def is_full(self) -> bool:
         """True when an insert would require an eviction first."""
-        return len(self) >= self.capacity_blocks
+        return len(self._masters) + len(self._nonmasters) >= self.capacity_blocks
 
     @property
     def free_slots(self) -> int:
@@ -117,8 +118,16 @@ class BlockCache:
         This is the quantity peers compare when deciding where to forward
         an evicted master ("each node always knows the age of the oldest
         blocks of its peers").
+
+        Asks ``AgedLRU.oldest`` of both sets, where the staleness test
+        lives: which stale heap entries a query drops is part of the
+        tie-break order (see :class:`~repro.cache.lru.AgedLRU`).
         """
-        return min(self._masters.oldest_age(), self._nonmasters.oldest_age())
+        m = self._masters.oldest()
+        n = self._nonmasters.oldest()
+        if m is None:
+            return float("inf") if n is None else n[1]
+        return m[1] if n is None else min(m[1], n[1])
 
     def oldest_nonmaster(self) -> tuple[BlockId, float] | None:
         """Oldest non-master copy, or None if the cache holds only masters."""
@@ -147,13 +156,14 @@ class BlockCache:
         ``age`` is the block's access timestamp — ``now`` for a fresh
         fetch, or the *original* age for a forwarded master.
         """
-        if block in self:
+        masters, nonmasters = self._masters, self._nonmasters
+        if block in masters or block in nonmasters:
             raise KeyError(f"{block} already cached at node {self.node_id}")
-        if self.is_full:
+        if len(masters) + len(nonmasters) >= self.capacity_blocks:
             raise CacheFullError(
                 f"node {self.node_id} cache full ({self.capacity_blocks} blocks)"
             )
-        (self._masters if master else self._nonmasters).add(block, age)
+        (masters if master else nonmasters).add(block, age)
         if self._scope is not None:
             self._scope.on_insert(self.node_id, block, master)
 

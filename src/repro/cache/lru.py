@@ -16,45 +16,47 @@ surface.  Amortized cost per operation is O(log n).
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterator
 
 from .block import BlockId
 
 __all__ = ["AgedLRU"]
 
 
-class AgedLRU:
+class AgedLRU(dict[BlockId, float]):
     """A set of blocks ordered by age (older = smaller timestamp).
 
-    Ties in age break by insertion order (earlier insertion = older),
-    which keeps runs deterministic.
+    The object *is* the block -> age dict, so membership, size, lookup,
+    iteration and deletion (``in``, ``len``, ``[]``, ``get``, ``pop``)
+    run in C.  :meth:`add` and :meth:`touch` are the only writers: each
+    stores the age and pushes an ``(age, seq, block)`` heap entry.
+
+    Ties in age break by ``seq``, the order of those writes (earlier =
+    older), which keeps runs deterministic.  A heap entry is live while
+    the dict still maps its block to its age, so a block removed and
+    re-added at the same age revives its old entry, which then sorts by
+    its old ``seq``.
     """
 
-    __slots__ = ("_ages", "_heap", "_seq")
+    __slots__ = ("_heap", "_seq")
 
     def __init__(self) -> None:
-        self._ages: dict[BlockId, float] = {}
+        super().__init__()
         self._heap: list[tuple[float, int, BlockId]] = []
         self._seq = 0
 
-    def __len__(self) -> int:
-        return len(self._ages)
-
-    def __contains__(self, block: BlockId) -> bool:
-        return block in self._ages
-
-    def __iter__(self) -> Iterator[BlockId]:
-        return iter(self._ages)
-
-    def age_of(self, block: BlockId) -> float:
-        """Last-access timestamp of ``block`` (KeyError if absent)."""
-        return self._ages[block]
+    #: Last-access timestamp of ``block`` (KeyError if absent).
+    age_of = dict.__getitem__
+    #: Remove ``block`` and return its age (KeyError if absent); its heap
+    #: entry goes stale and is dropped lazily.
+    remove = dict.pop
 
     def add(self, block: BlockId, age: float) -> None:
         """Insert ``block`` with the given age (error if present)."""
-        if block in self._ages:
+        if block in self:
             raise KeyError(f"{block} already present")
-        self._set(block, age)
+        self[block] = age
+        self._seq += 1
+        heapq.heappush(self._heap, (age, self._seq, block))
 
     def touch(self, block: BlockId, age: float) -> None:
         """Refresh ``block``'s age (KeyError if absent).
@@ -62,31 +64,24 @@ class AgedLRU:
         Ages must not go backwards for a resident block: a touch models a
         new access, which can only make the block younger.
         """
-        old = self._ages[block]
+        old = self[block]
         if age < old:
             raise ValueError(f"age moving backwards for {block}: {age} < {old}")
-        self._set(block, age)
-
-    def remove(self, block: BlockId) -> float:
-        """Remove ``block``; returns its age (KeyError if absent)."""
-        return self._ages.pop(block)  # heap entry goes stale; lazily dropped
-
-    def _set(self, block: BlockId, age: float) -> None:
-        self._ages[block] = age
+        self[block] = age
         self._seq += 1
         heapq.heappush(self._heap, (age, self._seq, block))
 
     def oldest(self) -> tuple[BlockId, float] | None:
         """The (block, age) with the smallest age, or None when empty."""
-        while self._heap:
-            age, _seq, block = self._heap[0]
-            current = self._ages.get(block)
+        heap = self._heap
+        while heap:
+            age, _seq, block = heap[0]
             # simlint: disable=SL03 -- staleness check: compares the heap
             # entry against the *same stored float*, not a computed sum;
             # exact equality is the correct predicate here.
-            if current is not None and current == age:
+            if self.get(block) == age:
                 return block, age
-            heapq.heappop(self._heap)  # stale: removed or re-aged
+            heapq.heappop(heap)  # stale: removed or re-aged
         return None
 
     def oldest_age(self) -> float:
@@ -101,7 +96,7 @@ class AgedLRU:
         if entry is None:
             raise KeyError("pop from empty AgedLRU")
         block, age = entry
-        del self._ages[block]
+        del self[block]
         heapq.heappop(self._heap)
         return block, age
 
@@ -109,11 +104,11 @@ class AgedLRU:
         """Rebuild the heap, dropping stale entries (optional maintenance;
         called by long-running simulations to bound memory)."""
         self._heap = [
-            # simlint: ordered -- insertion order of _ages; the rebuilt
+            # simlint: ordered -- insertion order of the dict; the rebuilt
             # heap is re-heapified below, and sequence numbers only break
             # exact-age ties, which insertion order resolves
             # deterministically.
-            (age, i, block) for i, (block, age) in enumerate(self._ages.items())
+            (age, i, block) for i, (block, age) in enumerate(self.items())
         ]
         self._seq = len(self._heap)
         heapq.heapify(self._heap)

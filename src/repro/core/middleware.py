@@ -47,6 +47,7 @@ from ..sim.engine import Event
 from ..sim.faults import NULL_FAULTS, FaultInjector, NullFaultInjector, RequestAborted
 from ..sim.stats import CounterSet
 from .config import CoopCacheConfig
+from .policies import select_victim
 
 if TYPE_CHECKING:
     from ..obs import Observability
@@ -1137,8 +1138,6 @@ class CoopCacheLayer:
 
     def _evict_one(self, node_id: int) -> None:
         """Free one slot at ``node_id`` per the configured policy."""
-        from .policies import select_victim
-
         cache = self.caches[node_id]
         victim = select_victim(
             self.config.policy, cache, self.config.hybrid_bias_ms

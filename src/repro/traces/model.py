@@ -120,8 +120,8 @@ class Trace:
             raise ValueError("sizes_kb and requests must be 1-D")
         if len(self.sizes_kb) == 0 or len(self.requests) == 0:
             raise ValueError("empty trace")
-        if (self.sizes_kb <= 0).any():
-            raise ValueError("all file sizes must be positive")
+        if not ((self.sizes_kb > 0) & np.isfinite(self.sizes_kb)).all():
+            raise ValueError("all file sizes must be positive and finite")
         if self.requests.min() < 0 or self.requests.max() >= len(self.sizes_kb):
             raise ValueError("request references file id out of range")
 

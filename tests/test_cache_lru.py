@@ -1,5 +1,7 @@
 """Unit + property tests for AgedLRU and FileLayout."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -148,6 +150,23 @@ class TestAgedLRU:
                 assert lru.oldest() is None
 
 
+def layout_arithmetic(size_kb, block_kb=8):
+    """Block count and per-block KB of one file, as plain arithmetic."""
+    nblocks = max(1, math.ceil(size_kb / block_kb))
+    rem = size_kb - (nblocks - 1) * block_kb
+    return nblocks, [float(block_kb)] * (nblocks - 1) + [float(rem if rem > 0 else block_kb)]
+
+
+file_sizes = st.one_of(
+    st.integers(1, 512).map(lambda k: 8.0 * k),  # exact multiples of a block
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),  # under 1 KB
+    st.integers(0, 512).map(lambda k: math.nextafter(8.0 * k, math.inf)),  # just above
+    st.tuples(st.integers(0, 512), st.floats(1e-9, 1e-3)).map(
+        lambda t: 8.0 * t[0] + t[1]),  # a little above
+    st.floats(1e3, 3e4),  # large
+)
+
+
 class TestFileLayout:
     def make(self, sizes):
         return FileLayout(sizes, SimParams())
@@ -194,8 +213,29 @@ class TestFileLayout:
         with pytest.raises(ValueError):
             self.make([8.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_size_rejected(self, bad):
+        with pytest.raises(ValueError, match="file 1 has non-positive"):
+            self.make([4.0, bad])
+
     def test_block_sizes_sum_to_file_size(self):
         layout = self.make([13.7, 64.0, 1.0, 100.3])
         for f in range(4):
             total = sum(layout.block_size_kb(blk) for blk in layout.blocks(f))
             assert total == pytest.approx(layout.size_kb(f))
+
+    @given(st.lists(file_sizes, min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_table_matches_arithmetic(self, sizes):
+        layout = self.make(sizes)
+        for f, size in enumerate(sizes):
+            nblocks, block_kbs = layout_arithmetic(size)
+            assert layout.num_blocks(f) == nblocks
+            blocks = layout.blocks(f)
+            assert blocks == tuple(BlockId(f, i) for i in range(nblocks))
+            assert layout.blocks(f) is blocks
+            assert [layout.block_size_kb(blk) for blk in blocks] == block_kbs
+            for bad in (nblocks, -1):
+                with pytest.raises(IndexError):
+                    layout.block_size_kb(BlockId(f, bad))
+        assert layout.total_blocks() == sum(layout_arithmetic(s)[0] for s in sizes)

@@ -99,6 +99,12 @@ class TestTraceModel:
         with pytest.raises(ValueError):
             Trace(s, np.array([]), np.array([0]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_size_rejected(self, bad):
+        s = TraceSpec("t", 3, 3, 10.0)
+        with pytest.raises(ValueError, match="all file sizes must be positive"):
+            Trace(s, np.array([4.0, bad, 8.0]), np.array([0, 1, 2]))
+
 
 class TestSynthesis:
     def test_zipf_weights_normalized_and_decreasing(self):

@@ -85,3 +85,21 @@ class TestErrors:
         )
         with pytest.raises(ValueError, match="unsupported trace format"):
             load_trace(path)
+
+    def test_non_finite_sizes_rejected(self, tmp_path):
+        """A saved trace is outside input: NaN or inf sizes fail on load,
+        not deep inside a run."""
+        import json
+
+        meta = json.dumps({"format_version": 1,
+                           "spec": {"name": "bad", "num_files": 3,
+                                    "num_requests": 3, "mean_file_kb": 4.0}})
+        path = tmp_path / "bad.npz"
+        np.savez_compressed(
+            path,
+            sizes_kb=np.array([4.0, np.nan, np.inf]),
+            requests=np.array([0, 1, 2]),
+            meta=np.frombuffer(meta.encode(), dtype=np.uint8),
+        )
+        with pytest.raises(ValueError, match="all file sizes must be positive"):
+            load_trace(path)
