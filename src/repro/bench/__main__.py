@@ -7,19 +7,15 @@
 
 Each record is diffed against ``<baselines>/<filename>``; records with
 no committed baseline are reported and skipped (the first run seeds
-them) unless ``--strict`` is given.  When the gate trips and
-``--explain-baseline`` / ``--explain-current`` point at attribution
-artifacts (``analyze --json`` summaries or profiled trace JSONL), an
-"explain" report naming the regressed phase is emitted as well.
+them).
 
 Exit codes (distinct so CI can tell the failure modes apart):
 
-* 0 — every record compared clean (or was skipped without ``--strict``);
+* 0 — every record compared clean (or was skipped);
 * 1 — regression gate tripped: a metric regressed past the threshold,
-  a baseline metric is missing from the run, or params digests disagree;
-* 2 — usage error (bad flags, unreadable record);
-* 3 — ``--strict`` and at least one record had no committed baseline
-  (no metric regressed — seeding the baseline fixes it).
+  a metric is missing or not finite on either side, or params digests
+  disagree;
+* 2 — usage error (bad flags, unreadable record).
 """
 
 from __future__ import annotations
@@ -36,7 +32,15 @@ from .schema import load_record
 EXIT_CLEAN = 0
 EXIT_REGRESSION = 1
 EXIT_USAGE = 2
-EXIT_MISSING_BASELINE = 3
+
+
+def _threshold(text: str) -> float:
+    """``--threshold``: a fraction strictly between 0 and 1."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be a fraction in (0, 1), got {text}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,12 +55,10 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=(
             "exit codes:\n"
             "  0  clean (all records within threshold; records without a\n"
-            "     baseline are skipped unless --strict)\n"
-            "  1  regression (metric past threshold, metric missing from\n"
-            "     the run, or params digest mismatch)\n"
-            "  2  usage error\n"
-            "  3  --strict and a record had no committed baseline\n"
-            "regression (1) takes precedence over missing baseline (3)."
+            "     baseline are skipped)\n"
+            "  1  regression (metric past threshold, metric missing or not\n"
+            "     finite, or params digest mismatch)\n"
+            "  2  usage error"
         ),
     )
     cmp_p.add_argument(
@@ -79,57 +81,11 @@ def _build_parser() -> argparse.ArgumentParser:
              "(default: benchmarks/baselines)",
     )
     cmp_p.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="explicit baseline file (single-record comparisons only)",
-    )
-    cmp_p.add_argument(
-        "--threshold", type=float, default=0.10, metavar="FRAC",
-        help="regression gate as a fraction (default: 0.10 = 10%%)",
-    )
-    cmp_p.add_argument(
-        "--strict", action="store_true",
-        help="also fail (exit 3) when a record has no committed baseline",
-    )
-    cmp_p.add_argument(
-        "--explain-baseline", default=None, metavar="FILE",
-        help="baseline attribution JSON (analyze --json) or profiled "
-             "trace JSONL; with --explain-current, a tripped gate also "
-             "emits a differential report naming the regressed phase",
-    )
-    cmp_p.add_argument(
-        "--explain-current", default=None, metavar="FILE",
-        help="current-run attribution JSON or profiled trace JSONL "
-             "(see --explain-baseline)",
-    )
-    cmp_p.add_argument(
-        "--explain-out", default=None, metavar="FILE",
-        help="also write the explain report as JSON to FILE",
+        "--threshold", type=_threshold, default=0.10, metavar="FRAC",
+        help="regression gate as a fraction in (0, 1) "
+             "(default: 0.10 = 10%%)",
     )
     return parser
-
-
-def _explain(args: argparse.Namespace) -> None:
-    """Gate tripped: emit the differential attribution report."""
-    from ..obs.diff import diff_attributions, load_attribution
-    from ..obs.reports import render_diff_report
-
-    try:
-        base = load_attribution(args.explain_baseline)
-        current = load_attribution(args.explain_current)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"explain: cannot read attribution input: {exc}",
-              file=sys.stderr)
-        return
-    report = diff_attributions(base, current)
-    print()
-    print("== explain: differential attribution "
-          f"({args.explain_baseline} -> {args.explain_current})")
-    print(render_diff_report(report))
-    if args.explain_out:
-        with open(args.explain_out, "w", encoding="utf-8") as fp:
-            json.dump(report, fp, indent=2, sort_keys=True, default=float)
-            fp.write("\n")
-        print(f"explain report -> {args.explain_out}")
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -148,19 +104,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print("no records given (pass RECORD files or --all)",
               file=sys.stderr)
         return EXIT_USAGE
-    if args.baseline is not None and len(args.records) != 1:
-        print("--baseline requires exactly one RECORD", file=sys.stderr)
-        return EXIT_USAGE
-    if (args.explain_baseline is None) != (args.explain_current is None):
-        print("--explain-baseline and --explain-current go together",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if args.explain_out and args.explain_baseline is None:
-        print("--explain-out requires --explain-baseline/--explain-current",
-              file=sys.stderr)
-        return EXIT_USAGE
     regressed = False
-    missing = False
     for rec_path in args.records:
         try:
             current = load_record(rec_path)
@@ -168,15 +112,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             print(f"compare: cannot read record {rec_path}: {exc}",
                   file=sys.stderr)
             return EXIT_USAGE
-        if args.baseline is not None:
-            base_path = Path(args.baseline)
-        else:
-            base_path = Path(args.baselines) / Path(rec_path).name
+        base_path = Path(args.baselines) / Path(rec_path).name
         if not base_path.exists():
             print(f"== {Path(rec_path).name}: no baseline at {base_path} "
                   f"— skipped (commit one to arm the gate)")
-            if args.strict:
-                missing = True
             continue
         try:
             baseline = load_record(base_path)
@@ -190,13 +129,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(render_compare(result))
         if not result.ok:
             regressed = True
-    if regressed and args.explain_baseline is not None:
-        _explain(args)
-    if regressed:
-        return EXIT_REGRESSION
-    if missing:
-        return EXIT_MISSING_BASELINE
-    return EXIT_CLEAN
+    return EXIT_REGRESSION if regressed else EXIT_CLEAN
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -3,13 +3,15 @@
 The gate is throughput-shaped: a metric *regresses* when
 ``current < baseline * (1 - threshold)``.  Improvements are reported but
 never fail; metrics the current run is missing fail loudly (a silently
-dropped curve is the worst kind of regression).  A ``params_digest``
-mismatch also fails — comparing runs with different workload knobs says
-nothing about the code.
+dropped curve is the worst kind of regression), and so does a NaN or
+infinite value on either side, which no ratio test can judge.  A
+``params_digest`` mismatch also fails — comparing runs with different
+workload knobs says nothing about the code.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -25,6 +27,7 @@ class CompareResult:
     regressions: list[dict[str, Any]] = field(default_factory=list)
     improvements: list[dict[str, Any]] = field(default_factory=list)
     missing: list[str] = field(default_factory=list)
+    nonfinite: list[dict[str, Any]] = field(default_factory=list)
     compared: int = 0
     params_mismatch: bool = False
 
@@ -32,7 +35,7 @@ class CompareResult:
     def ok(self) -> bool:
         """True when the gate passes."""
         return not self.regressions and not self.missing \
-            and not self.params_mismatch
+            and not self.nonfinite and not self.params_mismatch
 
 
 def compare_records(
@@ -57,6 +60,10 @@ def compare_records(
             result.missing.append(metric)
             continue
         c = cur[metric]
+        if not (math.isfinite(b) and math.isfinite(c)):
+            result.nonfinite.append(
+                {"metric": metric, "baseline": b, "current": c})
+            continue
         if b <= 0.0:
             continue
         result.compared += 1
@@ -95,6 +102,11 @@ def render_compare(result: CompareResult) -> str:
         )
     for metric in result.missing:
         lines.append(f"  MISSING {metric}: in baseline, absent from run")
+    for entry in result.nonfinite:
+        lines.append(
+            f"  NOT FINITE {entry['metric']}: "
+            f"{entry['baseline']} -> {entry['current']}"
+        )
     for entry in result.improvements:
         lines.append(
             f"  improved {entry['metric']}: "

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-__all__ = ["line_chart", "bar_chart", "sparkline"]
+__all__ = ["line_chart"]
 
 #: Plot glyph per series, cycled.
 _GLYPHS = "*o+x#@%&"
@@ -96,48 +96,3 @@ def line_chart(
     lines.append(" " * (margin + 2) + legend)
     return "\n".join(lines)
 
-
-#: Block glyphs for sparklines, lowest to highest.
-_SPARKS = " ▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: Sequence[float], hi: float | None = None) -> str:
-    """One-line block-glyph series (for per-window time-series tables).
-
-    ``hi`` fixes the scale top (so multiple sparklines compare); default
-    is the series maximum.
-    """
-    if not values:
-        return ""
-    top = hi if hi is not None else max(values)
-    if top <= 0:
-        return _SPARKS[0] * len(values)
-    out = []
-    for v in values:
-        idx = _scale(v, 0.0, top, len(_SPARKS))
-        if v > 0 and idx == 0:
-            idx = 1
-        out.append(_SPARKS[idx])
-    return "".join(out)
-
-
-def bar_chart(
-    labels: Sequence[str],
-    values: Sequence[float],
-    width: int = 50,
-    title: str | None = None,
-) -> str:
-    """Horizontal bars, one per label (for Figure-4-style comparisons)."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must align")
-    if not labels:
-        raise ValueError("need at least one bar")
-    hi = max(values) or 1.0
-    name_w = max(len(str(l)) for l in labels)
-    lines: list[str] = []
-    if title:
-        lines.append(title)
-    for label, value in zip(labels, values):
-        bar = "#" * max(0, _scale(value, 0.0, hi, width) + (1 if value > 0 else 0))
-        lines.append(f"{str(label).rjust(name_w)} | {bar} {value:,.4g}")
-    return "\n".join(lines)

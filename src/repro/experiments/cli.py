@@ -21,28 +21,20 @@ Usage::
         --crashes-per-node 2 --plan-out plan.json --trace chaos.jsonl
 
     # Offline analysis of a dumped run: attribution report, Perfetto
-    # export, windowed time series, slowest requests, and the
-    # cluster-wide critical-path profile.
+    # export, windowed time series as JSON, and the slowest requests;
+    # --json emits the attribution summary machine-readably.
     python -m repro.experiments.cli analyze trace.jsonl metrics.json \\
-        --report --perfetto perfetto.json --timeseries --top 10
-    python -m repro.experiments.cli analyze trace.jsonl --critical
+        --report --perfetto perfetto.json --timeseries-out ts.json --top 10
+    python -m repro.experiments.cli analyze trace.jsonl metrics.json --json -
 
     # Differential attribution: explain what changed between two runs
     # (inputs are `analyze --json` summaries or raw trace JSONL).
     python -m repro.experiments.cli analyze diff base.json current.json
 
-    # Windowed SLO evaluation over a run (alerts are deterministic
-    # `alert` point spans in the trace; works under chaos too).
-    python -m repro.experiments.cli run --slo slo.json --trace trace.jsonl
-    python -m repro.experiments.cli chaos --slo slo.json --slo-out report.json
-
-    # Cache-behavior telemetry (CacheScope): record during a run, then
-    # render tables/sparklines offline; --json emits the attribution
-    # summary machine-readably.
+    # Cache-behavior telemetry (CacheScope): duplicate share, eviction
+    # provenance and forwarding hops, summarized and dumped as JSONL.
     python -m repro.experiments.cli run --system cc-basic \\
         --cachestats cachescope.jsonl
-    python -m repro.experiments.cli analyze --cache cachescope.jsonl
-    python -m repro.experiments.cli analyze trace.jsonl metrics.json --json -
 
     # Sharded figure sweep: run the fig2 (trace x system x memory) cell
     # matrix across 4 worker processes and emit the provenance-wrapped
@@ -51,9 +43,9 @@ Usage::
         --bench-out BENCH_fig2.json
 
     # Fleet observability: the same sweep with a run ledger (per-cell
-    # manifests + artifacts) and live progress telemetry, then the
-    # cross-cell rollup (conservation check, binding-resource frequency,
-    # throughput heatmaps) over the ledger slice.
+    # manifests + attribution artifacts) and live progress telemetry,
+    # then the cross-cell rollup (conservation check, binding-resource
+    # frequency, throughput heatmaps) over the latest sweep.
     python -m repro.experiments.cli sweep --workers 4 \\
         --ledger ledger.jsonl --progress progress.jsonl \\
         --bench-out BENCH_fig2.json
@@ -106,6 +98,10 @@ ARTIFACTS: dict[str, Callable[[], str]] = {
 }
 
 
+#: The figure ``sweep`` runs: its BENCH record name and ledger tag.
+_SWEEP_FIGURE = "fig2"
+
+
 def _positive(convert):
     def parse(text: str):
         value = convert(text)
@@ -121,116 +117,6 @@ def _non_negative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return value
-
-
-def _add_ledger_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ledger", metavar="FILE", default=None,
-                   help="append a provenance-stamped manifest record "
-                        "(git sha, seed, knobs, wall-clock, exit status, "
-                        "artifact paths) to this run-ledger JSONL; inspect "
-                        "with `python -m repro.obs.ledger list/show`")
-
-
-def _run_artifacts(opts, extra=()) -> dict:
-    """Artifact paths this invocation wrote, for the ledger record."""
-    artifacts = {}
-    for name in ("trace", "metrics_out", "cachestats", "slo_out",
-                 "plan_out") + tuple(extra):
-        path = getattr(opts, name, None)
-        if path:
-            artifacts[name.replace("_out", "")] = path
-    return artifacts
-
-
-def _open_ledger(opts):
-    """The run ledger for ``--ledger FILE``, or None."""
-    if getattr(opts, "ledger", None) is None:
-        return None
-    from ..obs.ledger import Ledger
-
-    return Ledger(opts.ledger)
-
-
-def _ledger_run_record(ledger, kind, opts, cfg, *, status, wall_s,
-                       result=None, error=None) -> None:
-    """Append one run/chaos manifest record for a CLI invocation."""
-    from ..bench.schema import params_digest
-    from .runner import system_label
-
-    coords = {
-        "system": system_label(cfg.system),
-        "workload": cfg.trace.spec.name,
-        "num_nodes": cfg.num_nodes,
-        "mem_mb_per_node": cfg.mem_mb_per_node,
-        "num_clients": cfg.num_clients,
-        "seed": cfg.seed,
-    }
-    fields = dict(
-        coords,
-        params_digest=params_digest(coords),
-        wall_s=round(wall_s, 6),
-        artifacts=_run_artifacts(opts),
-    )
-    if result is not None:
-        fields["summary"] = {
-            "throughput_rps": result.throughput_rps,
-            "mean_response_ms": result.mean_response_ms,
-            "hit_rate_total": result.hit_rates.get("total", 0.0),
-        }
-    if error is not None:
-        fields["error"] = error
-    record = ledger.append(kind, status=status, **fields)
-    print(f"ledger            -> {ledger.path} (run id {record['run_id']})")
-
-
-def _add_slo_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--slo", metavar="FILE", default=None,
-                   help="evaluate this SLO spec (JSON: window_ms, latency "
-                        "p95/p99 targets, availability, burn rate) over "
-                        "every measured completion; breaches emit "
-                        "deterministic `alert` point spans in the trace")
-    p.add_argument("--slo-out", metavar="FILE", default=None,
-                   help="write the SLO evaluation report JSON to FILE "
-                        "(implies --slo is required)")
-
-
-def _load_slo_spec(opts):
-    """Parse --slo/--slo-out into an SloSpec (or None); raises SystemExit
-    with code 2 on a bad spec."""
-    if opts.slo is None:
-        if opts.slo_out:
-            print("--slo-out requires --slo SPEC", file=sys.stderr)
-            raise SystemExit(2)
-        return None
-    from ..obs.slo import SloSpec
-
-    try:
-        return SloSpec.load(opts.slo)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError,
-            ValueError) as exc:
-        print(f"cannot load SLO spec {opts.slo}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-
-
-def _print_slo(report, opts) -> None:
-    """Print an SLO evaluation report and honour --slo-out.
-
-    ``report`` must come from ``obs.slo.finalize()`` called *before* the
-    trace is dumped — finalize closes the last window, and its alerts
-    must land in the dumped JSONL.
-    """
-    if report is None:
-        return
-    from ..obs.reports import render_slo_report
-
-    print()
-    print(banner(f"SLO evaluation: {opts.slo}"))
-    print(render_slo_report(report))
-    if opts.slo_out:
-        with open(opts.slo_out, "w", encoding="utf-8") as fp:
-            json.dump(report, fp, indent=2, sort_keys=True, default=float)
-            fp.write("\n")
-        print(f"slo report        -> {opts.slo_out}")
 
 
 def _run_parser() -> argparse.ArgumentParser:
@@ -266,21 +152,16 @@ def _run_parser() -> argparse.ArgumentParser:
     p.add_argument("--cachestats", metavar="FILE", default=None,
                    help="record cache-behavior telemetry (duplicate share, "
                         "eviction provenance, forwarding hops) and dump it "
-                        "as JSONL to FILE; render with `analyze --cache`")
-    _add_slo_args(p)
-    _add_ledger_arg(p)
+                        "as JSONL to FILE")
     return p
 
 
 def run_command(argv) -> int:
     """``run`` subcommand: one experiment with observability attached."""
-    import time
-
     from ..obs import Observability
     from .runner import ExperimentConfig, run_experiment, system_label
 
     opts = _run_parser().parse_args(argv)
-    slo_spec = _load_slo_spec(opts)
     trace = defaults.workload(opts.workload)
     cfg = ExperimentConfig(
         system=opts.system,
@@ -297,25 +178,8 @@ def run_command(argv) -> int:
         invariant_every=opts.invariant_every,
         profile=opts.profile,
         cachestats=opts.cachestats is not None,
-        slo=slo_spec,
     )
-    ledger = _open_ledger(opts)
-    t0 = time.perf_counter()  # simlint: disable=SL02 -- ledger wall-clock provenance, not sim state
-    try:
-        result = run_experiment(cfg, obs=obs)
-    except Exception as exc:
-        if ledger is not None:
-            _ledger_run_record(
-                ledger, "run", opts, cfg,
-                status="failed",
-                wall_s=time.perf_counter() - t0,  # simlint: disable=SL02 -- ledger wall-clock provenance, not sim state
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        raise
-    wall_s = time.perf_counter() - t0  # simlint: disable=SL02 -- ledger wall-clock provenance, not sim state
-    # Close the last SLO window before the trace is dumped so its alerts
-    # are part of the JSONL (and the golden digest, when pinned).
-    slo_report = obs.slo.finalize() if obs.slo is not None else None
+    result = run_experiment(cfg, obs=obs)
 
     print(banner(f"run {system_label(cfg.system)} / {opts.workload}"))
     print(f"throughput        {result.throughput_rps:.1f} req/s")
@@ -361,10 +225,6 @@ def run_command(argv) -> int:
             attribute(obs.tracer.records),
             metrics=obs.registry.snapshot(),
         ))
-    _print_slo(slo_report, opts)
-    if ledger is not None:
-        _ledger_run_record(ledger, "run", opts, cfg, status="ok",
-                           wall_s=wall_s, result=result)
     return 0
 
 
@@ -373,13 +233,11 @@ def _sweep_parser() -> argparse.ArgumentParser:
 
     p = argparse.ArgumentParser(
         prog="repro-experiments sweep",
-        description="Run a figure's (trace x system x memory) cell matrix, "
+        description="Run the fig2 (trace x system x memory) cell matrix, "
                     "optionally sharded across worker processes, and emit "
                     "a provenance-wrapped BENCH trajectory record.  Output "
                     "is byte-identical at any worker count.",
     )
-    p.add_argument("--figure", default="fig2", choices=["fig2"],
-                   help="which figure's sweep to run (currently: fig2)")
     p.add_argument("--workload", action="append", dest="workloads",
                    choices=list(TRACE_NAMES), default=None,
                    help="restrict to this trace (repeatable; default: all)")
@@ -396,17 +254,17 @@ def _sweep_parser() -> argparse.ArgumentParser:
     p.add_argument("--bench-out", metavar="FILE", default=None,
                    help="write the provenance-wrapped trajectory record "
                         "(JSON, repro.bench schema) to FILE")
-    p.add_argument("--render", action="store_true",
-                   help="print the rendered figure tables as well")
     p.add_argument("--progress", metavar="FILE", default=None,
                    help="stream live per-cell heartbeat events (done, "
                         "cells/s, ETA, stragglers, failures) as JSONL to "
                         "FILE and print the completion timeline afterwards")
-    p.add_argument("--artifacts", metavar="DIR", default=None,
-                   help="per-cell artifact directory for --ledger "
-                        "(attribution + trace per cell; default: "
-                        "<ledger>.d)")
-    _add_ledger_arg(p)
+    p.add_argument("--ledger", metavar="FILE", default=None,
+                   help="append a provenance-stamped manifest record per "
+                        "sweep and per cell (git sha, seed, knobs, "
+                        "wall-clock, exit status, artifact paths) to this "
+                        "run-ledger JSONL, and write each cell's attribution "
+                        "to <FILE>.d; inspect with "
+                        "`python -m repro.obs.ledger list`")
     return p
 
 
@@ -421,7 +279,7 @@ def _ledger_sweep_records(ledger, opts, outcomes, progress_summary,
     sweep_rec = ledger.append(
         "sweep",
         status="failed" if any(not o.ok for o in outcomes) else "ok",
-        figure=opts.figure,
+        figure=_SWEEP_FIGURE,
         cells=n_cells,
         workers=workers,
         progress=progress_summary,
@@ -468,8 +326,9 @@ def sweep_command(argv) -> int:
     import time
 
     from ..bench.schema import dump_record, wrap_result
+    from ..obs.ledger import Ledger
     from ..traces.datasets import TRACE_NAMES
-    from .figures import fig2_cells, fig2_collect, render_fig2
+    from .figures import fig2_cells, fig2_collect
     from .parallel import (
         SweepCellError,
         SweepProgress,
@@ -489,22 +348,19 @@ def sweep_command(argv) -> int:
     )
     n_systems = len(figures.ALL_SYSTEMS)
     n_cells = len(cells)
-    print(banner(f"sweep {opts.figure}"))
+    print(banner(f"sweep {_SWEEP_FIGURE}"))
     print(f"cells             {n_cells} "
           f"({len(trace_names)} traces x {n_systems} systems x "
           f"{len(memories)} memory points)")
     print(f"workers           {workers}")
     observed = opts.ledger is not None or opts.progress is not None
-    ledger = _open_ledger(opts)
+    ledger = Ledger(opts.ledger) if opts.ledger is not None else None
     failures = []
     outcomes = []
     # Wall-clock is operator-facing progress reporting only; it never
     # feeds simulation state (results are a pure function of the cells).
     t0 = time.perf_counter()  # simlint: disable=SL02 -- elapsed-time report, not sim state
     if observed:
-        artifacts_dir = opts.artifacts
-        if artifacts_dir is None and opts.ledger is not None:
-            artifacts_dir = opts.ledger + ".d"
         progress = SweepProgress(
             total=n_cells,
             path=opts.progress,
@@ -513,7 +369,7 @@ def sweep_command(argv) -> int:
         results, outcomes = run_cells_observed(
             cells, workers=workers,
             progress=progress,
-            artifacts_dir=artifacts_dir if ledger is not None else None,
+            artifacts_dir=opts.ledger + ".d" if ledger is not None else None,
             profile=ledger is not None,
             failures=failures,
         )
@@ -545,20 +401,17 @@ def sweep_command(argv) -> int:
             print(f"  cell {out.info.index} [{out.info.coords()}] "
                   f"params {out.info.params_digest}: {out.error}",
                   file=sys.stderr)
-        print("sweep: skipping BENCH record/render (incomplete matrix)",
+        print("sweep: skipping BENCH record (incomplete matrix)",
               file=sys.stderr)
         return 1
-    data = fig2_collect(names, memories, results)
     if opts.bench_out:
         record = wrap_result(
-            opts.figure, data, seed=0, params=defaults.bench_params()
+            _SWEEP_FIGURE, fig2_collect(names, memories, results), seed=0,
+            params=defaults.bench_params(),
         )
         dump_record(record, opts.bench_out)
         print(f"trajectory record -> {opts.bench_out} "
               f"(params digest {record['params_digest']})")
-    if opts.render:
-        print()
-        print(render_fig2(data))
     return 0
 
 
@@ -602,14 +455,11 @@ def _chaos_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", action="store_true",
                    help="phase spans + critical-path report (fault waits "
                         "show up as fault.detect / retry.backoff)")
-    _add_slo_args(p)
-    _add_ledger_arg(p)
     return p
 
 
 def chaos_command(argv) -> int:
     """``chaos`` subcommand: baseline vs faulted run of one workload."""
-    import time
     from dataclasses import replace
 
     from ..obs import Observability
@@ -617,7 +467,6 @@ def chaos_command(argv) -> int:
     from .runner import ExperimentConfig, run_experiment, system_label
 
     opts = _chaos_parser().parse_args(argv)
-    slo_spec = _load_slo_spec(opts)
     trace = defaults.workload(opts.workload)
     base_cfg = ExperimentConfig(
         system=opts.system,
@@ -651,24 +500,8 @@ def chaos_command(argv) -> int:
         )
     if opts.plan_out:
         plan.dump(opts.plan_out)
-    obs = Observability(
-        trace=opts.trace is not None, profile=opts.profile, slo=slo_spec
-    )
-    ledger = _open_ledger(opts)
-    t0 = time.perf_counter()  # simlint: disable=SL02 -- ledger wall-clock provenance, not sim state
-    try:
-        result = run_experiment(replace(base_cfg, faults=plan), obs=obs)
-    except Exception as exc:
-        if ledger is not None:
-            _ledger_run_record(
-                ledger, "chaos", opts, base_cfg,
-                status="failed",
-                wall_s=time.perf_counter() - t0,  # simlint: disable=SL02 -- ledger wall-clock provenance, not sim state
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        raise
-    wall_s = time.perf_counter() - t0  # simlint: disable=SL02 -- ledger wall-clock provenance, not sim state
-    slo_report = obs.slo.finalize() if obs.slo is not None else None
+    obs = Observability(trace=opts.trace is not None, profile=opts.profile)
+    result = run_experiment(replace(base_cfg, faults=plan), obs=obs)
 
     print(banner(f"chaos {system_label(base_cfg.system)} / {opts.workload}"))
     print(f"fault plan        {len(plan)} events over "
@@ -713,10 +546,6 @@ def chaos_command(argv) -> int:
             attribute(obs.tracer.records),
             metrics=obs.registry.snapshot(),
         ))
-    _print_slo(slo_report, opts)
-    if ledger is not None:
-        _ledger_run_record(ledger, "chaos", opts, base_cfg, status="ok",
-                           wall_s=wall_s, result=result)
     return 0
 
 
@@ -726,9 +555,8 @@ def _analyze_parser() -> argparse.ArgumentParser:
         description="Offline analysis of a dumped run "
                     "(trace JSONL from `run --profile --trace`).",
     )
-    p.add_argument("trace", metavar="TRACE", nargs="?", default=None,
-                   help="span trace JSONL (from run --trace); optional "
-                        "when only --cache output is requested")
+    p.add_argument("trace", metavar="TRACE",
+                   help="span trace JSONL (from run --trace)")
     p.add_argument("metrics", metavar="METRICS", nargs="?", default=None,
                    help="metrics snapshot JSON (from run --metrics-out); "
                         "enables utilization-based bottleneck analysis")
@@ -738,25 +566,15 @@ def _analyze_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="FILE", default=None, dest="json_out",
                    help="write the attribution/bottleneck summary as JSON "
                         "to FILE ('-' for stdout) for CI consumption")
-    p.add_argument("--cache", metavar="FILE", default=None,
-                   help="render the cache-behavior report from a CacheScope "
-                        "JSONL dump (run --cachestats)")
     p.add_argument("--perfetto", metavar="FILE", default=None,
                    help="write a Chrome trace-event JSON (Perfetto / "
                         "chrome://tracing) to FILE")
-    p.add_argument("--timeseries", action="store_true",
-                   help="print windowed throughput / utilization charts")
     p.add_argument("--timeseries-out", metavar="FILE", default=None,
                    help="write the windowed time series as JSON to FILE")
     p.add_argument("--window-ms", type=_positive(float), default=None,
                    help="time-series window width (default: run length / 60)")
     p.add_argument("--top", type=_non_negative_int, default=0, metavar="K",
                    help="print the K slowest requests with span trees")
-    p.add_argument("--critical", action="store_true",
-                   help="print the cluster-wide critical-path profile "
-                        "(per-phase critical seconds + top critical edges)")
-    p.add_argument("--critical-out", metavar="FILE", default=None,
-                   help="write the critical-path profile as JSON to FILE")
     p.add_argument("--all-requests", action="store_true",
                    help="include warm-up requests, not just measured ones")
     return p
@@ -812,28 +630,16 @@ def analyze_diff_command(argv) -> int:
 def _fleet_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro-experiments analyze fleet",
-        description="Cross-cell fleet rollup over a sweep's run-ledger "
-                    "slice: per-cell attribution with the exact "
-                    "conservation check, binding-resource frequency, "
-                    "sweep-wide SLO evaluation, and (memory x system x "
-                    "trace) throughput heatmaps.",
+        description="Cross-cell fleet rollup over the latest sweep in a "
+                    "run ledger: per-cell attribution with the exact "
+                    "conservation check, binding-resource frequency, and "
+                    "(memory x system x trace) throughput heatmaps.",
     )
     p.add_argument("ledger", metavar="LEDGER",
                    help="run-ledger JSONL (from `sweep --ledger`)")
-    p.add_argument("--sweep", metavar="RUN_ID", default=None,
-                   help="roll up this sweep record (unique run-id prefix; "
-                        "default: the latest sweep in the ledger)")
-    p.add_argument("--slo", metavar="FILE", default=None,
-                   help="judge every cell's p95/p99/availability against "
-                        "this SLO spec JSON (window-level burn rates stay "
-                        "per-run)")
     p.add_argument("--json", metavar="FILE", default=None, dest="json_out",
                    help="write the fleet report (schema kind 'fleet') as "
                         "JSON to FILE ('-' for stdout)")
-    p.add_argument("--perfetto", metavar="FILE", default=None,
-                   help="merge every cell's span trace into one "
-                        "multi-process Chrome trace JSON (one process "
-                        "lane group per cell) at FILE")
     return p
 
 
@@ -846,21 +652,9 @@ def analyze_fleet_command(argv) -> int:
     from ..obs.reports import render_fleet_report
 
     opts = _fleet_parser().parse_args(argv)
-    slo_spec = None
-    if opts.slo is not None:
-        from ..obs.slo import SloSpec
-
-        try:
-            slo_spec = SloSpec.load(opts.slo)
-        except (OSError, json.JSONDecodeError, KeyError, TypeError,
-                ValueError) as exc:
-            print(f"cannot load SLO spec {opts.slo}: {exc}", file=sys.stderr)
-            return 2
     base_dir = os.path.dirname(os.path.abspath(opts.ledger))
     try:
-        records = load_ledger(opts.ledger)
-        report = fleet_report(records, sweep_id=opts.sweep, slo=slo_spec,
-                              base_dir=base_dir)
+        report = fleet_report(load_ledger(opts.ledger), base_dir=base_dir)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"analyze fleet: {exc}", file=sys.stderr)
         return 2
@@ -872,33 +666,6 @@ def analyze_fleet_command(argv) -> int:
             with open(opts.json_out, "w", encoding="utf-8") as fp:
                 fp.write(text + "\n")
             print(f"fleet json        -> {opts.json_out}")
-    # Write the perfetto artifact before the chatty render so a reader
-    # truncating stdout (`... | head`) can't kill the process between
-    # artifact writes.
-    if opts.perfetto:
-        from ..obs.analyze import load_jsonl as load_trace_jsonl
-        from ..obs.export import dump_chrome_trace_multi
-
-        merged = []
-        for cell in report.get("cells", []):
-            if cell.get("status") != "ok":
-                continue
-            rec = next(
-                (r for r in records if r.get("run_id") == cell["run_id"]),
-                None,
-            )
-            raw = ((rec or {}).get("artifacts") or {}).get("trace")
-            if not raw:
-                continue
-            path = raw if os.path.exists(raw) else os.path.join(base_dir, raw)
-            if not os.path.exists(path):
-                continue
-            label = (f"{cell['workload']}/{cell['system']}/"
-                     f"{cell['mem_mb_per_node']:g}MB")
-            merged.append((label, load_trace_jsonl(path)))
-        dump_chrome_trace_multi(merged, opts.perfetto)
-        print(f"fleet chrome trace -> {opts.perfetto} "
-              f"({len(merged)} cells merged; open in ui.perfetto.dev)")
     if opts.json_out != "-":
         print(banner(f"fleet: {opts.ledger}"))
         print(render_fleet_report(report))
@@ -914,12 +681,8 @@ def analyze_command(argv) -> int:
     if argv and argv[0] == "fleet":
         return analyze_fleet_command(argv[1:])
     opts = _analyze_parser().parse_args(argv)
-    if opts.trace is None and not opts.cache:
-        print("analyze: a TRACE file is required unless --cache is given",
-              file=sys.stderr)
-        return 2
     try:
-        records = load_jsonl(opts.trace) if opts.trace else []
+        records = load_jsonl(opts.trace)
         metrics = None
         if opts.metrics:
             with open(opts.metrics, "r", encoding="utf-8") as fp:
@@ -928,24 +691,9 @@ def analyze_command(argv) -> int:
         print(f"analyze: cannot read input: {exc}", file=sys.stderr)
         return 2
 
-    if opts.cache:
-        from ..obs.cachestats import load_jsonl as load_cache_jsonl
-        from ..obs.reports import render_cache_report
-
-        try:
-            snap = load_cache_jsonl(opts.cache)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"analyze: cannot read cache dump: {exc}", file=sys.stderr)
-            return 2
-        print(banner(f"cache behavior: {opts.cache}"))
-        print(render_cache_report(snap))
-    if opts.trace is None:
-        return 0
-
     measured_only = not opts.all_requests
     want_report = opts.report or not (
-        opts.perfetto or opts.timeseries or opts.timeseries_out or opts.top
-        or opts.json_out or opts.cache or opts.critical or opts.critical_out
+        opts.perfetto or opts.timeseries_out or opts.top or opts.json_out
     )
 
     if opts.json_out or want_report:
@@ -973,33 +721,12 @@ def analyze_command(argv) -> int:
         print(render_top_requests(
             records, k=opts.top, measured_only=measured_only
         ))
-    if opts.critical or opts.critical_out:
-        from ..obs.critical import critical_profile
-
-        profile = critical_profile(records, measured_only=measured_only)
-        if opts.critical_out:
-            with open(opts.critical_out, "w", encoding="utf-8") as fp:
-                json.dump(profile, fp, indent=2, sort_keys=True,
-                          default=float)
-                fp.write("\n")
-            print(f"critical profile  -> {opts.critical_out}")
-        if opts.critical:
-            from ..obs.reports import render_critical_report
-
-            print(banner(f"critical path: {opts.trace}"))
-            print(render_critical_report(profile))
-    if opts.timeseries or opts.timeseries_out:
+    if opts.timeseries_out:
         from ..obs.timeseries import build_timeseries, dump_timeseries
 
-        ts = build_timeseries(records, window_ms=opts.window_ms)
-        if opts.timeseries_out:
-            dump_timeseries(ts, opts.timeseries_out)
-            print(f"time series       -> {opts.timeseries_out}")
-        if opts.timeseries:
-            from ..obs.reports import render_timeseries
-
-            print(banner("time series"))
-            print(render_timeseries(ts))
+        dump_timeseries(build_timeseries(records, window_ms=opts.window_ms),
+                        opts.timeseries_out)
+        print(f"time series       -> {opts.timeseries_out}")
     if opts.perfetto:
         from ..obs.export import dump_chrome_trace
 

@@ -31,8 +31,8 @@ never in simulation state):
 * :func:`run_cells_observed` returns, alongside the ordered results, one
   :class:`CellOutcome` per cell: wall-clock, worker identity, exit
   status, a metrics summary (throughput, response percentiles, binding
-  resource) and — when an artifacts directory is given — per-cell
-  attribution/trace artifact paths for the run ledger
+  resource) and — when an artifacts directory is given — the path of
+  each cell's attribution artifact for the run ledger
   (:mod:`repro.obs.ledger`) and fleet rollups (:mod:`repro.obs.fleet`).
 * :class:`SweepProgress` streams heartbeat events (cells done,
   cells/sec, ETA, stragglers, failures) to a JSONL file as outcomes
@@ -149,7 +149,7 @@ class CellOutcome:
     #: Wall-clock seconds the cell took (worker-measured, ledger-only).
     wall_s: float = 0.0
     worker: str = "main"
-    #: Artifact name -> path written by the worker (attr/trace).
+    #: Artifact name -> path written by the worker (attribution).
     artifacts: dict[str, str] = field(default_factory=dict)
     #: Ledger-ready metric summary (empty for failed cells).
     summary: dict[str, Any] = field(default_factory=dict)
@@ -233,11 +233,7 @@ def _run_cell_job(job: _CellJob) -> CellOutcome:
             with open(stem + "-attr.json", "w", encoding="utf-8") as fp:
                 json.dump(report, fp, indent=2, sort_keys=True, default=float)
                 fp.write("\n")
-            obs.tracer.dump_jsonl(stem + "-trace.jsonl")
-            artifacts = {
-                "attribution": stem + "-attr.json",
-                "trace": stem + "-trace.jsonl",
-            }
+            artifacts = {"attribution": stem + "-attr.json"}
         return CellOutcome(
             info=info, ok=True, result=result, wall_s=wall_s, worker=worker,
             artifacts=artifacts, summary=_cell_summary(result, obs),
@@ -431,7 +427,7 @@ def run_cells_observed(
     ``Observability(profile=True)`` (verified passive: simulated results
     are unchanged) so summaries include response percentiles and the
     binding resource; with ``artifacts_dir`` each worker also writes the
-    cell's attribution report and span trace there.
+    cell's attribution report there.
 
     Failures: by default any failed cell raises :class:`SweepCellError`
     (after *all* cells ran — the merge is never aborted mid-flight).

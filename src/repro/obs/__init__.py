@@ -30,7 +30,6 @@ from .metrics import (
 )
 from .profile import NULL_PROFILER, NullProfiler, Profiler
 from .schema import OUTPUT_SCHEMA_VERSION
-from .slo import SloEvaluator, SloSpec
 from .tracing import NULL_SPAN, NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
@@ -53,8 +52,6 @@ __all__ = [
     "InvariantSampler",
     "Observability",
     "OUTPUT_SCHEMA_VERSION",
-    "SloSpec",
-    "SloEvaluator",
 ]
 
 
@@ -72,33 +69,22 @@ class Observability:
     :class:`~repro.obs.cachestats.CacheScope` recording cache-behavior
     telemetry (duplicate share, eviction provenance, forwarding hops);
     it is passive — no simulator events — so traces are byte-identical
-    with it on or off.  ``slo=SloSpec(...)`` attaches an
-    :class:`~repro.obs.slo.SloEvaluator`: the driver feeds it every
-    measured completion and breaches emit deterministic ``alert`` point
-    spans through the tracer; call ``obs.slo.finalize()`` after the run
-    for the report.
+    with it on or off.
     """
 
     def __init__(
         self,
         trace: bool = True,
         invariant_every: int = 0,
-        registry: MetricsRegistry | None = None,
         profile: bool = False,
         cachestats: bool = False,
-        cachestats_window_ms: float = 100.0,
-        slo: SloSpec | None = None,
     ):
         if invariant_every < 0:
             raise ValueError("invariant_every must be >= 0")
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.tracer = Tracer() if (trace or profile) else NULL_TRACER
         self.profiler = Profiler(self.tracer) if profile else NULL_PROFILER
-        self.cachescope = (
-            CacheScope(window_ms=cachestats_window_ms)
-            if cachestats else NULL_CACHESCOPE
-        )
-        self.slo = SloEvaluator(slo, tracer=self.tracer) if slo else None
+        self.cachescope = CacheScope() if cachestats else NULL_CACHESCOPE
         self.invariant_every = invariant_every
         #: Set by the runner when sampling is active (for introspection).
         self.sampler: InvariantSampler | None = None

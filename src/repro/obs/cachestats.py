@@ -48,7 +48,6 @@ __all__ = [
     "CacheScope",
     "NullCacheScope",
     "NULL_CACHESCOPE",
-    "load_jsonl",
 ]
 
 #: Per-window point-event series kept by the scope.
@@ -501,28 +500,3 @@ class NullCacheScope:
 #: Shared no-op instance.
 NULL_CACHESCOPE = NullCacheScope()
 
-
-def load_jsonl(path) -> dict[str, Any]:
-    """Re-assemble a :meth:`CacheScope.dump_jsonl` file into a snapshot
-    dict (the shape :meth:`CacheScope.snapshot` returns)."""
-    snap: dict[str, Any] = {
-        "window_ms": 0.0, "totals": {}, "per_node": {},
-        "hop_histogram": {}, "windows": [], "ledger": [],
-    }
-    with open(path, "r", encoding="utf-8") as fp:
-        for line in fp:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            kind = rec.pop("kind", None)
-            if kind == "summary":
-                snap["window_ms"] = rec.get("window_ms", 0.0)
-                snap["totals"] = rec.get("totals", {})
-                snap["per_node"] = rec.get("per_node", {})
-                snap["hop_histogram"] = rec.get("hop_histogram", {})
-            elif kind == "window":
-                snap["windows"].append(rec)
-            elif kind == "evict":
-                snap["ledger"].append(rec)
-    return snap

@@ -22,30 +22,22 @@ The walk rests on two structural facts about the simulator:
 
 Each request's :class:`CriticalSegment` list tiles its root span
 exactly, so per-phase critical milliseconds sum to the measured response
-time (~0 residual).  :func:`critical_profile` aggregates the paths
-cluster-wide, adding the top-K critical **edges** — the phase→phase
-(node→node) transitions latency flows through most.
+time (~0 residual).
 """
 
 from __future__ import annotations
 
-import logging
-from collections import defaultdict
 from collections.abc import Iterable
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
-from .analyze import SpanNode, build_trees, request_roots
+from .analyze import SpanNode
 from .profile import PHASE_SPAN
-from .schema import as_report
 
 __all__ = [
     "CriticalSegment",
     "critical_path",
-    "critical_profile",
     "phase_segments",
 ]
-
-logger = logging.getLogger(__name__)
 
 #: Absolute float slack for interval containment / chain stepping (ms).
 _EPS = 1e-9
@@ -238,73 +230,3 @@ def critical_path(root: SpanNode) -> list[CriticalSegment]:
     segs.sort(key=lambda s: (s.start, s.end))
     return segs
 
-
-def _edge_key(a: CriticalSegment, b: CriticalSegment) -> str:
-    a_node = "-" if a.node is None else str(a.node)
-    b_node = "-" if b.node is None else str(b.node)
-    return f"{a.phase}@{a_node} -> {b.phase}@{b_node}"
-
-
-def critical_profile(
-    records: Iterable[dict[str, Any]],
-    top_edges: int = 10,
-    measured_only: bool = True,
-) -> dict[str, Any]:
-    """Cluster-wide critical-path profile over a profiled trace.
-
-    Returns a shared-schema ``critical`` report::
-
-        {"schema_version": ..., "kind": "critical",
-         "requests": N,
-         "mean_critical_ms": ...,      # == mean response time
-         "mean_residual_ms": ...,      # tiling error (float noise)
-         "phase_critical_ms": {...},   # total critical ms per phase
-         "phase_critical_share": {...},
-         "top_edges": [{"edge": "disk.queue@3 -> disk.transfer@3",
-                        "count": ..., "ms": ...}, ...]}
-
-    The *edges* are consecutive critical-segment transitions, weighted
-    by the downstream segment's duration — they name the hand-offs
-    latency flows through, which is where a fix actually lands.
-    """
-    roots, _index = build_trees(records)
-    reqs = request_roots(roots, measured_only=measured_only)
-    phase_ms: dict[str, float] = defaultdict(float)
-    edges: dict[str, dict[str, float]] = {}
-    total_dur = 0.0
-    total_attr = 0.0
-    for root in reqs:
-        path = critical_path(root)
-        total_dur += root.dur or 0.0
-        prev: CriticalSegment | None = None
-        for seg in path:
-            phase_ms[seg.phase] += seg.dur
-            total_attr += seg.dur
-            if prev is not None:
-                key = _edge_key(prev, seg)
-                stats = edges.get(key)
-                if stats is None:
-                    stats = edges[key] = {"count": 0, "ms": 0.0}
-                stats["count"] += 1
-                stats["ms"] += seg.dur
-            prev = seg
-    n = len(reqs)
-    logger.info("critical profile over %d requests (%d edges)",
-                n, len(edges))
-    ranked = sorted(
-        edges.items(), key=lambda kv: (-kv[1]["ms"], kv[0])
-    )[:top_edges]
-    return as_report("critical", {
-        "requests": n,
-        "mean_critical_ms": total_dur / n if n else 0.0,
-        "mean_residual_ms": (total_dur - total_attr) / n if n else 0.0,
-        "phase_critical_ms": dict(sorted(phase_ms.items())),
-        "phase_critical_share": {
-            phase: ms / total_attr if total_attr else 0.0
-            for phase, ms in sorted(phase_ms.items())
-        },
-        "top_edges": [
-            {"edge": key, "count": int(stats["count"]), "ms": stats["ms"]}
-            for key, stats in ranked
-        ],
-    })

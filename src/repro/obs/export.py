@@ -7,7 +7,7 @@ Maps the simulator's span JSONL onto the Chrome trace-event JSON format:
   "cluster");
 * **thread** = lane within the node: one lane for request/protocol
   spans, one per device class for profiler phase spans, one ``events``
-  lane for fault-injection (``fault``) and SLO (``alert``) points;
+  lane for fault-injection (``fault``) points;
 * finished spans become complete (``"X"``) events, zero-duration spans
   become instants (``"i"``), and process/thread names are declared with
   metadata (``"M"``) events;
@@ -28,12 +28,7 @@ from typing import Any
 
 from .profile import PHASE_SPAN
 
-__all__ = [
-    "to_chrome_trace",
-    "dump_chrome_trace",
-    "to_chrome_trace_multi",
-    "dump_chrome_trace_multi",
-]
+__all__ = ["to_chrome_trace", "dump_chrome_trace"]
 
 logger = logging.getLogger(__name__)
 
@@ -72,7 +67,7 @@ def _lane(rec: dict[str, Any]) -> str:
         return _PHASE_LANE.get(phase, "wait")
     if rec["name"] in ("client", "request"):
         return "requests"
-    if rec["name"] in ("fault", "alert"):
+    if rec["name"] == "fault":
         return "events"
     return "protocol"
 
@@ -152,51 +147,3 @@ def dump_chrome_trace(records: Iterable[dict[str, Any]], path) -> None:
         json.dump(to_chrome_trace(records), fp, sort_keys=True, default=float)
         fp.write("\n")
 
-
-# ---------------------------------------------------------------------------
-# multi-cell merge (fleet view)
-# ---------------------------------------------------------------------------
-def to_chrome_trace_multi(
-    cells: Iterable[tuple[str, Iterable[dict[str, Any]]]],
-) -> dict[str, Any]:
-    """Merge several cells' traces into one multi-process Perfetto view.
-
-    ``cells`` is ``(label, records)`` pairs — e.g. one sweep cell per
-    pair, labelled ``"rutgers/cc-kmc/0.16MB"``.  Each cell keeps its own
-    node/lane structure but its pids are offset into a disjoint block
-    and every process name is prefixed with the cell label, so Perfetto
-    shows the cells side by side as separate process groups on a shared
-    timeline (every cell starts at simulated t=0, which is exactly what
-    makes phase-by-phase comparison work).
-    """
-    merged_events: list[dict[str, Any]] = []
-    other: dict[str, Any] = {"source": "repro tracer JSONL (multi-cell)",
-                             "cells": []}
-    offset = 0
-    for label, records in cells:
-        doc = to_chrome_trace(records)
-        max_pid = 0
-        for ev in doc["traceEvents"]:
-            ev = dict(ev)
-            max_pid = max(max_pid, int(ev["pid"]))
-            ev["pid"] = int(ev["pid"]) + offset
-            if ev.get("ph") == "M" and ev.get("name") == "process_name":
-                ev["args"] = {"name": f"{label} | {ev['args']['name']}"}
-            merged_events.append(ev)
-        other["cells"].append({"label": label, "pid_base": offset})
-        offset += max_pid + 1
-    return {
-        "traceEvents": merged_events,
-        "displayTimeUnit": "ms",
-        "otherData": other,
-    }
-
-
-def dump_chrome_trace_multi(
-    cells: Iterable[tuple[str, Iterable[dict[str, Any]]]], path
-) -> None:
-    """Write the merged multi-cell Chrome trace JSON to ``path``."""
-    with open(path, "w", encoding="utf-8") as fp:
-        json.dump(to_chrome_trace_multi(cells), fp, sort_keys=True,
-                  default=float)
-        fp.write("\n")

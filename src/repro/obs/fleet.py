@@ -15,9 +15,6 @@ per-cell observability artifacts up into fleet-level answers:
 * **Binding-resource frequency** — how often each resource class binds
   across the (memory × system × trace) matrix, the fleet version of the
   paper's Figure-6a bottleneck-migration narrative.
-* **Sweep-wide SLO evaluation** — each cell's p95/p99/availability
-  judged against one :class:`~repro.obs.slo.SloSpec` (window-level burn
-  rates stay per-run; a fleet has no shared timeline).
 * **Throughput matrix** — the fig2-shaped (trace × system × memory)
   grid, rendered as ASCII heatmaps by
   :func:`repro.obs.reports.render_fleet_report`.
@@ -35,7 +32,6 @@ from typing import Any, Optional
 
 from .ledger import latest_sweep
 from .schema import as_report
-from .slo import SloSpec
 
 __all__ = [
     "select_sweep",
@@ -50,30 +46,13 @@ CONSERVATION_REL_TOL = 1e-6
 
 def select_sweep(
     records: Iterable[dict[str, Any]],
-    sweep_id: Optional[str] = None,
 ) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-    """Pick one sweep and its cell records out of a ledger.
-
-    Default is the *latest* sweep record; ``sweep_id`` (unique prefix
-    accepted) pins an earlier one.  Cells are matched by ``parent``.
-    """
+    """The ledger's latest sweep record and its cells (matched by
+    ``parent``)."""
     records = list(records)
-    sweep: Optional[dict[str, Any]]
-    if sweep_id is None:
-        sweep = latest_sweep(records)
-        if sweep is None:
-            raise ValueError("ledger contains no sweep records")
-    else:
-        matches = [
-            r for r in records
-            if r.get("kind") == "sweep"
-            and str(r.get("run_id", "")).startswith(sweep_id)
-        ]
-        if not matches:
-            raise ValueError(f"no sweep record with run id {sweep_id!r}")
-        if len(matches) > 1:
-            raise ValueError(f"sweep id prefix {sweep_id!r} is ambiguous")
-        sweep = matches[0]
+    sweep = latest_sweep(records)
+    if sweep is None:
+        raise ValueError("ledger contains no sweep records")
     cells = [
         r for r in records
         if r.get("kind") == "cell" and r.get("parent") == sweep["run_id"]
@@ -208,48 +187,6 @@ def _throughput_matrix(
     }
 
 
-def _fleet_slo(
-    cell_rows: Sequence[dict[str, Any]], spec: SloSpec
-) -> dict[str, Any]:
-    """Judge every cell's tail latency / availability against one spec."""
-    evaluated = 0
-    breaches: list[dict[str, Any]] = []
-    for row in cell_rows:
-        if row.get("status") != "ok" or row.get("p95_ms") is None:
-            continue
-        evaluated += 1
-        cell_breaches: list[str] = []
-        if spec.p95_ms is not None and row["p95_ms"] > spec.p95_ms:
-            cell_breaches.append(
-                f"p95 {row['p95_ms']:.3f}ms > {spec.p95_ms:g}ms"
-            )
-        if (spec.p99_ms is not None and row.get("p99_ms") is not None
-                and row["p99_ms"] > spec.p99_ms):
-            cell_breaches.append(
-                f"p99 {row['p99_ms']:.3f}ms > {spec.p99_ms:g}ms"
-            )
-        if spec.availability is not None:
-            avail = row.get("availability")
-            if avail is not None and avail < spec.availability:
-                cell_breaches.append(
-                    f"availability {avail:.5f} < {spec.availability:g}"
-                )
-        if cell_breaches:
-            breaches.append({
-                "run_id": row.get("run_id"),
-                "cell": f"{row['system']}/{row['workload']}/"
-                        f"{row['mem_mb_per_node']:g}MB",
-                "breaches": cell_breaches,
-            })
-    return {
-        "spec": spec.to_dict(),
-        "cells_evaluated": evaluated,
-        "cells_breaching": len(breaches),
-        "breaches": breaches,
-        "ok": not breaches,
-    }
-
-
 def _cell_row(cell: dict[str, Any], base_dir: str) -> dict[str, Any]:
     """One flattened per-cell row (ledger fields + artifact joins)."""
     summary = cell.get("summary") or {}
@@ -284,16 +221,14 @@ def _cell_row(cell: dict[str, Any], base_dir: str) -> dict[str, Any]:
 def fleet_report(
     records: Iterable[dict[str, Any]],
     *,
-    sweep_id: Optional[str] = None,
-    slo: Optional[SloSpec] = None,
     base_dir: str = ".",
 ) -> dict[str, Any]:
-    """Build the ``"fleet"`` report over one sweep's ledger slice.
+    """Build the ``"fleet"`` report over the latest sweep's ledger slice.
 
     ``base_dir`` resolves relative artifact paths (pass the ledger
-    file's directory).  ``slo`` adds the sweep-wide SLO evaluation.
+    file's directory).
     """
-    sweep, cells = select_sweep(records, sweep_id)
+    sweep, cells = select_sweep(records)
     rows = [_cell_row(c, base_dir) for c in cells]
     rows.sort(key=lambda r: (r["index"] if r["index"] is not None else 0))
     ok_rows = [r for r in rows if r["status"] == "ok"]
@@ -326,6 +261,4 @@ def fleet_report(
             for r in rows
         ],
     }
-    if slo is not None:
-        payload["slo"] = _fleet_slo(rows, slo)
     return as_report("fleet", payload)

@@ -1,15 +1,13 @@
 """Append-only, provenance-stamped run registry (the *run ledger*).
 
-Every experiment the harness executes — a single observable ``run``, a
-``chaos`` run, a sharded ``sweep`` and each of its ``cell``s, a bench
-invocation — can append one JSONL *manifest record* describing what ran:
-git sha, seed, workload knobs and their digest, the active
-directory environment, wall-clock, exit status, and the paths
-of every artifact the run produced (trace, metrics, BENCH record,
-attribution summary).  The ledger is the registry a 100-cell sweep was
-missing: ``python -m repro.obs.ledger list`` answers *what ran*, ``show``
-joins a record back to its artifacts, and :mod:`repro.obs.fleet`
-aggregates a sweep's slice of the ledger into cross-cell reports.
+``sweep --ledger`` appends one JSONL *manifest record* for the sweep
+and one for each of its ``cell``s, describing what ran: git sha, seed,
+workload knobs and their digest, the active directory environment,
+wall-clock, exit status, and the paths of the artifacts the run
+produced (BENCH record, progress stream, per-cell attribution
+summary).  ``python -m repro.obs.ledger list`` answers *what ran*, and
+:mod:`repro.obs.fleet` aggregates a sweep's slice of the ledger into
+cross-cell reports.
 
 Design rules:
 
@@ -41,7 +39,6 @@ __all__ = [
     "Ledger",
     "run_id",
     "load_ledger",
-    "filter_records",
     "latest_sweep",
     "environment_stamp",
     "main",
@@ -51,7 +48,7 @@ __all__ = [
 LEDGER_VERSION = 1
 
 #: Every record kind the harness appends.
-RECORD_KINDS = ("run", "chaos", "sweep", "cell", "bench")
+RECORD_KINDS = ("sweep", "cell")
 
 Clock = Callable[[], float]
 
@@ -140,32 +137,6 @@ def load_ledger(path: str) -> list[dict[str, Any]]:
     return records
 
 
-def filter_records(
-    records: Iterable[dict[str, Any]],
-    *,
-    kind: Optional[str] = None,
-    status: Optional[str] = None,
-    system: Optional[str] = None,
-    workload: Optional[str] = None,
-    parent: Optional[str] = None,
-) -> list[dict[str, Any]]:
-    """Records matching every given criterion (None = don't care)."""
-    out = []
-    for rec in records:
-        if kind is not None and rec.get("kind") != kind:
-            continue
-        if status is not None and rec.get("status") != status:
-            continue
-        if system is not None and rec.get("system") != system:
-            continue
-        if workload is not None and rec.get("workload") != workload:
-            continue
-        if parent is not None and rec.get("parent") != parent:
-            continue
-        out.append(rec)
-    return out
-
-
 def latest_sweep(records: Iterable[dict[str, Any]]) -> Optional[dict[str, Any]]:
     """The last ``sweep`` record appended, or None."""
     sweep = None
@@ -175,24 +146,8 @@ def latest_sweep(records: Iterable[dict[str, Any]]) -> Optional[dict[str, Any]]:
     return sweep
 
 
-def find_record(
-    records: Iterable[dict[str, Any]], run_id_prefix: str
-) -> Optional[dict[str, Any]]:
-    """The unique record whose ``run_id`` starts with the given prefix.
-
-    Raises :class:`ValueError` when the prefix is ambiguous.
-    """
-    matches = [r for r in records
-               if str(r.get("run_id", "")).startswith(run_id_prefix)]
-    if len(matches) > 1:
-        ids = ", ".join(str(r["run_id"]) for r in matches[:5])
-        raise ValueError(f"run id prefix {run_id_prefix!r} is ambiguous "
-                         f"({ids}...)")
-    return matches[0] if matches else None
-
-
 # ---------------------------------------------------------------------------
-# CLI: list / show
+# CLI: list
 # ---------------------------------------------------------------------------
 def _format_row(rec: dict[str, Any]) -> str:
     mem = rec.get("mem_mb_per_node")
@@ -214,15 +169,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"ledger: cannot read {args.ledger}: {exc}", file=sys.stderr)
         return 2
-    records = filter_records(
-        records, kind=args.kind, status=args.status,
-        system=args.system, workload=args.workload, parent=args.parent,
-    )
-    if args.json:
-        print(json.dumps(records, indent=2, sort_keys=True, default=float))
-        return 0
     if not records:
-        print("(no matching records)")
+        print("(no records)")
         return 0
     print(f"{'run_id':<16} {'kind':<6} {'status':<7} {'wall':>8}   cell")
     for rec in records:
@@ -230,82 +178,15 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _show_artifact(name: str, path: str) -> list[str]:
-    """Join one artifact path back to a summary of its content."""
-    lines = [f"  {name:<12} {path}"]
-    if not os.path.exists(path):
-        lines[0] += "  (missing)"
-        return lines
-    if not path.endswith(".json"):
-        lines[0] += f"  ({os.path.getsize(path)} bytes)"
-        return lines
-    try:
-        with open(path, encoding="utf-8") as fp:
-            doc = json.load(fp)
-    except (OSError, json.JSONDecodeError):
-        lines[0] += "  (unreadable)"
-        return lines
-    if not isinstance(doc, dict):
-        return lines
-    if "params_digest" in doc and "metrics" in doc:  # BENCH trajectory record
-        lines.append(f"    bench record {doc.get('name', '?')!r}: "
-                     f"{len(doc.get('metrics', {}))} metrics, "
-                     f"params digest {doc.get('params_digest')}")
-    elif doc.get("kind") == "attribution":
-        binding = doc.get("binding_resource") or {}
-        lines.append(f"    attribution: {doc.get('requests', 0)} requests, "
-                     f"mean {doc.get('mean_response_ms', 0.0):.3f} ms, "
-                     f"binding {binding.get('resource', 'n/a')}")
-    return lines
-
-
-def _cmd_show(args: argparse.Namespace) -> int:
-    try:
-        records = load_ledger(args.ledger)
-        rec = find_record(records, args.run_id)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"ledger: {exc}", file=sys.stderr)
-        return 2
-    if rec is None:
-        print(f"ledger: no record with run id {args.run_id!r}",
-              file=sys.stderr)
-        return 1
-    print(json.dumps(rec, indent=2, sort_keys=True, default=float))
-    artifacts = rec.get("artifacts") or {}
-    if artifacts and not args.no_artifacts:
-        print("artifacts:")
-        for name in sorted(artifacts):
-            if artifacts[name]:
-                for line in _show_artifact(name, str(artifacts[name])):
-                    print(line)
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.ledger",
         description="Inspect an append-only run ledger (JSONL manifests "
-                    "appended by run/chaos/sweep with --ledger).",
+                    "appended by `sweep --ledger`).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    list_p = sub.add_parser("list", help="list (filtered) ledger records")
+    list_p = sub.add_parser("list", help="list the ledger's records")
     list_p.add_argument("ledger", help="ledger JSONL file")
-    list_p.add_argument("--kind", choices=list(RECORD_KINDS), default=None)
-    list_p.add_argument("--status", default=None,
-                        help="filter by exit status (ok / failed)")
-    list_p.add_argument("--system", default=None)
-    list_p.add_argument("--workload", default=None)
-    list_p.add_argument("--parent", default=None, metavar="RUN_ID",
-                        help="only records with this parent (a sweep's cells)")
-    list_p.add_argument("--json", action="store_true",
-                        help="emit the matching records as JSON")
-    show_p = sub.add_parser(
-        "show", help="show one record and join it to its artifacts"
-    )
-    show_p.add_argument("ledger", help="ledger JSONL file")
-    show_p.add_argument("run_id", help="run id (unique prefix accepted)")
-    show_p.add_argument("--no-artifacts", action="store_true",
-                        help="skip reading artifact files")
     return parser
 
 
@@ -313,8 +194,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list":
         return _cmd_list(args)
-    if args.command == "show":
-        return _cmd_show(args)
     raise AssertionError("unreachable")  # pragma: no cover
 
 

@@ -7,14 +7,8 @@ All renderers are plain text (terminal / CI-log friendly):
   breakdowns, and the binding resource named from per-node utilizations;
 * :func:`render_top_requests` — the top-K slowest requests with their
   span trees pretty-printed (unfinished requests listed separately);
-* :func:`render_timeseries` — windowed throughput / composition /
-  utilization as charts and sparklines;
-* :func:`render_critical_report` — where latency is *created*: the
-  cluster-wide critical-path profile with its top critical edges;
 * :func:`render_diff_report` — the "explain" report between two runs'
   attributions, with the conservation check;
-* :func:`render_slo_report` — windowed SLO evaluation: alerts,
-  breached windows, burn-rate sparkline;
 * :func:`render_fleet_report` — cross-cell sweep rollup: conservation
   check, binding-resource frequency, (memory × system × trace)
   throughput heatmaps, per-cell table;
@@ -27,7 +21,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from typing import Any
 
-from ..experiments.charts import line_chart, sparkline
 from ..experiments.report import format_table
 from .analyze import (
     PHASE_ORDER,
@@ -44,11 +37,7 @@ from .profile import PHASE_SPAN
 __all__ = [
     "render_profile_report",
     "render_top_requests",
-    "render_timeseries",
-    "render_cache_report",
-    "render_critical_report",
     "render_diff_report",
-    "render_slo_report",
     "render_fleet_report",
     "render_progress_report",
     "format_span_tree",
@@ -235,210 +224,6 @@ def render_top_requests(
 
 
 # ---------------------------------------------------------------------------
-# time series rendering
-# ---------------------------------------------------------------------------
-def render_timeseries(ts: dict[str, Any]) -> str:
-    """Charts + sparklines for a :func:`build_timeseries` result."""
-    windows = ts.get("windows", [])
-    if not windows:
-        return "no windows (empty trace)"
-    x = [w["t_ms"] for w in windows]
-    parts: list[str] = []
-
-    throughput = [w["throughput_rps"] for w in windows]
-    parts.append(line_chart(
-        x, {"req/s": throughput},
-        title=f"throughput per {ts['window_ms']:.1f} ms window",
-        x_label="simulated time (ms)",
-    ))
-
-    classes = sorted({cls for w in windows for cls in w["by_class"]})
-    if classes:
-        series = {
-            cls: [w["by_class"].get(cls, 0.0) for w in windows]
-            for cls in classes
-        }
-        parts.append("")
-        parts.append(line_chart(
-            x, series, title="completions by service class per window",
-            x_label="simulated time (ms)",
-        ))
-
-    parts.append("")
-    parts.append("per-resource utilization (request-path, sparkline 0..1):")
-    for res in ("cpu", "nic", "bus", "disk"):
-        vals = [w["utilization"][res] for w in windows]
-        parts.append(f"  {res:<4} |{sparkline(vals, hi=1.0)}| "
-                     f"peak {max(vals):.3f}")
-    parts.append("mean queue depth (request-path jobs):")
-    for res in ("cpu", "nic", "bus", "disk"):
-        vals = [w["queue_depth"][res] for w in windows]
-        parts.append(f"  {res:<4} |{sparkline(vals)}| "
-                     f"peak {max(vals):.2f}")
-    if ts.get("warm_start_ms") is not None:
-        warm_flags = "".join("W" if w["warm"] else "-" for w in windows)
-        parts.append(f"  warm |{warm_flags}| "
-                     f"(measurement starts at {ts['warm_start_ms']:.1f} ms)")
-    return "\n".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# cache-behavior report (CacheScope)
-# ---------------------------------------------------------------------------
-def render_cache_report(snap: dict[str, Any], ledger_tail: int = 10) -> str:
-    """Tables + sparklines for a CacheScope snapshot.
-
-    ``snap`` is :meth:`~repro.obs.cachestats.CacheScope.snapshot` (or a
-    dump re-assembled by :func:`repro.obs.cachestats.load_jsonl`).  The
-    headline numbers are the paper's mechanism: how much aggregate
-    memory duplicates waste, and whether the policy sacrificed masters
-    while replicas were still around to evict instead.
-    """
-    totals = snap.get("totals", {})
-    parts: list[str] = []
-
-    summary_rows = [
-        ("resident copies", totals.get("resident_copies", 0)),
-        ("resident KB", totals.get("resident_kb", 0.0)),
-        ("distinct blocks", totals.get("distinct_blocks", 0)),
-        ("duplicate copies", totals.get("duplicate_copies", 0)),
-        ("duplicate KB", totals.get("duplicate_kb", 0.0)),
-        ("duplicate share", totals.get("duplicate_share", 0.0)),
-        ("master evictions", totals.get("master_evictions", 0)),
-        ("non-master evictions", totals.get("nonmaster_evictions", 0)),
-        ("master-evicted-while-replica-held",
-         totals.get("violations", 0)),
-        ("one-hop-stale lookups", totals.get("stale_lookups", 0)),
-        ("master forwards", totals.get("forwards", 0)),
-    ]
-    if "directory_entries" in totals:
-        summary_rows.append(
-            ("directory entries", totals["directory_entries"])
-        )
-    parts.append(format_table(
-        ["quantity", "value"], summary_rows,
-        title="cache behavior (end of run)", ndigits=4,
-    ))
-
-    by_reason = totals.get("evictions_by_reason", {})
-    if by_reason:
-        parts.append("")
-        parts.append(format_table(
-            ["reason", "count"], sorted(by_reason.items()),
-            title="evictions by reason",
-        ))
-    outcomes = totals.get("forward_outcomes", {})
-    if outcomes:
-        parts.append("")
-        parts.append(format_table(
-            ["outcome", "count"], sorted(outcomes.items()),
-            title="forward outcomes",
-        ))
-
-    per_node = snap.get("per_node", {})
-    if per_node:
-        dir_census = totals.get("directory_masters_per_node", {})
-        rows = [
-            (node, row.get("masters", 0), row.get("nonmasters", 0),
-             row.get("kb", 0.0),
-             dir_census.get(str(node)) if dir_census else None)
-            for node, row in sorted(
-                per_node.items(), key=lambda kv: int(kv[0])
-            )
-        ]
-        parts.append("")
-        parts.append(format_table(
-            ["node", "masters", "non-masters", "KB", "dir masters"],
-            rows, title="per-node replica census", ndigits=1,
-        ))
-
-    hop_hist = snap.get("hop_histogram", {})
-    if hop_hist:
-        rows = sorted(hop_hist.items(), key=lambda kv: int(kv[0]))
-        parts.append("")
-        parts.append(format_table(
-            ["hops", "forward arrivals"], rows,
-            title="forwarding-hop histogram "
-                  "(per-master chain length at each arrival)",
-        ))
-
-    windows = snap.get("windows", [])
-    if windows:
-        parts.append("")
-        parts.append(
-            f"per-window series ({snap.get('window_ms', 0.0):.1f} ms "
-            f"windows, {len(windows)} windows):"
-        )
-        dup = [w.get("duplicate_share", 0.0) for w in windows]
-        parts.append(f"  dup share |{sparkline(dup, hi=1.0)}| "
-                     f"peak {max(dup):.3f}")
-        for key, label in (
-            ("master_evictions", "master ev"),
-            ("nonmaster_evictions", "nonmst ev"),
-            ("violations", "violations"),
-            ("forwards", "forwards"),
-        ):
-            vals = [w.get(key, 0.0) for w in windows]
-            parts.append(f"  {label:<10}|{sparkline(vals)}| "
-                         f"peak {max(vals):.0f}")
-
-    ledger = snap.get("ledger", [])
-    if ledger:
-        tail = ledger[-ledger_tail:]
-        parts.append("")
-        parts.append(
-            f"eviction ledger (last {len(tail)} of {len(ledger)} kept):"
-        )
-        for entry in tail:
-            dest = (f" -> node {entry['dest']}"
-                    if entry.get("dest") is not None else "")
-            kind = "master" if entry.get("master") else "replica"
-            parts.append(
-                f"  t={entry.get('t_ms', 0.0):9.3f} node "
-                f"{entry.get('node', '?')} {entry.get('reason', '?'):<10} "
-                f"{kind:<7} {entry.get('key', '?')}{dest} "
-                f"(replicas held: {entry.get('nonmasters_held', 0)})"
-            )
-    return "\n".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# critical-path profile report
-# ---------------------------------------------------------------------------
-def render_critical_report(profile: dict[str, Any]) -> str:
-    """Tables for a :func:`repro.obs.critical.critical_profile` result."""
-    n = profile.get("requests", 0)
-    if not n:
-        return ("no finished request roots in trace "
-                "(was the run profiled with --profile?)")
-    phase_ms = profile.get("phase_critical_ms", {})
-    share = profile.get("phase_critical_share", {})
-    rows = [
-        (p, phase_ms[p] / n, 100.0 * share.get(p, 0.0))
-        for p in _ordered_phases(phase_ms)
-    ]
-    rows.append(("total = mean critical path",
-                 profile.get("mean_critical_ms", 0.0), 100.0))
-    parts = [format_table(
-        ["phase", "critical ms/req", "share %"], rows,
-        title=f"critical-path profile ({n} requests)", ndigits=4,
-    )]
-    parts.append(
-        f"tiling residual: {profile.get('mean_residual_ms', 0.0):.6f} "
-        "ms/req (float noise)"
-    )
-    edges = profile.get("top_edges", [])
-    if edges:
-        parts.append("")
-        parts.append(format_table(
-            ["critical edge (phase@node)", "count", "total ms"],
-            [(e["edge"], e["count"], e["ms"]) for e in edges],
-            title="top critical edges (latency hand-offs)", ndigits=3,
-        ))
-    return "\n".join(parts)
-
-
-# ---------------------------------------------------------------------------
 # differential ("explain") report
 # ---------------------------------------------------------------------------
 def render_diff_report(diff: dict[str, Any]) -> str:
@@ -511,58 +296,6 @@ def render_diff_report(diff: dict[str, Any]) -> str:
             ],
             title="per-class mean response", ndigits=4,
         ))
-    return "\n".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# SLO evaluation report
-# ---------------------------------------------------------------------------
-def render_slo_report(report: dict[str, Any]) -> str:
-    """Summary + per-window view of an SLO evaluation report."""
-    spec = report.get("spec", {})
-    totals = report.get("totals", {})
-    windows = report.get("windows", [])
-    alerts = report.get("alerts", [])
-    parts = [format_table(
-        ["quantity", "value"],
-        [
-            ("windows", len(windows)),
-            ("requests", totals.get("requests", 0)),
-            ("failed", totals.get("failed", 0)),
-            ("availability", totals.get("availability", 1.0)),
-            ("bad (budget) requests", totals.get("bad", 0)),
-            ("budget spent (x allowed)", totals.get("budget_spent", 0.0)),
-            ("max burn rate", totals.get("max_burn_rate", 0.0)),
-            ("windows breached", totals.get("windows_breached", 0)),
-            ("alerts", totals.get("alert_count", 0)),
-        ],
-        title=f"SLO evaluation ({spec.get('window_ms', 0.0):.0f} ms windows)",
-        ndigits=4,
-    )]
-    if windows:
-        p95s = [w.get("p95_ms", 0.0) for w in windows]
-        parts.append("")
-        parts.append(f"  p95 ms    |{sparkline(p95s)}| peak {max(p95s):.2f}")
-        burn = [w.get("burn_rate", 0.0) for w in windows]
-        if any(burn):
-            parts.append(f"  burn rate |{sparkline(burn)}| "
-                         f"peak {max(burn):.2f}")
-        breach_flags = "".join(
-            "A" if w.get("alerts") else "-" for w in windows
-        )
-        parts.append(f"  alerts    |{breach_flags}|")
-    if alerts:
-        parts.append("")
-        parts.append(f"alerts ({len(alerts)}):")
-        for alert in alerts:
-            parts.append(
-                f"  t={alert['t_ms']:9.1f} window {alert['window']:>4} "
-                f"{alert['kind']:<14} observed {alert['observed']:.4f} "
-                f"vs target {alert['target']:.4f}"
-            )
-    else:
-        parts.append("")
-        parts.append("no alerts: every window met its objectives")
     return "\n".join(parts)
 
 
@@ -682,17 +415,6 @@ def render_fleet_report(report: dict[str, Any]) -> str:
                 f"  #{f.get('index')} {f.get('system')}/{f.get('workload')}"
                 f"/{f.get('mem_mb_per_node')}MB: {f.get('error')}"
             )
-
-    slo = report.get("slo")
-    if slo:
-        parts.append("")
-        verdict = "met" if slo.get("ok") else "BREACHED"
-        parts.append(
-            f"fleet SLO [{verdict}]: {slo.get('cells_evaluated', 0)} cells "
-            f"evaluated, {slo.get('cells_breaching', 0)} breaching"
-        )
-        for b in slo.get("breaches", []):
-            parts.append(f"  {b['cell']}: " + "; ".join(b["breaches"]))
     return "\n".join(parts)
 
 

@@ -2,15 +2,14 @@
 
 Every JSON document the offline analysis layer emits for CI consumption
 — ``analyze --json`` attribution summaries, differential (``diff``)
-reports, critical-path profiles, SLO evaluation reports — carries the
-same two envelope fields:
+reports and ``analyze fleet`` rollups — carries the same two envelope
+fields:
 
 * ``schema_version`` — :data:`OUTPUT_SCHEMA_VERSION`, bumped once for
   the whole family on any incompatible shape change, so a CI consumer
   checks a single number;
 * ``kind`` — which report this is (``"attribution"``, ``"diff"``,
-  ``"critical"``, ``"slo"``, ``"fleet"``), so a file can be sniffed
-  without trusting its name.
+  ``"fleet"``), so a file can be sniffed without trusting its name.
 
 :func:`as_report` stamps the envelope; :func:`check_report` validates a
 loaded document (the round-trip contract CI artifacts rely on).
@@ -29,14 +28,14 @@ __all__ = [
 
 #: Version of the shared analysis-output schema.  History:
 #: 1 — ``analyze --json`` attribution summary only (PR 4);
-#: 2 — envelope (``kind``) shared with diff / critical / SLO reports;
-#:     the ``"fleet"`` kind (cross-cell sweep rollups) was added later
-#:     as a purely additive change — no version bump, so committed
+#: 2 — envelope (``kind``) shared with the other reports.  Adding the
+#:     ``"fleet"`` kind and dropping ``"critical"`` / ``"slo"`` changed
+#:     no attribution document, so the version stayed 2 and committed
 #:     version-2 baselines keep validating.
 OUTPUT_SCHEMA_VERSION = 2
 
 #: Every report kind the analysis layer emits.
-REPORT_KINDS = ("attribution", "diff", "critical", "slo", "fleet")
+REPORT_KINDS = ("attribution", "diff", "fleet")
 
 
 def as_report(kind: str, payload: dict[str, Any]) -> dict[str, Any]:

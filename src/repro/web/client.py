@@ -124,9 +124,6 @@ class ClosedLoopDriver:
         prof = getattr(obs, "profiler", None)
         self._prof = prof if (prof is not None and prof.enabled) else None
         self._tracer = obs.tracer if obs is not None else None
-        # Windowed SLO evaluation over measured completions; None (the
-        # default) keeps the record path identical to pre-SLO builds.
-        self._slo = getattr(obs, "slo", None)
 
     # -- the client loop -----------------------------------------------------
     def _next_request(self) -> int | None:
@@ -236,9 +233,6 @@ class ClosedLoopDriver:
         if not measured:
             return
         elapsed = self.sim.now - start
-        if self._slo is not None:
-            self._slo.observe(self.sim.now, elapsed,
-                              service_class == "failed")
         if service_class == "failed":
             self.failed_requests += 1
         else:

@@ -168,7 +168,7 @@ class TestCliGate:
             "compare", str(rec), "--baselines", str(baselines),
         ]) == 0
 
-    def test_missing_baseline_skips_unless_strict(self, tmp_path, capsys):
+    def test_missing_baseline_skips(self, tmp_path, capsys):
         rec = self._write(tmp_path, "BENCH_new.json", {"a": 1.0})
         empty = tmp_path / "baselines"
         empty.mkdir()
@@ -176,15 +176,10 @@ class TestCliGate:
             "compare", str(rec), "--baselines", str(empty),
         ]) == 0
         assert "no baseline" in capsys.readouterr().out
-        # Strict missing-baseline is its own exit code, distinct from a
-        # regression.
-        assert bench_main([
-            "compare", str(rec), "--baselines", str(empty), "--strict",
-        ]) == 3
 
     def test_exit_codes_are_distinct_and_pinned(self, tmp_path, capsys):
-        """The documented contract: 0 clean / 1 regression / 2 usage /
-        3 strict-missing-baseline, and regression wins over missing."""
+        """The documented contract: 0 clean / 1 regression / 2 usage,
+        and a skipped record never hides a regression."""
         baselines = tmp_path / "baselines"
         baselines.mkdir()
         self._write(baselines, "BENCH_ok.json", {"a": 100.0})
@@ -200,18 +195,52 @@ class TestCliGate:
             "compare", str(bad), "--baselines", str(baselines),
         ]) == 1
         assert bench_main([
-            "compare", str(ok), str(ok), "--baseline", str(ok),
+            "compare", str(ok), "--all", "--baselines", str(baselines),
         ]) == 2
         assert bench_main([
-            "compare", str(orphan), "--baselines", str(baselines),
-            "--strict",
-        ]) == 3
-        # Precedence: a real regression outranks a missing baseline.
-        assert bench_main([
             "compare", str(bad), str(orphan),
-            "--baselines", str(baselines), "--strict",
+            "--baselines", str(baselines),
         ]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("threshold", ["1.5", "0", "1", "-0.1", "nan",
+                                           "ten"])
+    def test_bad_threshold_is_a_usage_error(self, tmp_path, capsys,
+                                            threshold):
+        """A bad --threshold is a usage error, raised before any record
+        is read, so it cannot pass silently when no record has a
+        baseline."""
+        baselines = tmp_path / "baselines"
+        baselines.mkdir()
+        self._write(baselines, "BENCH_x.json", {"a": 100.0})
+        gated = self._write(tmp_path, "BENCH_x.json", {"a": 100.0})
+        orphan = self._write(tmp_path, "BENCH_orphan.json", {"a": 1.0})
+        for rec in (gated, orphan):
+            with pytest.raises(SystemExit) as exc:
+                bench_main([
+                    "compare", str(rec), "--baselines", str(baselines),
+                    "--threshold", threshold,
+                ])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert "--threshold" in captured.err
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("side", ["current", "baseline"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_metric_exits_one(self, tmp_path, capsys, side,
+                                         bad):
+        """No ratio test can judge NaN (every comparison is false) or inf
+        (an inf run would read as "improved"), so either side fails."""
+        baselines = tmp_path / "baselines"
+        baselines.mkdir()
+        values = {"current": 100.0, "baseline": 100.0, side: float(bad)}
+        self._write(baselines, "BENCH_x.json", {"a": values["baseline"]})
+        rec = self._write(tmp_path, "BENCH_x.json", {"a": values["current"]})
+        assert bench_main([
+            "compare", str(rec), "--baselines", str(baselines),
+        ]) == 1
+        assert "NOT FINITE a" in capsys.readouterr().out
 
     def test_unreadable_record_is_a_usage_error(self, tmp_path, capsys):
         """Cannot-read-your-input must not masquerade as a regression."""
@@ -243,23 +272,7 @@ class TestCliGate:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "exit codes" in out
-        assert "3  --strict" in out
-
-    def test_explicit_baseline_file(self, tmp_path):
-        base = self._write(tmp_path, "base.json", {"a": 100.0})
-        rec = self._write(tmp_path, "cur.json", {"a": 50.0})
-        assert bench_main([
-            "compare", str(rec), "--baseline", str(base),
-        ]) == 1
-
-    def test_explicit_baseline_rejects_multiple_records(
-        self, tmp_path, capsys
-    ):
-        base = self._write(tmp_path, "base.json", {"a": 1.0})
-        rec = self._write(tmp_path, "cur.json", {"a": 1.0})
-        assert bench_main([
-            "compare", str(rec), str(rec), "--baseline", str(base),
-        ]) == 2
+        assert "2  usage error" in out
 
     def test_custom_threshold(self, tmp_path):
         baselines = tmp_path / "baselines"
@@ -329,12 +342,6 @@ class TestCompareAll:
             "--baselines", str(baselines),
         ]) == 0
         assert "no baseline" in capsys.readouterr().out
-        # --strict still turns the skip into the distinct exit code.
-        assert bench_main([
-            "compare", "--all", "--dir", str(tmp_path),
-            "--baselines", str(baselines), "--strict",
-        ]) == 3
-        capsys.readouterr()
 
     def test_all_with_records_is_usage_error(self, tmp_path, capsys):
         rec = self._write(tmp_path, "BENCH_x.json", {"m": 1.0})
@@ -352,90 +359,3 @@ class TestCompareAll:
         ]) == 2
         assert "no BENCH_*.json" in capsys.readouterr().err
 
-
-# ---------------------------------------------------------------------------
-# explain hook
-# ---------------------------------------------------------------------------
-class TestExplain:
-    def _attr_file(self, tmp_path, name, mean, phases):
-        from repro.obs.schema import as_report
-
-        doc = as_report("attribution", {
-            "requests": 100,
-            "mean_response_ms": mean,
-            "mean_residual_ms": 0.0,
-            "phase_means_ms": phases,
-            "by_class": {},
-            "binding_resource": None,
-        })
-        path = tmp_path / name
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True))
-        return path
-
-    def _bench_pair(self, tmp_path, base_val, cur_val):
-        baselines = tmp_path / "baselines"
-        baselines.mkdir(exist_ok=True)
-        path = baselines / "BENCH_fig2.json"
-        dump_record(make_record({"a": base_val}), path)
-        rec = tmp_path / "BENCH_fig2.json"
-        dump_record(make_record({"a": cur_val}), rec)
-        return rec, baselines
-
-    def test_tripped_gate_emits_explain_report(self, tmp_path, capsys):
-        rec, baselines = self._bench_pair(tmp_path, 100.0, 50.0)
-        attr_base = self._attr_file(tmp_path, "attr-base.json", 6.0,
-                                    {"disk.queue": 5.0, "cpu.service": 1.0})
-        attr_cur = self._attr_file(tmp_path, "attr-cur.json", 8.0,
-                                   {"disk.queue": 7.0, "cpu.service": 1.0})
-        out_path = tmp_path / "explain.json"
-        assert bench_main([
-            "compare", str(rec), "--baselines", str(baselines),
-            "--explain-baseline", str(attr_base),
-            "--explain-current", str(attr_cur),
-            "--explain-out", str(out_path),
-        ]) == 1
-        out = capsys.readouterr().out
-        assert "explain: differential attribution" in out
-        assert "regression explained by: disk.queue" in out
-        doc = json.loads(out_path.read_text())
-        assert doc["kind"] == "diff"
-        assert doc["regressed_phase"] == "disk.queue"
-
-    def test_clean_gate_skips_explain(self, tmp_path, capsys):
-        rec, baselines = self._bench_pair(tmp_path, 100.0, 100.0)
-        attr = self._attr_file(tmp_path, "attr.json", 6.0,
-                               {"disk.queue": 6.0})
-        assert bench_main([
-            "compare", str(rec), "--baselines", str(baselines),
-            "--explain-baseline", str(attr),
-            "--explain-current", str(attr),
-        ]) == 0
-        assert "explain" not in capsys.readouterr().out
-
-    def test_explain_flags_must_pair(self, tmp_path, capsys):
-        rec, baselines = self._bench_pair(tmp_path, 100.0, 100.0)
-        attr = self._attr_file(tmp_path, "attr.json", 6.0,
-                               {"disk.queue": 6.0})
-        assert bench_main([
-            "compare", str(rec), "--baselines", str(baselines),
-            "--explain-baseline", str(attr),
-        ]) == 2
-        assert bench_main([
-            "compare", str(rec), "--baselines", str(baselines),
-            "--explain-out", str(tmp_path / "x.json"),
-        ]) == 2
-        capsys.readouterr()
-
-    def test_unreadable_explain_input_keeps_gate_exit(
-        self, tmp_path, capsys
-    ):
-        """A broken attribution artifact must not mask the regression."""
-        rec, baselines = self._bench_pair(tmp_path, 100.0, 50.0)
-        bad = tmp_path / "bad.json"
-        bad.write_text("not json {")
-        assert bench_main([
-            "compare", str(rec), "--baselines", str(baselines),
-            "--explain-baseline", str(bad),
-            "--explain-current", str(bad),
-        ]) == 1
-        assert "cannot read attribution" in capsys.readouterr().err

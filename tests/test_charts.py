@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.charts import bar_chart, line_chart
+from repro.experiments.charts import line_chart
 
 
 class TestLineChart:
@@ -53,25 +53,3 @@ class TestLineChart:
         args = ([1, 2, 3], {"a": [3.0, 1.0, 2.0]})
         assert line_chart(*args) == line_chart(*args)
 
-
-class TestBarChart:
-    def test_basic(self):
-        out = bar_chart(["press", "cc-kmc"], [100.0, 80.0], width=20)
-        lines = out.splitlines()
-        assert lines[0].strip().startswith("press")
-        assert lines[0].count("#") > lines[1].count("#")
-        assert "100" in lines[0] and "80" in lines[1]
-
-    def test_zero_value_no_bar(self):
-        out = bar_chart(["x", "y"], [0.0, 1.0])
-        assert out.splitlines()[0].count("#") == 0
-
-    def test_title(self):
-        out = bar_chart(["x"], [1.0], title="Chart")
-        assert out.splitlines()[0] == "Chart"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bar_chart(["a"], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            bar_chart([], [])

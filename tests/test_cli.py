@@ -133,27 +133,11 @@ class TestRunAndAnalyzeCli:
         assert first["kind"] == "summary"
         assert "violations" in first["totals"]
 
-    def test_analyze_cache_renders_report(
-        self, capsys, tiny_defaults, tmp_path
-    ):
-        dump = tmp_path / "cachescope.jsonl"
-        assert cli.main([
-            "run", "--mem-mb", "0.25", "--cachestats", str(dump),
-        ]) == 0
-        capsys.readouterr()
-        # --cache works without a TRACE argument.
-        assert cli.main(["analyze", "--cache", str(dump)]) == 0
-        out = capsys.readouterr().out
-        assert "cache behavior (end of run)" in out
-        assert "master-evicted-while-replica-held" in out
-
-    def test_analyze_requires_trace_or_cache(self, capsys):
-        assert cli.main(["analyze"]) == 2
+    def test_analyze_requires_trace(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze"])
+        assert exc.value.code == 2
         assert "TRACE" in capsys.readouterr().err
-
-    def test_analyze_cache_missing_file_errors(self, capsys):
-        assert cli.main(["analyze", "--cache", "/nonexistent.jsonl"]) == 2
-        assert "cannot read cache dump" in capsys.readouterr().err
 
     def test_analyze_json_stdout_and_file(
         self, capsys, tiny_defaults, tmp_path
@@ -197,72 +181,6 @@ class TestRunAndAnalyzeCli:
     ):
         assert cli.main(["run", "--mem-mb", "0.25"]) == 0
         assert "critical-path profile" not in capsys.readouterr().out
-
-    def test_run_with_slo_spec(self, capsys, tiny_defaults, tmp_path):
-        import json
-
-        spec = tmp_path / "slo.json"
-        spec.write_text(json.dumps({
-            "window_ms": 10.0, "latency": {"p95_ms": 0.001},
-        }))
-        slo_out = tmp_path / "slo-report.json"
-        trace = tmp_path / "trace.jsonl"
-        assert cli.main([
-            "run", "--mem-mb", "0.25", "--slo", str(spec),
-            "--slo-out", str(slo_out), "--trace", str(trace),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "SLO evaluation" in out
-        assert "alerts" in out
-        doc = json.loads(slo_out.read_text())
-        assert doc["kind"] == "slo"
-        assert doc["schema_version"] == OUTPUT_SCHEMA_VERSION
-        assert doc["totals"]["alert_count"] >= 1
-        # The alerts were emitted into the dumped trace too.
-        alert_lines = [
-            json.loads(line) for line in trace.read_text().splitlines()
-            if json.loads(line)["name"] == "alert"
-        ]
-        assert len(alert_lines) == doc["totals"]["alert_count"]
-
-    def test_run_bad_slo_spec_errors(self, capsys, tiny_defaults, tmp_path):
-        spec = tmp_path / "slo.json"
-        spec.write_text('{"window_ms": -1.0}')
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["run", "--mem-mb", "0.25", "--slo", str(spec)])
-        assert exc.value.code == 2
-        assert "SLO spec" in capsys.readouterr().err
-
-    def test_slo_out_requires_slo(self, capsys, tiny_defaults, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            cli.main([
-                "run", "--mem-mb", "0.25",
-                "--slo-out", str(tmp_path / "r.json"),
-            ])
-        assert exc.value.code == 2
-
-    def test_analyze_critical(self, capsys, tiny_defaults, tmp_path):
-        import json
-
-        trace = tmp_path / "trace.jsonl"
-        assert cli.main([
-            "run", "--profile", "--mem-mb", "0.25", "--trace", str(trace),
-        ]) == 0
-        capsys.readouterr()
-        crit_out = tmp_path / "crit.json"
-        assert cli.main([
-            "analyze", str(trace), "--critical",
-            "--critical-out", str(crit_out),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "critical-path profile" in out
-        assert "total = mean critical path" in out
-        # --critical alone suppresses the default attribution report.
-        assert "binding resource:" not in out
-        doc = json.loads(crit_out.read_text())
-        assert doc["kind"] == "critical"
-        assert doc["schema_version"] == OUTPUT_SCHEMA_VERSION
-        assert doc["requests"] > 0
 
     def test_analyze_diff(self, capsys, tiny_defaults, tmp_path):
         import json

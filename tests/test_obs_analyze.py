@@ -25,10 +25,10 @@ from repro.obs.export import to_chrome_trace
 from repro.obs.reports import (
     format_span_tree,
     render_profile_report,
-    render_timeseries,
     render_top_requests,
 )
 from repro.obs.timeseries import build_timeseries
+from repro.sim.faults import FaultPlan
 from repro.traces import datasets
 
 SYSTEMS = ["cc-basic", "cc-sched", "cc-kmc", "press"]
@@ -322,46 +322,46 @@ class TestChromeExport:
         assert ev["args"]["unfinished"] is True
         assert "dur" not in ev
 
-    def test_multi_cell_merge_gets_disjoint_pid_blocks(self):
-        """The fleet view: each cell's processes land in their own pid
-        block and every process name is prefixed with the cell label."""
-        from repro.obs.export import to_chrome_trace_multi
+    def test_chaos_faults_share_one_events_lane(self):
+        """A seeded chaos run exported: every ``fault`` point is in the
+        Chrome trace, all on the single ``events`` lane, and spans left
+        open at dump time stay flagged instants."""
+        cfg = ExperimentConfig(
+            system="cc-kmc",
+            trace=datasets.scaled("rutgers", 0.005, num_requests=300),
+            num_nodes=4,
+            mem_mb_per_node=0.25,
+            num_clients=8,
+            seed=0,
+            faults=FaultPlan.random(1, 2000.0, 4, crashes_per_node=2.0,
+                                    link_drops=1, disk_stalls=1),
+        )
+        obs = Observability(trace=True)
+        run_experiment(cfg, obs=obs)
+        # A request still in flight when the trace is dumped.
+        obs.tracer.start("request", node=0)
+        records = [json.loads(line)
+                   for line in obs.tracer.to_jsonl().splitlines()]
+        faults = [r for r in records if r["name"] == "fault"]
+        assert faults
 
-        def recs(node):
-            return [
-                {"trace": 1, "span": 1, "parent": None, "name": "request",
-                 "node": node, "start": 0.0, "end": 1.0},
-                {"trace": 1, "span": 2, "parent": None, "name": "request",
-                 "node": None, "start": 0.0, "end": 0.5},
-            ]
-
-        doc = to_chrome_trace_multi([
-            ("rutgers/press/4MB", recs(node=1)),
-            ("rutgers/cc-kmc/4MB", recs(node=0)),
-        ])
-        cells = doc["otherData"]["cells"]
-        assert [c["label"] for c in cells] == [
-            "rutgers/press/4MB", "rutgers/cc-kmc/4MB"]
-        # cell 0 used pids {0, 2} (cluster + node1), so cell 1's block
-        # starts past its max pid
-        assert cells[0]["pid_base"] == 0
-        assert cells[1]["pid_base"] == 3
-        names = {
-            ev["args"]["name"]
-            for ev in doc["traceEvents"]
-            if ev.get("ph") == "M" and ev["name"] == "process_name"
-        }
-        assert "rutgers/press/4MB | cluster" in names
-        assert "rutgers/cc-kmc/4MB | node0" in names
-        cell1_pids = {
-            ev["pid"] for ev in doc["traceEvents"]
-            if ev["pid"] >= cells[1]["pid_base"]
-        }
-        cell0_pids = {
-            ev["pid"] for ev in doc["traceEvents"]
-            if ev["pid"] < cells[1]["pid_base"]
-        }
-        assert cell0_pids == {0, 2} and cell1_pids == {3, 4}
+        doc = to_chrome_trace(records)
+        events = [e for e in doc["traceEvents"] if e["ph"] != "M"]
+        assert len(events) == len(records)
+        fault_events = [e for e in events if e["name"] == "fault"]
+        assert len(fault_events) == len(faults)
+        lanes = {}
+        for ev in doc["traceEvents"]:
+            if ev["ph"] == "M" and ev["name"] == "thread_name":
+                lanes.setdefault(ev["args"]["name"], set()).add(ev["tid"])
+        assert len(lanes.get("events", ())) == 1
+        (events_tid,) = lanes["events"]
+        assert all(e["tid"] == events_tid for e in fault_events)
+        assert all(e["tid"] != events_tid
+                   for e in events if e["name"] != "fault")
+        (ev,) = [e for e in events if e["args"].get("unfinished")]
+        assert ev["ph"] == "i" and ev["s"] == "t"
+        assert "dur" not in ev
 
 
 class TestTimeseries:
@@ -392,13 +392,6 @@ class TestTimeseries:
 
     def test_empty_trace(self):
         assert build_timeseries([])["windows"] == []
-
-    def test_render(self, kmc_run):
-        obs, _ = kmc_run
-        text = render_timeseries(build_timeseries(obs.tracer.records))
-        assert "throughput" in text
-        assert "disk" in text
-        assert "measurement starts" in text
 
 
 class TestTopRequests:

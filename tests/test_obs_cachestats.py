@@ -17,12 +17,7 @@ import pytest
 from repro.cache.blockcache import BlockCache
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.obs import Observability
-from repro.obs.cachestats import (
-    NULL_CACHESCOPE,
-    CacheScope,
-    NullCacheScope,
-    load_jsonl,
-)
+from repro.obs.cachestats import NULL_CACHESCOPE, CacheScope, NullCacheScope
 from repro.traces import datasets
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -272,14 +267,23 @@ class TestWindowsAndExport:
         scope.on_forward("b", "installed")
         path = tmp_path / "cs.jsonl"
         scope.dump_jsonl(path)
-        snap = load_jsonl(path)
-        direct = scope.snapshot()
-        assert snap["totals"] == json.loads(
-            json.dumps(direct["totals"], default=float)
-        )
-        assert len(snap["windows"]) == len(direct["windows"])
-        assert len(snap["ledger"]) == 1
-        assert snap["hop_histogram"] == {"1": 1}
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        direct = json.loads(json.dumps(scope.snapshot(), default=float))
+        # One summary line, then one line per window, then the ledger.
+        summary, rest = lines[0], lines[1:]
+        assert summary == {
+            "kind": "summary",
+            "window_ms": 100.0,
+            "totals": direct["totals"],
+            "per_node": direct["per_node"],
+            "hop_histogram": {"1": 1},
+        }
+        kinds = [r.pop("kind") for r in rest]
+        n_windows = len(direct["windows"])
+        assert n_windows >= 1
+        assert kinds == ["window"] * n_windows + ["evict"]
+        assert rest[:n_windows] == direct["windows"]
+        assert rest[n_windows:] == direct["ledger"]
 
     def test_ctor_validation(self):
         with pytest.raises(ValueError):

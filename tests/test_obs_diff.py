@@ -148,8 +148,8 @@ class TestLoadAttribution:
         )
 
     def test_rejects_wrong_kind(self, tmp_path):
-        path = tmp_path / "slo.json"
-        path.write_text(json.dumps(as_report("slo", {"windows": []})))
+        path = tmp_path / "fleet.json"
+        path.write_text(json.dumps(as_report("fleet", {"cells": []})))
         with pytest.raises(ValueError, match="expected a"):
             load_attribution(path)
 
@@ -243,7 +243,7 @@ class TestOutputSchema:
             assert check_report(back, kind) == kind
 
     def test_kind_mismatch_rejected(self):
-        doc = as_report("slo", {})
+        doc = as_report("fleet", {})
         with pytest.raises(ValueError, match="expected a"):
             check_report(doc, "attribution")
 

@@ -265,17 +265,20 @@ class TestObservedSweepEndToEnd:
         assert plain.read_bytes() == observed.read_bytes()
 
         # The ledger holds the sweep manifest + one record per cell.
-        from repro.obs.ledger import filter_records, load_ledger
+        from repro.obs.ledger import load_ledger
         records = load_ledger(str(ledger))
-        sweeps = filter_records(records, kind="sweep")
-        cells = filter_records(records, kind="cell",
-                               parent=sweeps[0]["run_id"])
-        assert len(sweeps) == 1 and len(cells) == 8
+        sweeps = [r for r in records if r["kind"] == "sweep"]
+        assert len(sweeps) == 1
+        assert sweeps[0]["figure"] == "fig2"
         assert sweeps[0]["git_sha"] == "cafebabe"
+        cells = [r for r in records if r["kind"] == "cell"
+                 and r["parent"] == sweeps[0]["run_id"]]
+        assert len(cells) == 8 == len(records) - 1
         for cell in cells:
             assert cell["status"] == "ok"
             assert len(cell["params_digest"]) == 16
             assert cell["summary"]["throughput_rps"] > 0
+            assert list(cell["artifacts"]) == ["attribution"]
 
         # `analyze fleet` over the ledger: conservation passes exactly,
         # every binding resource is a real resource class.
@@ -296,20 +299,3 @@ class TestObservedSweepEndToEnd:
         assert len(matrix["memories_mb"]) == 2
         rendered = capsys.readouterr().out
         assert "conservation check [OK]" in rendered
-
-        # The multi-cell Perfetto merge gives every cell its own
-        # process-lane block.
-        perfetto = tmp_path / "fleet-trace.json"
-        assert cli.main([
-            "analyze", "fleet", str(ledger), "--perfetto", str(perfetto),
-        ]) == 0
-        doc = json.loads(perfetto.read_text())
-        assert len(doc["otherData"]["cells"]) == 8
-        bases = [c["pid_base"] for c in doc["otherData"]["cells"]]
-        assert bases == sorted(bases) and len(set(bases)) == 8
-        labels = {
-            e["args"]["name"]
-            for e in doc["traceEvents"]
-            if e.get("ph") == "M" and e.get("name") == "process_name"
-        }
-        assert any("rutgers@0.005/press" in label for label in labels)
