@@ -8,12 +8,12 @@ authors' testbed.
 
 from conftest import bench_memories
 
-from repro.experiments.figures import fig2, render_fig2
+from repro.experiments.figures import render_fig2, run_figures
 from repro.traces.datasets import TRACE_NAMES
 
 
 def run_fig2():
-    return fig2(memories_mb=bench_memories())
+    return run_figures(["fig2"], memories_mb=bench_memories())["fig2"]
 
 
 def test_bench_fig2(benchmark, artifact):

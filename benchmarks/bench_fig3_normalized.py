@@ -10,11 +10,11 @@ for the measured curve).
 
 from conftest import bench_memories
 
-from repro.experiments.figures import fig3, render_fig3
+from repro.experiments.figures import render_fig3, run_figures
 
 
 def run_fig3():
-    return fig3(memories_mb=bench_memories())
+    return run_figures(["fig3"], memories_mb=bench_memories())["fig3"]
 
 
 def test_bench_fig3(benchmark, artifact):

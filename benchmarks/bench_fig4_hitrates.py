@@ -9,11 +9,11 @@ Paper claims encoded:
 
 from conftest import bench_memories
 
-from repro.experiments.figures import fig4, render_fig4
+from repro.experiments.figures import render_fig4, run_figures
 
 
 def run_fig4():
-    return fig4(memories_mb=bench_memories())
+    return run_figures(["fig4"], memories_mb=bench_memories())["fig4"]
 
 
 def test_bench_fig4(benchmark, artifact):

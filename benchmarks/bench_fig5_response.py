@@ -8,11 +8,11 @@ extra intra-cluster hops and finer-grained queuing.
 
 from conftest import bench_memories
 
-from repro.experiments.figures import fig5, render_fig5
+from repro.experiments.figures import render_fig5, run_figures
 
 
 def run_fig5():
-    return fig5(memories_mb=bench_memories())
+    return run_figures(["fig5"], memories_mb=bench_memories())["fig5"]
 
 
 def test_bench_fig5(benchmark, artifact):

@@ -7,11 +7,11 @@ trading network traffic for disk accesses (the KMC rule) wins.
 
 from conftest import bench_memories
 
-from repro.experiments.figures import fig6a, render_fig6a
+from repro.experiments.figures import render_fig6a, run_figures
 
 
 def run_fig6a():
-    return fig6a(memories_mb=bench_memories())
+    return run_figures(["fig6a"], memories_mb=bench_memories())["fig6a"]
 
 
 def test_bench_fig6a(benchmark, artifact):

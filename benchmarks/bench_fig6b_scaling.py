@@ -6,11 +6,17 @@ set is larger than aggregate memory (more nodes = more cache), so the
 assertion is monotone growth with at least ~75% efficiency per doubling.
 """
 
-from repro.experiments.figures import fig6b, render_fig6b
+from conftest import bench_memories
+
+from repro.experiments.figures import render_fig6b, run_figures
+
+
+def run_fig6b():
+    return run_figures(["fig6b"], memories_mb=bench_memories())["fig6b"]
 
 
 def test_bench_fig6b(benchmark, artifact):
-    data = benchmark.pedantic(fig6b, rounds=1, iterations=1)
+    data = benchmark.pedantic(run_fig6b, rounds=1, iterations=1)
     thr = data["throughput_rps"]
     nodes = data["node_counts"]
     assert nodes == [4, 8, 16, 32]

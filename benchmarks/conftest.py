@@ -48,8 +48,8 @@ def artifact(request, capsys):
     Usage::
 
         def test_bench_fig4(benchmark, artifact):
-            data = benchmark.pedantic(fig4, rounds=1, iterations=1)
-            artifact("fig4", render_fig4(data))
+            data = benchmark.pedantic(run_fig4, rounds=1, iterations=1)
+            artifact("fig4", render_fig4(data), data)
 
     With ``data``, the JSON lands wrapped in the shared artifact schema
     under ``benchmarks/results/<name>.json`` and, for the

@@ -1,41 +1,26 @@
 #!/usr/bin/env python3
 """Cluster-size scaling of the cooperative caching server (Figure 6b).
 
-Sweeps the cluster from 4 to 32 nodes at fixed per-node memory and
-reports throughput and speedup — the paper reports near-linear scaling
-because round-robin DNS diffuses hot blocks across all memories.
+Runs the Figure 6b entry of the figure table: the cluster grows from 4
+to 32 nodes at fixed per-node memory, and the table reports throughput
+and speedup — the paper reports near-linear scaling because round-robin
+DNS diffuses hot blocks across all memories.
 
 Run:  python examples/scalability.py
 """
 
-from repro.experiments import SCALE, format_table, workload
-from repro.experiments.sweep import node_sweep
+from repro.experiments import SCALE, render_fig6b, run_figures
 
-MEM_MB_PER_NODE = 32 * SCALE
-NODE_COUNTS = [4, 8, 16, 32]
+data = run_figures(["fig6b"])["fig6b"]
 
-print(f"workload: rutgers @ scale {SCALE:g}, {MEM_MB_PER_NODE:g} MB/node\n")
-
-trace = workload("rutgers")
-results = node_sweep(trace, "cc-kmc", NODE_COUNTS, MEM_MB_PER_NODE)
-
-base = results[0].throughput_rps
-rows = []
-for res in results:
-    n = res.config.num_nodes
-    rows.append([
-        n,
-        res.throughput_rps,
-        res.throughput_rps / base * NODE_COUNTS[0],
-        res.hit_rates["total"],
-        res.workload.utilization["disk"],
-    ])
-
-print(format_table(
-    ["Nodes", "req/s", "speedup (x4-node/4)", "hit rate", "disk util"],
-    rows,
-))
+print(f"workload: rutgers @ scale {SCALE:g}, "
+      f"{data['mem_mb_per_node']:g} MB/node\n")
+print(render_fig6b(data))
 print()
+
+nodes, thr = data["node_counts"], data["throughput_rps"]
+print(f"speedup {nodes[0]} -> {nodes[-1]} nodes: {thr[-1] / thr[0]:.2f}x "
+      f"(linear: {nodes[-1] / nodes[0]:g}x)")
 print("More nodes bring both more CPUs/disks *and* more aggregate cache,")
 print("so scaling can even be super-linear while the working set is")
 print("larger than total memory.")

@@ -22,6 +22,7 @@ build the pieces directly; see :mod:`repro.experiments.runner`.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Generator, Sequence
 
 from ..cache.block import FileLayout
@@ -41,6 +42,8 @@ __all__ = ["CoopCacheService", "blocks_for_mb"]
 
 def blocks_for_mb(mem_mb: float, params: SimParams = DEFAULT_PARAMS) -> int:
     """Cache blocks that fit in ``mem_mb`` MB of node memory."""
+    if not 0 < mem_mb < math.inf:
+        raise ValueError(f"mem_mb must be positive and finite, got {mem_mb!r}")
     blocks = int(mem_mb * 1024 // params.block_kb)
     return max(1, blocks)
 

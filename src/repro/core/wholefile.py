@@ -20,6 +20,7 @@ runs it unchanged.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Generator
 
 from ..cache.block import FileLayout
@@ -42,8 +43,8 @@ class WholeFileCache:
                  "_replicas", "_sizes")
 
     def __init__(self, node_id: int, capacity_kb: float) -> None:
-        if capacity_kb <= 0:
-            raise ValueError("capacity must be positive")
+        if not 0 < capacity_kb < math.inf:
+            raise ValueError("capacity must be positive and finite")
         self.node_id = node_id
         self.capacity_kb = capacity_kb
         self.used_kb = 0.0

@@ -1,10 +1,11 @@
 """Experiment harness (system S10 in DESIGN.md).
 
-One function per paper table/figure (:mod:`~repro.experiments.tables`,
-:mod:`~repro.experiments.figures`), ablations beyond the paper
+The paper's tables (:mod:`~repro.experiments.tables`), its figures as
+one cell table that :func:`run_figures` runs
+(:mod:`~repro.experiments.figures`), ablations beyond the paper
 (:mod:`~repro.experiments.ablations`), the point runner
-(:mod:`~repro.experiments.runner`) and sweep helpers
-(:mod:`~repro.experiments.sweep`).
+(:mod:`~repro.experiments.runner`) and the sharded cell runner
+(:mod:`~repro.experiments.parallel`).
 
 Scaling: by default workloads run at ``SCALE`` (see
 :mod:`~repro.experiments.defaults`); set ``REPRO_FULL=1`` for full-size
@@ -15,13 +16,8 @@ from .defaults import NUM_CLIENTS, NUM_REQUESTS, PAPER_MEMORY_MB, SCALE, workloa
 from .figures import (
     ALL_SYSTEMS,
     CC_VARIANTS,
+    FIGURES,
     fig1,
-    fig2,
-    fig3,
-    fig4,
-    fig5,
-    fig6a,
-    fig6b,
     render_fig1,
     render_fig2,
     render_fig3,
@@ -29,6 +25,7 @@ from .figures import (
     render_fig5,
     render_fig6a,
     render_fig6b,
+    run_figures,
 )
 from .report import banner, format_kv, format_table
 from .runner import (
@@ -38,7 +35,6 @@ from .runner import (
     run_experiment,
     system_label,
 )
-from .sweep import memory_sweep, node_sweep
 from .tables import render_table1, render_table2, table1, table2
 
 __all__ = [
@@ -48,14 +44,12 @@ __all__ = [
     "SYSTEMS",
     "ALL_SYSTEMS",
     "CC_VARIANTS",
-    "memory_sweep",
-    "node_sweep",
     "system_label",
     "table1",
     "table2",
     "render_table1",
     "render_table2",
-    "fig1", "fig2", "fig3", "fig4", "fig5", "fig6a", "fig6b",
+    "FIGURES", "run_figures", "fig1",
     "render_fig1", "render_fig2", "render_fig3", "render_fig4",
     "render_fig5", "render_fig6a", "render_fig6b",
     "format_table", "format_kv", "banner",

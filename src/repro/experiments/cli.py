@@ -63,6 +63,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from collections.abc import Callable
 from functools import partial
@@ -81,18 +82,20 @@ def _render_ablation(name: str) -> str:
     return ablations.render_ablation(ablations.run_ablation(name))
 
 
-#: artifact name -> zero-argument renderer.
-ARTIFACTS: dict[str, Callable[[], str]] = {
+#: artifact name -> renderer.  The :data:`~repro.experiments.figures.FIGURES`
+#: renderers take their figure's data from one ``run_figures`` call in
+#: :func:`main`; the rest take no argument.
+ARTIFACTS: dict[str, Callable[..., str]] = {
     "table1": tables.render_table1,
     "table2": tables.render_table2,
-    "fig1": figures.render_fig1,
+    "fig1": lambda: figures.render_fig1(figures.fig1()),
     "fig2": figures.render_fig2,
     "fig3": figures.render_fig3,
     "fig4": figures.render_fig4,
     "fig5": figures.render_fig5,
     "fig6a": figures.render_fig6a,
     "fig6b": figures.render_fig6b,
-    "fig_ring": figures.render_fig_ring,
+    "fig_ring": lambda: figures.render_fig_ring(figures.fig_ring()),
     **{name: partial(_render_ablation, name) for name in ablations.ABLATIONS},
     "a10": ablations.render_a10,
 }
@@ -105,8 +108,9 @@ _SWEEP_FIGURE = "fig2"
 def _positive(convert):
     def parse(text: str):
         value = convert(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be positive and finite, got {text}")
         return value
 
     return parse
@@ -328,7 +332,6 @@ def sweep_command(argv) -> int:
     from ..bench.schema import dump_record, wrap_result
     from ..obs.ledger import Ledger
     from ..traces.datasets import TRACE_NAMES
-    from .figures import fig2_cells, fig2_collect
     from .parallel import (
         SweepCellError,
         SweepProgress,
@@ -343,9 +346,10 @@ def sweep_command(argv) -> int:
         defaults.BENCH_MEMORY_MB if opts.memory_axis == "bench" else None
     )
     trace_names = opts.workloads or list(TRACE_NAMES)
-    names, memories, cells = fig2_cells(
-        trace_names=trace_names, num_nodes=opts.nodes, memories_mb=memories
+    spec = figures.FIGURES[_SWEEP_FIGURE](
+        memories, [(name, opts.nodes) for name in trace_names]
     )
+    cells = figures.cell_configs(spec.cells)
     n_systems = len(figures.ALL_SYSTEMS)
     n_cells = len(cells)
     print(banner(f"sweep {_SWEEP_FIGURE}"))
@@ -406,7 +410,7 @@ def sweep_command(argv) -> int:
         return 1
     if opts.bench_out:
         record = wrap_result(
-            _SWEEP_FIGURE, fig2_collect(names, memories, results), seed=0,
+            _SWEEP_FIGURE, spec.view(dict(zip(spec.cells, results))), seed=0,
             params=defaults.bench_params(),
         )
         dump_record(record, opts.bench_out)
@@ -779,9 +783,11 @@ def main(argv=None) -> int:
         print(f"unknown artifact(s): {' '.join(unknown)}", file=sys.stderr)
         print(f"choose from: {' '.join(ARTIFACTS)}", file=sys.stderr)
         return 2
+    figs = [name for name in args if name in figures.FIGURES]
+    data = figures.run_figures(figs) if figs else {}
     for name in args:
         print(banner(name))
-        print(ARTIFACTS[name]())
+        print(ARTIFACTS[name](data[name]) if name in data else ARTIFACTS[name]())
         print()
     return 0
 

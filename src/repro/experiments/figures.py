@@ -1,9 +1,15 @@
 """Reproduction of every figure in the paper's evaluation section.
 
-Each ``figN`` function runs the simulations and returns structured data;
-the matching ``render_figN`` formats it as the rows/series the paper
-plots.  Figures index into DESIGN.md §3; paper-vs-measured is recorded in
-EXPERIMENTS.md.
+Figures 2-6b all read one experiment grid: trace × cluster size ×
+system × MB per node.  :data:`FIGURES` is that grid as a table: each
+entry names its cells as ``(trace, nodes, system, MB/node)`` tuples and
+has a view that builds the figure's data from their results.
+:func:`run_figures` runs the union of the requested figures' cells once
+and returns each figure's data.  Figure 1 (a trace CDF) and the ring
+companion figure run no cells and keep their own functions.  Each
+``render_figN`` formats a figure's data as the rows/series the paper
+plots.  Figures index into DESIGN.md §3; paper-vs-measured is recorded
+in EXPERIMENTS.md.
 
 All experiments honour the scale-down machinery in
 :mod:`repro.experiments.defaults` (``REPRO_SCALE`` / ``REPRO_FULL``).
@@ -11,25 +17,25 @@ All experiments honour the scale-down machinery in
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ..traces.analysis import popularity_cdf, theoretical_max_hit_rate
+from ..traces.analysis import (
+    bytes_for_request_fraction, popularity_cdf, theoretical_max_hit_rate,
+)
 from ..traces.datasets import TRACE_NAMES
 from . import defaults
 from .charts import line_chart
 from .report import format_table
-from .sweep import memory_sweep, node_sweep
 
 __all__ = [
+    "FIGURES", "FigureSpec", "cell_configs", "run_figures",
     "fig1", "render_fig1",
-    "fig2", "fig2_cells", "fig2_collect", "render_fig2",
-    "fig3", "render_fig3",
-    "fig4", "render_fig4",
-    "fig5", "render_fig5",
-    "fig6a", "render_fig6a",
-    "fig6b", "render_fig6b",
+    "render_fig2", "render_fig3", "render_fig4", "render_fig5",
+    "render_fig6a", "render_fig6b",
     "fig_ring", "render_fig_ring",
     "CC_VARIANTS", "ALL_SYSTEMS",
 ]
@@ -56,8 +62,6 @@ def fig1(trace_name: str = "rutgers", points: int = 20) -> dict[str, list]:
     idxs = np.unique(
         np.clip((np.linspace(0.0, 1.0, points) * (n - 1)).astype(int), 0, n - 1)
     )
-    from ..traces.analysis import bytes_for_request_fraction
-
     return {
         "trace": trace_name,
         "file_fraction": [float(i / (n - 1) if n > 1 else 1.0) for i in idxs],
@@ -68,9 +72,8 @@ def fig1(trace_name: str = "rutgers", points: int = 20) -> dict[str, list]:
     }
 
 
-def render_fig1(data: dict | None = None) -> str:
+def render_fig1(data: dict) -> str:
     """Print-ready Figure 1."""
-    data = data or fig1()
     rows = [
         [ff, cr, mb]
         for ff, cr, mb in zip(
@@ -94,100 +97,243 @@ def render_fig1(data: dict | None = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Figure 2: throughput, 8 nodes, all traces, all systems
+# Figures 2-6b: one cell table
 # ---------------------------------------------------------------------------
-def fig2_cells(
-    trace_names: Sequence[str] | None = None,
-    num_nodes: int = 8,
-    memories_mb: Sequence[float] | None = None,
-) -> tuple[list[str], list[float], list]:
-    """The flat Figure-2 cell matrix: ``(names, memories, cells)``.
+#: A figure cell: ``(trace, nodes, system, MB/node)``.  Every figure cell
+#: runs with the default params, home strategy and seed and with
+#: ``defaults.NUM_CLIENTS`` clients, so these four coordinates name it.
+Cell = tuple[str, int, str, float]
 
-    One flat cell list over all panels so a parallel run keeps every
-    worker busy across trace boundaries, not just within one panel.
-    Split out from :func:`fig2` so callers that need per-cell telemetry
-    (``sweep --ledger``) can drive the observed runner over the *same*
-    cells and regroup with :func:`fig2_collect`.  Memory points pass
-    through unconverted (int stays int) so BENCH params digests remain
-    byte-stable against the committed baselines.
+
+@dataclass(frozen=True)
+class FigureSpec:
+    """One figure of the table: the cells it reads and its view."""
+
+    cells: list[Cell]
+    #: Builds the figure's data from ``{cell: ExperimentResult}``.
+    view: Callable[[dict], dict]
+
+
+def _grid(panels: Sequence, systems: Sequence[str],
+          memories: Sequence[float]) -> list[Cell]:
+    """The cells of ``(trace, nodes)`` panels: trace → system → memory."""
+    return [
+        (name, nodes, system, mem)
+        for name, nodes in panels
+        for system in systems
+        for mem in memories
+    ]
+
+
+def _fig2(memories: Sequence[float], panels: Sequence | None = None
+          ) -> FigureSpec:
+    """Figure 2 (a-d): throughput of PRESS and the three middleware
+    variants vs per-node memory, one panel per trace at 8 nodes (or per
+    ``(trace, nodes)`` pair of ``panels``, as ``sweep`` passes them).
+    Memory points pass through unconverted (int stays int), so BENCH
+    params digests stay byte-stable against the committed baselines.
     """
+    panels = list(panels or [(name, 8) for name in TRACE_NAMES])
+
+    def view(res: dict) -> dict:
+        return {
+            name: {
+                "memories_mb": list(memories),
+                "throughput_rps": {
+                    s: [res[name, nodes, s, mem].throughput_rps
+                        for mem in memories]
+                    for s in ALL_SYSTEMS
+                },
+            }
+            for name, nodes in panels
+        }
+
+    return FigureSpec(_grid(panels, ALL_SYSTEMS, memories), view)
+
+
+#: The paper's two representative panels: (trace, cluster size).
+FIG3_PANELS = [("calgary", 4), ("rutgers", 8)]
+
+
+def _normalized(metric: str, memories: Sequence[float]) -> FigureSpec:
+    """Figures 3 and 5: each middleware variant's ``metric`` over
+    PRESS's at every memory point of the two :data:`FIG3_PANELS`.
+
+    Figure 3 (throughput) is the headline: the KMC variant achieves >80%
+    of PRESS almost everywhere and >90% or parity in most cases.
+    Figure 5 (mean response time) also keeps PRESS's milliseconds; the
+    paper reports CC 5-10% worse and absolute times of 2-3 ms wall.
+    """
+
+    def view(res: dict) -> dict:
+        out = {}
+        for name, nodes in FIG3_PANELS:
+            series = {
+                s: [getattr(res[name, nodes, s, mem], metric)
+                    for mem in memories]
+                for s in ALL_SYSTEMS
+            }
+            press = series["press"]
+            panel = {
+                "memories_mb": list(memories),
+                "normalized": {
+                    s: [(v / p if p > 0 else 0.0)
+                        for v, p in zip(series[s], press)]
+                    for s in CC_VARIANTS
+                },
+            }
+            if metric == "mean_response_ms":
+                panel["press_ms"] = press
+            out[f"{name}-{nodes}nodes"] = panel
+        return out
+
+    return FigureSpec(_grid(FIG3_PANELS, ALL_SYSTEMS, memories), view)
+
+
+#: Figure 4's curves, in the order its data lists them.
+FIG4_SYSTEMS = ["cc-basic", "cc-kmc", "press"]
+
+
+def _fig4(memories: Sequence[float]) -> FigureSpec:
+    """Figure 4: total hit rate of CC-Basic, CC-KMC and PRESS, plus the
+    local/remote split and the theoretical maximum (Rutgers, 8 nodes)."""
+    cells = _grid([("rutgers", 8)], FIG4_SYSTEMS, memories)
+
+    def view(res: dict) -> dict:
+        trace = res[cells[0]].config.trace
+        return {
+            "trace": "rutgers",
+            "memories_mb": list(memories),
+            "hit_rates": {
+                s: {
+                    part: [res["rutgers", 8, s, mem].hit_rates[part]
+                           for mem in memories]
+                    for part in ("total", "local", "remote")
+                }
+                for s in FIG4_SYSTEMS
+            },
+            "theoretical_max": [
+                theoretical_max_hit_rate(trace, mem * 8) for mem in memories
+            ],
+        }
+
+    return FigureSpec(cells, view)
+
+
+def _fig6a(memories: Sequence[float]) -> FigureSpec:
+    """Figure 6a: CC-KMC's disk/CPU/NIC utilization vs per-node memory
+    (Rutgers, 8 nodes)."""
+    cells = _grid([("rutgers", 8)], ["cc-kmc"], memories)
+
+    def view(res: dict) -> dict:
+        results = [res[cell] for cell in cells]
+        return {
+            "trace": "rutgers",
+            "memories_mb": list(memories),
+            # Disk, cpu, nic: the chart legend and the binding-resource
+            # tie-break follow this order.
+            "utilization": {
+                resource: [r.workload.utilization[resource] for r in results]
+                for resource in ("disk", "cpu", "nic")
+            },
+            "max_disk": [r.workload.max_utilization["disk"] for r in results],
+        }
+
+    return FigureSpec(cells, view)
+
+
+#: Figure 6b's cluster sizes.
+FIG6B_NODES = [4, 8, 16, 32]
+
+
+def _fig6b(memories: Sequence[float]) -> FigureSpec:
+    """Figure 6b: CC-KMC throughput vs cluster size at 32 MB/node
+    (scaled; the memory axis is unused).  The paper reports near-linear
+    scaling to 32 nodes."""
+    mem = 32.0 * defaults.SCALE
+    cells = [("rutgers", nodes, "cc-kmc", mem) for nodes in FIG6B_NODES]
+
+    def view(res: dict) -> dict:
+        results = [res[cell] for cell in cells]
+        return {
+            "trace": "rutgers",
+            "mem_mb_per_node": mem,
+            "node_counts": list(FIG6B_NODES),
+            "throughput_rps": [r.throughput_rps for r in results],
+            "hit_rates": [r.hit_rates["total"] for r in results],
+        }
+
+    return FigureSpec(cells, view)
+
+
+#: Figures 2-6b: name -> spec over a per-node memory axis (MB).
+FIGURES: dict[str, Callable[..., FigureSpec]] = {
+    "fig2": _fig2,
+    "fig3": partial(_normalized, "throughput_rps"),
+    "fig4": _fig4,
+    "fig5": partial(_normalized, "mean_response_ms"),
+    "fig6a": _fig6a,
+    "fig6b": _fig6b,
+}
+
+
+def cell_configs(cells: Sequence[Cell]) -> list:
+    """One :class:`~repro.experiments.runner.ExperimentConfig` per cell,
+    building each distinct trace once."""
     from .runner import ExperimentConfig
 
-    names = list(trace_names or TRACE_NAMES)
-    memories = list(memories_mb if memories_mb is not None
-                    else defaults.memory_points_mb())
-    cells = [
+    traces = {
+        name: defaults.workload(name)
+        for name in dict.fromkeys(cell[0] for cell in cells)
+    }
+    return [
         ExperimentConfig(
             system=system,
-            trace=defaults.workload(name),
-            num_nodes=num_nodes,
+            trace=traces[name],
+            num_nodes=nodes,
             mem_mb_per_node=mem,
             num_clients=defaults.NUM_CLIENTS,
         )
-        for name in names
-        for system in ALL_SYSTEMS
-        for mem in memories
+        for name, nodes, system, mem in cells
     ]
-    return names, memories, cells
 
 
-def fig2_collect(
+def run_figures(
     names: Sequence[str],
-    memories: Sequence[float],
-    results: Sequence,
-) -> dict[str, dict]:
-    """Regroup a flat :func:`fig2_cells` result list into fig2 panels."""
-    panels = {}
-    n = len(memories)
-    per_trace = len(ALL_SYSTEMS) * n
-    for t, name in enumerate(names):
-        block = results[t * per_trace:(t + 1) * per_trace]
-        panels[name] = {
-            "memories_mb": list(memories),
-            "throughput_rps": {
-                sys_name: [
-                    r.throughput_rps for r in block[s * n:(s + 1) * n]
-                ]
-                for s, sys_name in enumerate(ALL_SYSTEMS)
-            },
-        }
-    return panels
-
-
-def fig2(
-    trace_names: Sequence[str] | None = None,
-    num_nodes: int = 8,
     memories_mb: Sequence[float] | None = None,
     workers: int | None = None,
 ) -> dict[str, dict]:
-    """Figure 2 (a-d): throughput of PRESS and the three middleware
-    variants vs per-node memory, one panel per trace.
+    """Run the :data:`FIGURES` ``names`` and return each one's data.
 
-    ``workers`` shards the full (trace × system × memory) cell matrix
-    across processes (default: the ``REPRO_WORKERS`` knob); the merged
-    panels are byte-identical to a serial run.
+    The union of their cells runs once, in first-seen order, through
+    :func:`~repro.experiments.parallel.run_cells`: ``workers`` shards it
+    across processes (default: the ``REPRO_WORKERS`` knob) and the data
+    is byte-identical to a serial run.  ``memories_mb`` defaults to the
+    paper's 4-512 MB axis, scaled.
     """
     from .parallel import run_cells
 
-    names, memories, cells = fig2_cells(trace_names, num_nodes, memories_mb)
-    results = run_cells(cells, workers=workers)
-    return fig2_collect(names, memories, results)
+    memories = list(memories_mb if memories_mb is not None
+                    else defaults.memory_points_mb())
+    specs = {name: FIGURES[name](memories) for name in names}
+    cells = list(dict.fromkeys(
+        cell for spec in specs.values() for cell in spec.cells
+    ))
+    results = dict(zip(cells, run_cells(cell_configs(cells), workers=workers)))
+    return {name: spec.view(results) for name, spec in specs.items()}
 
 
-def render_fig2(data: dict | None = None, **kw) -> str:
+def render_fig2(data: dict) -> str:
     """Print-ready Figure 2."""
-    data = data or fig2(**kw)
     parts = []
     for name, panel in data.items():
-        rows = []
-        for i, mem in enumerate(panel["memories_mb"]):
-            rows.append(
-                [f"{mem:g}"]
-                + [panel["throughput_rps"][s][i] for s in ALL_SYSTEMS]
-            )
+        rows = [
+            [f"{mem:g}"] + [panel["throughput_rps"][s][i] for s in ALL_SYSTEMS]
+            for i, mem in enumerate(panel["memories_mb"])
+        ]
         parts.append(
             format_table(
-                ["Mem/node (MB)"] + [s for s in ALL_SYSTEMS],
+                ["Mem/node (MB)"] + ALL_SYSTEMS,
                 rows,
                 title=f"Figure 2: throughput (req/s), {name}, 8 nodes",
                 ndigits=0,
@@ -204,57 +350,24 @@ def render_fig2(data: dict | None = None, **kw) -> str:
     return "\n\n".join(parts)
 
 
-# ---------------------------------------------------------------------------
-# Figure 3: CC throughput normalized to PRESS
-# ---------------------------------------------------------------------------
-#: The paper's two representative panels: (trace, cluster size).
-FIG3_PANELS = [("calgary", 4), ("rutgers", 8)]
-
-
-def fig3(
-    panels: Sequence | None = None,
-    memories_mb: Sequence[float] | None = None,
-) -> dict[str, dict]:
-    """Figure 3: middleware throughput normalized against PRESS.
-
-    The headline result: the KMC variant achieves >80% of PRESS almost
-    everywhere and >90% or parity in most cases.
-    """
-    out = {}
-    for name, nodes in panels or FIG3_PANELS:
-        trace = defaults.workload(name)
-        sweep = memory_sweep(
-            trace, ALL_SYSTEMS, memories_mb=memories_mb, num_nodes=nodes
-        )
-        press = [r.throughput_rps for r in sweep["press"]]
-        mems = [r.config.mem_mb_per_node for r in sweep["press"]]
-        out[f"{name}-{nodes}nodes"] = {
-            "memories_mb": mems,
-            "normalized": {
-                s: [
-                    (r.throughput_rps / p if p > 0 else 0.0)
-                    for r, p in zip(sweep[s], press)
-                ]
-                for s in CC_VARIANTS
-            },
-        }
-    return out
-
-
-def render_fig3(data: dict | None = None) -> str:
-    """Print-ready Figure 3."""
-    data = data or fig3()
+def _render_normalized(data: dict, title: str) -> str:
+    """Figures 3 and 5: a table and a chart per panel; Figure 5's
+    ``press_ms`` becomes a last ``press (ms)`` column."""
     parts = []
     for panel_name, panel in data.items():
+        press_ms = panel.get("press_ms")
         rows = [
-            [mem] + [panel["normalized"][s][i] for s in CC_VARIANTS]
+            [mem]
+            + [panel["normalized"][s][i] for s in CC_VARIANTS]
+            + ([press_ms[i]] if press_ms is not None else [])
             for i, mem in enumerate(panel["memories_mb"])
         ]
         parts.append(
             format_table(
-                ["Mem/node (MB)"] + CC_VARIANTS,
+                ["Mem/node (MB)"] + CC_VARIANTS
+                + (["press (ms)"] if press_ms is not None else []),
                 rows,
-                title=f"Figure 3: throughput normalized to PRESS, {panel_name}",
+                title=f"{title}, {panel_name}",
             )
         )
         parts.append(
@@ -268,42 +381,13 @@ def render_fig3(data: dict | None = None) -> str:
     return "\n\n".join(parts)
 
 
-# ---------------------------------------------------------------------------
-# Figure 4: hit rates (Rutgers, 8 nodes)
-# ---------------------------------------------------------------------------
-def fig4(
-    trace_name: str = "rutgers",
-    num_nodes: int = 8,
-    memories_mb: Sequence[float] | None = None,
-) -> dict:
-    """Figure 4: total hit rate of CC-Basic, CC-KMC and PRESS, plus the
-    local/remote split and the theoretical maximum."""
-    trace = defaults.workload(trace_name)
-    systems = ["cc-basic", "cc-kmc", "press"]
-    sweep = memory_sweep(
-        trace, systems, memories_mb=memories_mb, num_nodes=num_nodes
-    )
-    mems = [r.config.mem_mb_per_node for r in sweep["press"]]
-    return {
-        "trace": trace_name,
-        "memories_mb": mems,
-        "hit_rates": {
-            s: {
-                "total": [r.hit_rates["total"] for r in results],
-                "local": [r.hit_rates["local"] for r in results],
-                "remote": [r.hit_rates["remote"] for r in results],
-            }
-            for s, results in sweep.items()
-        },
-        "theoretical_max": [
-            theoretical_max_hit_rate(trace, mem * num_nodes) for mem in mems
-        ],
-    }
+def render_fig3(data: dict) -> str:
+    """Print-ready Figure 3."""
+    return _render_normalized(data, "Figure 3: throughput normalized to PRESS")
 
 
-def render_fig4(data: dict | None = None) -> str:
+def render_fig4(data: dict) -> str:
     """Print-ready Figure 4."""
-    data = data or fig4()
     rows = []
     hr = data["hit_rates"]
     for i, mem in enumerate(data["memories_mb"]):
@@ -338,97 +422,14 @@ def render_fig4(data: dict | None = None) -> str:
     return table + "\n\n" + chart
 
 
-# ---------------------------------------------------------------------------
-# Figure 5: mean response time normalized to PRESS
-# ---------------------------------------------------------------------------
-def fig5(
-    panels: Sequence | None = None,
-    memories_mb: Sequence[float] | None = None,
-) -> dict[str, dict]:
-    """Figure 5: middleware mean response time normalized against PRESS
-    (the paper reports CC 5-10% worse; absolute times 2-3 ms wall)."""
-    out = {}
-    for name, nodes in panels or FIG3_PANELS:
-        trace = defaults.workload(name)
-        sweep = memory_sweep(
-            trace, ALL_SYSTEMS, memories_mb=memories_mb, num_nodes=nodes
-        )
-        press = [r.mean_response_ms for r in sweep["press"]]
-        mems = [r.config.mem_mb_per_node for r in sweep["press"]]
-        out[f"{name}-{nodes}nodes"] = {
-            "memories_mb": mems,
-            "normalized": {
-                s: [
-                    (r.mean_response_ms / p if p > 0 else 0.0)
-                    for r, p in zip(sweep[s], press)
-                ]
-                for s in CC_VARIANTS
-            },
-            "press_ms": press,
-        }
-    return out
-
-
-def render_fig5(data: dict | None = None) -> str:
+def render_fig5(data: dict) -> str:
     """Print-ready Figure 5."""
-    data = data or fig5()
-    parts = []
-    for panel_name, panel in data.items():
-        rows = [
-            [mem]
-            + [panel["normalized"][s][i] for s in CC_VARIANTS]
-            + [panel["press_ms"][i]]
-            for i, mem in enumerate(panel["memories_mb"])
-        ]
-        parts.append(
-            format_table(
-                ["Mem/node (MB)"] + CC_VARIANTS + ["press (ms)"],
-                rows,
-                title=(
-                    "Figure 5: mean response time normalized to PRESS, "
-                    f"{panel_name}"
-                ),
-            )
-        )
-        parts.append(
-            line_chart(
-                panel["memories_mb"],
-                {s: panel["normalized"][s] for s in CC_VARIANTS},
-                y_label="x PRESS",
-                x_label="MB/node",
-            )
-        )
-    return "\n\n".join(parts)
+    return _render_normalized(
+        data, "Figure 5: mean response time normalized to PRESS")
 
 
-# ---------------------------------------------------------------------------
-# Figure 6a: resource utilization (CC-KMC, Rutgers, 8 nodes)
-# ---------------------------------------------------------------------------
-def fig6a(
-    trace_name: str = "rutgers",
-    num_nodes: int = 8,
-    memories_mb: Sequence[float] | None = None,
-) -> dict:
-    """Figure 6a: CC-KMC's disk/CPU/NIC utilization vs per-node memory."""
-    trace = defaults.workload(trace_name)
-    sweep = memory_sweep(
-        trace, ["cc-kmc"], memories_mb=memories_mb, num_nodes=num_nodes
-    )
-    results = sweep["cc-kmc"]
-    return {
-        "trace": trace_name,
-        "memories_mb": [r.config.mem_mb_per_node for r in results],
-        "utilization": {
-            res: [r.workload.utilization[res] for r in results]
-            for res in ("disk", "cpu", "nic")
-        },
-        "max_disk": [r.workload.max_utilization["disk"] for r in results],
-    }
-
-
-def render_fig6a(data: dict | None = None) -> str:
+def render_fig6a(data: dict) -> str:
     """Print-ready Figure 6a."""
-    data = data or fig6a()
     rows = [
         [
             mem,
@@ -482,35 +483,8 @@ def render_fig6a(data: dict | None = None) -> str:
     return table + "\n\n" + chart + "\n\n" + "\n".join(narrative)
 
 
-# ---------------------------------------------------------------------------
-# Figure 6b: scalability (CC-KMC, Rutgers, 32 MB/node)
-# ---------------------------------------------------------------------------
-def fig6b(
-    trace_name: str = "rutgers",
-    node_counts: Sequence[int] = (4, 8, 16, 32),
-    mem_mb_per_node: float | None = None,
-) -> dict:
-    """Figure 6b: CC-KMC throughput vs cluster size at 32 MB/node
-    (scaled).  The paper reports near-linear scaling to 32 nodes."""
-    trace = defaults.workload(trace_name)
-    mem = (
-        mem_mb_per_node
-        if mem_mb_per_node is not None
-        else 32.0 * defaults.SCALE
-    )
-    results = node_sweep(trace, "cc-kmc", node_counts, mem)
-    return {
-        "trace": trace_name,
-        "mem_mb_per_node": mem,
-        "node_counts": list(node_counts),
-        "throughput_rps": [r.throughput_rps for r in results],
-        "hit_rates": [r.hit_rates["total"] for r in results],
-    }
-
-
-def render_fig6b(data: dict | None = None) -> str:
+def render_fig6b(data: dict) -> str:
     """Print-ready Figure 6b."""
-    data = data or fig6b()
     base = data["throughput_rps"][0] or 1.0
     base_nodes = data["node_counts"][0]
     rows = [
@@ -589,9 +563,8 @@ def fig_ring(
     }
 
 
-def render_fig_ring(data: dict | None = None) -> str:
+def render_fig_ring(data: dict) -> str:
     """Print-ready Figure R."""
-    data = data or fig_ring()
     parts = []
     for nodes in data["node_counts"]:
         panel = data["panels"][str(nodes)]

@@ -1,7 +1,9 @@
 """Sharded sweep execution: (trace × system × seed) cells across cores.
 
 A *cell* is one :class:`~repro.experiments.runner.ExperimentConfig` —
-the unit every figure/table sweep already decomposes into.  Cells are
+the unit every figure, table and ablation sweep decomposes into
+(:func:`~repro.experiments.figures.run_figures` submits the union of the
+requested figures' distinct cells in one call).  Cells are
 embarrassingly parallel by construction: each one builds its own
 :class:`~repro.sim.Simulator`, derives every random stream from its own
 ``(seed, key)`` pair (:mod:`repro.sim.rng`), and touches no module

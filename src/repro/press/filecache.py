@@ -14,6 +14,7 @@ else can be evicted — that *is* the de-replication preference.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from collections.abc import Iterator
 
@@ -67,8 +68,8 @@ class FileCache:
 
     def __init__(self, node_id: int, capacity_kb: float,
                  directory: ReplicaDirectory, scope=None):
-        if capacity_kb <= 0:
-            raise ValueError("capacity must be positive")
+        if not 0 < capacity_kb < math.inf:
+            raise ValueError("capacity must be positive and finite")
         self.node_id = node_id
         self.capacity_kb = capacity_kb
         self.used_kb = 0.0

@@ -228,8 +228,8 @@ class WindowedSeries:
     __slots__ = ("window_ms", "t_origin", "_bins")
 
     def __init__(self, window_ms: float, t_origin: float = 0.0) -> None:
-        if window_ms <= 0:
-            raise ValueError("window_ms must be positive")
+        if not 0 < window_ms < math.inf:
+            raise ValueError("window_ms must be positive and finite")
         self.window_ms = float(window_ms)
         self.t_origin = float(t_origin)
         self._bins: dict[int, float] = {}

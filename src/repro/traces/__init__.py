@@ -4,7 +4,6 @@
   — the data model.
 * :func:`~repro.traces.synthetic.generate` — Table-2-calibrated synthesis.
 * :mod:`~repro.traces.datasets` — the paper's four workloads.
-* :mod:`~repro.traces.clf` — Common Log Format parsing for real logs.
 * :mod:`~repro.traces.analysis` — Figure 1 / Table 2 / hit-bound math.
 """
 
@@ -15,9 +14,7 @@ from .analysis import (
     table2_row,
     theoretical_max_hit_rate,
 )
-from .clf import parse_clf_line, parse_clf_lines
 from .datasets import SPECS, TRACE_NAMES, load, scaled, spec
-from .io import load_trace, save_trace
 from .model import Trace, TraceSpec
 from .synthetic import generate, lognormal_sizes_kb, zipf_weights
 
@@ -36,9 +33,5 @@ __all__ = [
     "bytes_for_request_fraction",
     "theoretical_max_hit_rate",
     "table2_row",
-    "parse_clf_line",
-    "parse_clf_lines",
-    "save_trace",
-    "load_trace",
     "recency_reference_fraction",
 ]

@@ -1,7 +1,6 @@
 """Trace analysis: the quantities Figure 1, Table 2 and Figure 4 report.
 
-All functions operate on any :class:`~repro.traces.model.Trace`
-(synthetic or parsed from a real log).
+All functions operate on any :class:`~repro.traces.model.Trace`.
 """
 
 from __future__ import annotations

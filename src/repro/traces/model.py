@@ -6,9 +6,9 @@ deliberately absent — the paper ignores it ("To measure the maximum
 achievable throughput of the cluster, we ignore the timing information
 present in the traces") and drives the server with closed-loop clients.
 
-Both the synthetic generators (:mod:`repro.traces.synthetic`) and the
-Common-Log-Format parser (:mod:`repro.traces.clf`) produce this type, so
-real logs drop into any experiment unchanged.
+The synthetic generators (:mod:`repro.traces.synthetic`) produce this
+type; any other source of a request stream over a file set can build
+one directly.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class TraceSpec:
 class Trace:
     """A concrete request stream over a concrete file set."""
 
-    #: Provenance: the spec that generated it, or a parser-made pseudo-spec.
+    #: Provenance: the spec that generated it.
     spec: TraceSpec
     #: Per-file sizes in KB, indexed by file id.
     sizes_kb: np.ndarray

@@ -48,6 +48,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Figure 6a" in out
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["run", "--system", "press", "--nodes", "2", "--mem-mb"],
+        ["run", "--system", "cc-kmc", "--mem-mb"],
+        ["chaos", "--system", "press", "--mem-mb"],
+        ["analyze", "trace.jsonl", "--timeseries-out", "ts.json",
+         "--window-ms"],
+    ], ids=["run-press", "run-cc-kmc", "chaos", "analyze"])
+    def test_non_finite_value_is_a_usage_error(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + [value])
+        assert exc.value.code == 2
+        assert "must be positive and finite" in capsys.readouterr().err
+
     def test_artifact_registry_complete(self):
         expected = {
             "table1", "table2",

@@ -251,6 +251,12 @@ class TestServiceFacade:
         assert blocks_for_mb(1.0) == 128  # 1024 KB / 8 KB
         assert blocks_for_mb(0.001) == 1  # floor of 1
 
+    @pytest.mark.parametrize("mem_mb", [0.0, -1.0, float("nan"),
+                                        float("inf")])
+    def test_blocks_for_mb_rejects_non_positive_or_non_finite(self, mem_mb):
+        with pytest.raises(ValueError, match="mem_mb must be positive"):
+            blocks_for_mb(mem_mb)
+
     def test_mismatched_home_map_rejected(self):
         from repro.cache import FileLayout, HomeMap
         from repro.cluster import Cluster

@@ -80,6 +80,11 @@ class TestWholeFileCache:
         with pytest.raises(ValueError):
             WholeFileCache(0, 0.0)
 
+    @pytest.mark.parametrize("capacity_kb", [float("nan"), float("inf")])
+    def test_non_finite_capacity(self, capacity_kb):
+        with pytest.raises(ValueError, match="capacity must be positive"):
+            WholeFileCache(0, capacity_kb)
+
 
 class TestWholeFileServer:
     def test_cold_read_masters_at_requester(self):

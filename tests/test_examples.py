@@ -53,28 +53,11 @@ class TestExamples:
     def test_scalability(self):
         proc = run_example("scalability.py")
         assert proc.returncode == 0, proc.stderr
-        assert "speedup" in proc.stdout
+        assert "Figure 6b: CC-KMC scalability" in proc.stdout
+        assert "speedup 4 -> 32 nodes" in proc.stdout
 
     def test_shared_workspace(self):
         proc = run_example("shared_workspace.py")
         assert proc.returncode == 0, proc.stderr
         assert "dirty blocks remaining:       0" in proc.stdout
         assert "protocol invariants OK" in proc.stdout
-
-    def test_real_trace_embedded_log(self):
-        proc = run_example("real_trace.py")
-        assert proc.returncode == 0, proc.stderr
-        assert "Trace characteristics" in proc.stdout
-        assert "4-node cluster" in proc.stdout
-
-    def test_real_trace_with_file(self, tmp_path):
-        log = tmp_path / "access_log"
-        log.write_text(
-            "\n".join(
-                f'h{i} - - [d] "GET /f{i % 5}.html HTTP/1.0" 200 {4096 * (1 + i % 3)}'
-                for i in range(200)
-            )
-        )
-        proc = run_example("real_trace.py", args=[str(log)])
-        assert proc.returncode == 0, proc.stderr
-        assert "parsing" in proc.stdout

@@ -10,17 +10,21 @@ import pytest
 
 from repro.core import CoopCacheConfig
 from repro.experiments import (
+    ALL_SYSTEMS,
+    FIGURES,
     ExperimentConfig,
     banner,
+    defaults,
     format_kv,
     format_table,
-    memory_sweep,
-    node_sweep,
     run_experiment,
+    run_figures,
     system_label,
     table1,
     render_table1,
 )
+from repro.experiments.figures import cell_configs
+from repro.experiments.parallel import run_cells
 from repro.traces import Trace, TraceSpec
 
 
@@ -121,32 +125,47 @@ class TestRunner:
 
 
 class TestSweeps:
-    def test_memory_sweep_shape(self):
-        trace = tiny_trace()
-        out = memory_sweep(
-            trace, ["press", "cc-kmc"], memories_mb=[0.125, 0.5],
-            num_nodes=2, num_clients=4,
-        )
-        assert set(out) == {"press", "cc-kmc"}
-        assert all(len(v) == 2 for v in out.values())
-        mems = [r.config.mem_mb_per_node for r in out["press"]]
-        assert mems == [0.125, 0.5]
+    @pytest.fixture
+    def tiny_defaults(self, monkeypatch):
+        monkeypatch.setattr(defaults, "workload", lambda name: tiny_trace())
+        monkeypatch.setattr(defaults, "NUM_CLIENTS", 4)
 
-    def test_memory_sweep_more_memory_not_worse(self):
-        trace = tiny_trace(n_files=16, n_requests=500)
-        out = memory_sweep(
-            trace, ["cc-kmc"], memories_mb=[0.0625, 1.0],
-            num_nodes=2, num_clients=8,
+    def test_fig2_entry_shape(self, tiny_defaults):
+        spec = FIGURES["fig2"]([0.125, 0.5], [("rutgers", 2)])
+        assert spec.cells == [
+            ("rutgers", 2, system, mem)
+            for system in ALL_SYSTEMS for mem in [0.125, 0.5]
+        ]
+        configs = cell_configs(spec.cells)
+        assert [(c.num_nodes, c.mem_mb_per_node, c.num_clients)
+                for c in configs[:2]] == [(2, 0.125, 4), (2, 0.5, 4)]
+        assert all(c.trace is configs[0].trace for c in configs)
+        data = spec.view(dict(zip(spec.cells, run_cells(configs))))
+        assert list(data) == ["rutgers"]
+        panel = data["rutgers"]
+        assert panel["memories_mb"] == [0.125, 0.5]
+        assert list(panel["throughput_rps"]) == ALL_SYSTEMS
+        assert all(len(v) == 2 for v in panel["throughput_rps"].values())
+
+    def test_more_memory_not_worse(self, monkeypatch):
+        monkeypatch.setattr(
+            defaults, "workload",
+            lambda name: tiny_trace(n_files=16, n_requests=500),
         )
-        small, big = out["cc-kmc"]
+        monkeypatch.setattr(defaults, "NUM_CLIENTS", 8)
+        small, big = run_cells(cell_configs(
+            [("rutgers", 2, "cc-kmc", 0.0625), ("rutgers", 2, "cc-kmc", 1.0)]
+        ))
         assert big.hit_rates["total"] >= small.hit_rates["total"]
 
-    def test_node_sweep(self):
-        trace = tiny_trace()
-        results = node_sweep(
-            trace, "cc-kmc", [1, 2, 4], mem_mb_per_node=0.25, num_clients=4
-        )
-        assert [r.config.num_nodes for r in results] == [1, 2, 4]
+    def test_fig6b_node_axis(self, tiny_defaults):
+        spec = FIGURES["fig6b"]([])
+        assert [cell[1] for cell in spec.cells] == [4, 8, 16, 32]
+        assert {cell[3] for cell in spec.cells} == {32.0 * defaults.SCALE}
+        data = run_figures(["fig6b"])["fig6b"]
+        assert data["node_counts"] == [4, 8, 16, 32]
+        assert len(data["throughput_rps"]) == 4
+        assert all(t > 0 for t in data["throughput_rps"])
 
     def test_system_label(self):
         assert system_label(CoopCacheConfig()) == "cc[kmc,scan]"

@@ -51,6 +51,11 @@ class TestFileCache:
         with pytest.raises(ValueError):
             FileCache(0, 0.0, ReplicaDirectory())
 
+    @pytest.mark.parametrize("capacity_kb", [float("nan"), float("inf")])
+    def test_capacity_finite(self, capacity_kb):
+        with pytest.raises(ValueError, match="capacity must be positive"):
+            FileCache(0, capacity_kb, ReplicaDirectory())
+
     def test_duplicate_insert_raises(self):
         c, _ = make()
         c.insert(1, 10.0)

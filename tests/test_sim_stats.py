@@ -11,6 +11,15 @@ from repro.sim import (
     ThroughputMeter,
     UtilizationTracker,
 )
+from repro.sim.stats import WindowedSeries
+
+
+class TestWindowedSeries:
+    @pytest.mark.parametrize("window_ms", [0.0, -1.0, float("nan"),
+                                           float("inf")])
+    def test_window_must_be_positive_and_finite(self, window_ms):
+        with pytest.raises(ValueError, match="window_ms must be positive"):
+            WindowedSeries(window_ms)
 
 
 class TestUtilizationTracker:

@@ -13,11 +13,12 @@ import json
 import pytest
 
 from repro.bench.schema import dump_record, wrap_result
-from repro.experiments import defaults
-from repro.experiments.figures import ALL_SYSTEMS, fig2
+from repro.experiments import defaults, parallel
+from repro.experiments.figures import (
+    ALL_SYSTEMS, FIGURES, cell_configs, run_figures,
+)
 from repro.experiments.parallel import default_workers, run_cells
 from repro.experiments.runner import ExperimentConfig
-from repro.experiments.sweep import memory_sweep
 from repro.traces import datasets
 
 #: Small enough for the tier-1 suite, big enough that every system does
@@ -33,8 +34,8 @@ def _smoke_trace():
 
 @pytest.fixture
 def smoke_defaults(monkeypatch):
-    """Pin the scale knobs so fig2's internal workload() calls are tiny
-    and test output is independent of the ambient REPRO_* environment."""
+    """Pin the scale knobs so the figure table's workload() calls are
+    tiny and test output is independent of the ambient REPRO_* environment."""
     monkeypatch.setattr(defaults, "SCALE", _SCALE)
     monkeypatch.setattr(defaults, "NUM_REQUESTS", _REQUESTS)
     monkeypatch.setattr(defaults, "NUM_CLIENTS", _CLIENTS)
@@ -44,9 +45,14 @@ def test_fig2_parallel_bench_record_byte_identical(smoke_defaults, tmp_path):
     """The headline determinism claim: a fig2 smoke sweep sharded across
     4 workers emits a BENCH trajectory record byte-identical to the
     serial run's — same payload, same params digest, same file bytes."""
-    kw = dict(trace_names=["rutgers"], num_nodes=4, memories_mb=[0.1, 0.5])
-    serial = fig2(workers=1, **kw)
-    sharded = fig2(workers=4, **kw)
+    spec = FIGURES["fig2"]([0.1, 0.5], [("rutgers", 4)])
+
+    def fig2(workers):
+        results = run_cells(cell_configs(spec.cells), workers=workers)
+        return spec.view(dict(zip(spec.cells, results)))
+
+    serial = fig2(workers=1)
+    sharded = fig2(workers=4)
 
     params = {"scale": _SCALE, "requests": _REQUESTS, "clients": _CLIENTS}
     paths = {}
@@ -63,24 +69,38 @@ def test_fig2_parallel_bench_record_byte_identical(smoke_defaults, tmp_path):
         assert all(t > 0 for t in panel["throughput_rps"][system])
 
 
-def test_memory_sweep_parallel_matches_serial():
-    """memory_sweep regroups the flat sharded cell list back into
-    per-system series — every result must land in its serial position."""
-    trace = _smoke_trace()
-    kw = dict(
-        systems=["press", "cc-kmc"], memories_mb=[0.1, 0.5],
-        num_nodes=4, num_clients=_CLIENTS,
-    )
-    serial = memory_sweep(trace, workers=1, **kw)
-    sharded = memory_sweep(trace, workers=3, **kw)
-    assert list(serial) == list(sharded)
-    for label in serial:
-        for a, b in zip(serial[label], sharded[label]):
-            assert a.config.system == b.config.system
-            assert a.config.mem_mb_per_node == b.config.mem_mb_per_node
-            assert a.throughput_rps == b.throughput_rps
-            assert a.mean_response_ms == b.mean_response_ms
-            assert a.hit_rates == b.hit_rates
+def test_run_figures_parallel_matches_serial(smoke_defaults):
+    """run_figures maps the sharded union back onto each figure's cells:
+    every result must land in its serial position."""
+    kw = dict(memories_mb=[0.1, 0.5])
+    serial = run_figures(["fig4", "fig6b"], workers=1, **kw)
+    sharded = run_figures(["fig4", "fig6b"], workers=3, **kw)
+    assert serial == sharded
+    assert serial["fig4"]["memories_mb"] == [0.1, 0.5]
+    assert serial["fig6b"]["node_counts"] == [4, 8, 16, 32]
+
+
+def test_union_runs_each_distinct_cell_once(smoke_defaults, monkeypatch):
+    """Figs 3 and 5 read the same 16 cells at two memory points, and
+    Fig 4's 6 and Fig 6a's 2 are among them: the union submits 16 cells
+    where four solo runs submit 40, and each figure's data is the same
+    bytes either way."""
+    submitted = []
+
+    def counting_run_cells(cells, workers=None):
+        submitted.append(len(cells))
+        return run_cells(cells, workers=workers)
+
+    monkeypatch.setattr(parallel, "run_cells", counting_run_cells)
+    names = ["fig3", "fig4", "fig5", "fig6a"]
+    union = run_figures(names, memories_mb=[0.1, 0.5])
+    assert submitted == [16]
+    solo = {name: run_figures([name], memories_mb=[0.1, 0.5])[name]
+            for name in names}
+    assert submitted[1:] == [16, 6, 16, 2]
+    for name in names:
+        assert (json.dumps(union[name], sort_keys=True)
+                == json.dumps(solo[name], sort_keys=True)), name
 
 
 def test_run_cells_preserves_submission_order():
