@@ -5,40 +5,20 @@ LRU (one arc per node, as the PartitionedDirectory homes blocks)
 against a single LRU of the aggregate capacity over the same seeded
 Zipf stream — and records the per-panel gap metrics as a trajectory
 record.  It is independent of the ``REPRO_*`` workload knobs: its
-params are the analytic-model constants
-below, and the metrics are fully deterministic (seeded stream, stable
-ring hash), so any drift is a code change, not noise.
+params are the analytic-model constants of
+:func:`~repro.experiments.figures.fig_ring`, and the metrics are fully
+deterministic (seeded stream, stable ring hash), so any drift is a code
+change, not noise.
 """
 
 from conftest import REPO_ROOT, RESULTS_DIR
 
 from repro.bench.schema import dump_record, wrap_result
-from repro.experiments.figures import fig_ring, render_fig_ring
-
-SEED = 0
-NODE_COUNTS = (16, 64, 256)
-CAPACITIES = (4, 16, 64)
-NUM_FILES = 60_000
-NUM_REQUESTS = 150_000
-THETA = 0.8
-VNODES = 64
+from repro.experiments.figures import RING_CAPACITIES, fig_ring, render_fig_ring
 
 
 def test_bench_fig_ring(benchmark, artifact):
-    data = benchmark.pedantic(
-        fig_ring,
-        kwargs=dict(
-            node_counts=NODE_COUNTS,
-            capacities_per_node=CAPACITIES,
-            num_files=NUM_FILES,
-            num_requests=NUM_REQUESTS,
-            theta=THETA,
-            vnodes=VNODES,
-            seed=SEED,
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    data = benchmark.pedantic(fig_ring, rounds=1, iterations=1)
 
     # Convergence side-check: the gap shrinks from the smallest to the
     # largest per-node capacity in every panel (the claim under test).
@@ -55,14 +35,14 @@ def test_bench_fig_ring(benchmark, artifact):
     record = wrap_result(
         "ring",
         data,
-        seed=SEED,
+        seed=data["seed"],
         params={
-            "node_counts": list(NODE_COUNTS),
-            "capacities_per_node": list(CAPACITIES),
-            "num_files": NUM_FILES,
-            "num_requests": NUM_REQUESTS,
-            "theta": THETA,
-            "vnodes": VNODES,
+            "node_counts": data["node_counts"],
+            "capacities_per_node": list(RING_CAPACITIES),
+            "num_files": data["num_files"],
+            "num_requests": data["num_requests"],
+            "theta": data["theta"],
+            "vnodes": data["vnodes"],
         },
         metrics=metrics,
     )

@@ -9,11 +9,11 @@ DNS diffuses hot blocks across all memories.
 Run:  python examples/scalability.py
 """
 
-from repro.experiments import SCALE, render_fig6b, run_figures
+from repro.experiments import defaults, render_fig6b, run_figures
 
 data = run_figures(["fig6b"])["fig6b"]
 
-print(f"workload: rutgers @ scale {SCALE:g}, "
+print(f"workload: rutgers @ scale {defaults.SCALE:g}, "
       f"{data['mem_mb_per_node']:g} MB/node\n")
 print(render_fig6b(data))
 print()

@@ -14,16 +14,16 @@ Run:  python examples/webserver_comparison.py
 from repro.experiments import (
     ALL_SYSTEMS,
     ExperimentConfig,
-    SCALE,
+    defaults,
     format_table,
     run_experiment,
     workload,
 )
 
 NUM_NODES = 8
-MEM_MB_PER_NODE = 32 * SCALE  # the paper's 32 MB/node point, scaled
+MEM_MB_PER_NODE = 32 * defaults.SCALE  # the paper's 32 MB/node point, scaled
 
-print(f"workload: rutgers @ scale {SCALE:g}, {NUM_NODES} nodes, "
+print(f"workload: rutgers @ scale {defaults.SCALE:g}, {NUM_NODES} nodes, "
       f"{MEM_MB_PER_NODE:g} MB/node\n")
 
 trace = workload("rutgers")

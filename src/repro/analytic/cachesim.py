@@ -38,7 +38,6 @@ class AnalyticCoopCache:
         capacity_blocks: int,
         policy: str = "kmc",
         forward_on_evict: bool = True,
-        touch_on_peer_hit: bool = True,
     ):
         if num_nodes < 1:
             raise ValueError("need at least one node")
@@ -46,7 +45,6 @@ class AnalyticCoopCache:
         self.layout = layout
         self.policy = policy
         self.forward_on_evict = forward_on_evict
-        self.touch_on_peer_hit = touch_on_peer_hit
         self.caches: list[BlockCache] = [
             BlockCache(i, capacity_blocks) for i in range(num_nodes)
         ]
@@ -70,8 +68,7 @@ class AnalyticCoopCache:
         holder = self.directory.lookup(blk)
         if holder is not None and holder != node_id:
             self.counts["remote"] += 1
-            if self.touch_on_peer_hit:
-                self.caches[holder].touch(blk, self._clock)
+            self.caches[holder].touch(blk, self._clock)
             self._insert(node_id, blk, master=False)
             return
         self.counts["disk"] += 1

@@ -250,8 +250,3 @@ class BlockCache:
             "dirty": len(self._dirty),
             "free_slots": self.free_slots,
         }
-
-    def compact(self) -> None:
-        """Bound heap garbage in long runs."""
-        self._masters.compact()
-        self._nonmasters.compact()

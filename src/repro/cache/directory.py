@@ -91,26 +91,19 @@ class GlobalDirectory:
 class HomeMap:
     """Static assignment of files to the nodes whose disks store them.
 
-    ``strategy`` is either ``"round_robin"`` (file *f* lives on node
-    ``f % N`` — the even spread the paper assumes) or ``"concentrated"``
-    (every file on node 0 — the hot-spot stress of ablation A2, optionally
-    limited to the ``hot_files`` most popular files via
-    :meth:`concentrate`).
+    File *f* lives on node ``f % N`` — the even spread the paper
+    assumes.  :meth:`concentrate` re-homes chosen files onto one node
+    (the hot-spot stress of ablation A2).
     """
 
     __slots__ = ("num_nodes", "num_files", "_home")
 
-    def __init__(self, num_files: int, num_nodes: int, strategy: str = "round_robin") -> None:
+    def __init__(self, num_files: int, num_nodes: int) -> None:
         if num_nodes < 1 or num_files < 1:
             raise ValueError("need at least one file and one node")
         self.num_nodes = num_nodes
         self.num_files = num_files
-        if strategy == "round_robin":
-            self._home = [f % num_nodes for f in range(num_files)]
-        elif strategy == "concentrated":
-            self._home = [0] * num_files
-        else:
-            raise ValueError(f"unknown home strategy: {strategy!r}")
+        self._home = [f % num_nodes for f in range(num_files)]
 
     def home_of(self, file_id: int) -> int:
         """Node whose disk stores ``file_id``."""

@@ -177,7 +177,6 @@ class PartitionedDirectory(GlobalDirectory):
     def __init__(
         self,
         num_nodes: int,
-        vnodes: int = 32,
         seed: int = 0,
         staleness_ms: float = 0.0,
     ) -> None:
@@ -186,7 +185,7 @@ class PartitionedDirectory(GlobalDirectory):
         if staleness_ms < 0.0:
             raise ValueError("staleness_ms must be >= 0")
         super().__init__()
-        self.ring = HashRing(range(num_nodes), vnodes=vnodes, seed=seed)
+        self.ring = HashRing(range(num_nodes), seed=seed)
         self.staleness_ms = staleness_ms
         #: Staleness clock; rebound to ``sim.now`` by :meth:`attach`
         #: (mirrors ``CacheScope``).  Unattached, time stands at 0 and

@@ -99,21 +99,3 @@ class AgedLRU(dict[BlockId, float]):
         del self[block]
         heapq.heappop(self._heap)
         return block, age
-
-    def compact(self) -> None:
-        """Rebuild the heap, dropping stale entries (optional maintenance;
-        called by long-running simulations to bound memory)."""
-        self._heap = [
-            # simlint: ordered -- insertion order of the dict; the rebuilt
-            # heap is re-heapified below, and sequence numbers only break
-            # exact-age ties, which insertion order resolves
-            # deterministically.
-            (age, i, block) for i, (block, age) in enumerate(self.items())
-        ]
-        self._seq = len(self._heap)
-        heapq.heapify(self._heap)
-
-    @property
-    def heap_size(self) -> int:
-        """Current physical heap length (stale entries included)."""
-        return len(self._heap)

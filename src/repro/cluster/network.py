@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 from ..obs.profile import NULL_PROFILER, NullProfiler, Profiler
 from ..params import SimParams
 from ..sim.engine import Event, Simulator
-from ..sim.faults import NULL_FAULTS
 from .node import Node
 
 if TYPE_CHECKING:
@@ -30,7 +29,7 @@ __all__ = ["Network"]
 class Network:
     """Point-to-point message timing over the shared LAN."""
 
-    __slots__ = ("sim", "params", "bytes_kb", "messages", "faults")
+    __slots__ = ("sim", "params", "bytes_kb", "messages")
 
     def __init__(self, sim: Simulator, params: SimParams) -> None:
         self.sim = sim
@@ -39,11 +38,6 @@ class Network:
         self.bytes_kb = 0.0
         #: Total messages since the last reset.
         self.messages = 0
-        #: Fault injector (LAN degradation adds wire latency); set by
-        #: FaultInjector.install().  The extra latency folds into the one
-        #: existing wire timeout, so the kernel event stream is unchanged
-        #: whether or not fault injection is wired in.
-        self.faults = NULL_FAULTS
 
     def transfer(
         self, src: Node | None, dst: Node | None, size_kb: float,
@@ -72,9 +66,7 @@ class Network:
             )
         yield from prof.wait(
             parent, None, "wire",
-            self.sim.timeout(
-                self.params.network.latency_ms + self.faults.extra_latency_ms()
-            ),
+            self.sim.timeout(self.params.network.latency_ms),
         )
 
     def reset_stats(self) -> None:

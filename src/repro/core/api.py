@@ -27,6 +27,7 @@ from collections.abc import Generator, Sequence
 
 from ..cache.block import FileLayout
 from ..cache.directory import GlobalDirectory, HomeMap
+from ..cache.hashring import PartitionedDirectory
 from ..cluster.cluster import Cluster
 from ..cluster.node import Node
 from ..params import DEFAULT_PARAMS, SimParams
@@ -37,7 +38,7 @@ from .config import CoopCacheConfig
 from .hints import HintDirectory
 from .middleware import CoopCacheLayer
 
-__all__ = ["CoopCacheService", "blocks_for_mb"]
+__all__ = ["CoopCacheService", "blocks_for_mb", "build_directory"]
 
 
 def blocks_for_mb(mem_mb: float, params: SimParams = DEFAULT_PARAMS) -> int:
@@ -46,6 +47,24 @@ def blocks_for_mb(mem_mb: float, params: SimParams = DEFAULT_PARAMS) -> int:
         raise ValueError(f"mem_mb must be positive and finite, got {mem_mb!r}")
     blocks = int(mem_mb * 1024 // params.block_kb)
     return max(1, blocks)
+
+
+def build_directory(
+    config: CoopCacheConfig, num_nodes: int, seed: int, sim: Simulator
+) -> GlobalDirectory | None:
+    """The master directory ``config.directory`` names, or None for the
+    perfect one (the layer builds that itself)."""
+    if config.directory == "hints":
+        return HintDirectory(
+            config.hint_accuracy, num_nodes, stream(seed, "hints")
+        )
+    if config.directory == "partitioned":
+        directory = PartitionedDirectory(
+            num_nodes, seed=seed, staleness_ms=config.dir_staleness_ms
+        )
+        directory.attach(sim)
+        return directory
+    return None
 
 
 class CoopCacheService:
@@ -58,7 +77,6 @@ class CoopCacheService:
         mem_mb_per_node: float,
         config: CoopCacheConfig | None = None,
         params: SimParams = DEFAULT_PARAMS,
-        home_strategy: str = "round_robin",
         seed: int = 0,
         fault_plan: FaultPlan | None = None,
     ) -> None:
@@ -70,12 +88,7 @@ class CoopCacheService:
             disk_discipline=self.config.disk_discipline,
         )
         self.layout = FileLayout(file_sizes_kb, params)
-        self.homes = HomeMap(self.layout.num_files, num_nodes, home_strategy)
-        directory: GlobalDirectory | None = None
-        if self.config.directory == "hints":
-            directory = HintDirectory(
-                self.config.hint_accuracy, num_nodes, stream(seed, "hints")
-            )
+        self.homes = HomeMap(self.layout.num_files, num_nodes)
         #: Fault injector (None without a plan — zero overhead, and unit
         #: tests get the whole chaos stack from one constructor argument).
         self.faults: FaultInjector | None = None
@@ -88,7 +101,7 @@ class CoopCacheService:
             self.homes,
             capacity_blocks=blocks_for_mb(mem_mb_per_node, params),
             config=self.config,
-            directory=directory,
+            directory=build_directory(self.config, num_nodes, seed, self.sim),
             faults=self.faults,
         )
 

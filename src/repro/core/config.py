@@ -35,8 +35,6 @@ class CoopCacheConfig:
     #: Forward evicted masters to the peer with the oldest block (the
     #: traditional "second chance").  Off = drop masters like replicas.
     forward_on_evict: bool = True
-    #: Refresh a master's age when it serves a peer's remote hit.
-    touch_on_peer_hit: bool = True
     #: Directory type: "perfect" (the paper's optimistic assumption),
     #: "hints" (Sarkar & Hartman-style, see :mod:`repro.core.hints`) or
     #: "partitioned" (consistent-hash homes with bounded staleness, see
@@ -45,9 +43,6 @@ class CoopCacheConfig:
     #: Probability a hint lookup points at the true master location
     #: (Sarkar & Hartman report ~98% achievable).  Only with "hints".
     hint_accuracy: float = 0.98
-    #: Virtual nodes per physical node on the consistent-hash ring
-    #: (load spreading).  Only with "partitioned".
-    dir_vnodes: int = 32
     #: Bounded-staleness window (simulated ms) of partitioned routing
     #: answers — the asynchrony of directory update propagation.  Zero
     #: makes routing exact (the differential-test configuration).  Only
@@ -61,9 +56,6 @@ class CoopCacheConfig:
     #: dirty masters in memory and flushes them on eviction;
     #: "write-through" flushes every write to the home disk immediately.
     write_policy: str = "write-back"
-    #: Age gap (simulated ms) for the "hybrid" policy's cold-master
-    #: escape hatch (ablation A9); ignored by other policies.
-    hybrid_bias_ms: float = 1_000.0
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
@@ -76,14 +68,10 @@ class CoopCacheConfig:
             raise ValueError(f"unknown directory type {self.directory!r}")
         if not 0.0 <= self.hint_accuracy <= 1.0:
             raise ValueError("hint_accuracy must be in [0, 1]")
-        if self.dir_vnodes < 1:
-            raise ValueError("dir_vnodes must be >= 1")
         if self.dir_staleness_ms < 0:
             raise ValueError("dir_staleness_ms must be >= 0")
         if self.write_policy not in ("write-back", "write-through"):
             raise ValueError(f"unknown write policy {self.write_policy!r}")
-        if self.hybrid_bias_ms < 0:
-            raise ValueError("hybrid_bias_ms must be >= 0")
 
     def with_overrides(self, **kwargs: object) -> "CoopCacheConfig":
         """Copy with fields replaced (for ablation sweeps)."""

@@ -893,9 +893,8 @@ class CoopCacheLayer:
             # The peer pins the blocks it is about to serve: presence and
             # recency are decided the instant the request is processed,
             # so a concurrent eviction cannot yank them mid-serve.
-            if self.config.touch_on_peer_hit:
-                for blk in present:
-                    peer_cache.touch(blk, self.sim.now)
+            for blk in present:
+                peer_cache.touch(blk, self.sim.now)
             # Peer CPU: "serve peer block request" per block.
             yield from self.prof.wait(
                 span, peer_id, "cpu",
@@ -1139,9 +1138,7 @@ class CoopCacheLayer:
     def _evict_one(self, node_id: int) -> None:
         """Free one slot at ``node_id`` per the configured policy."""
         cache = self.caches[node_id]
-        victim = select_victim(
-            self.config.policy, cache, self.config.hybrid_bias_ms
-        )
+        victim = select_victim(self.config.policy, cache)
         if victim is None:  # pragma: no cover - full implies non-empty
             raise RuntimeError("eviction requested on empty cache")
         blk, age, is_master = victim

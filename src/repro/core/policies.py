@@ -43,50 +43,41 @@ def _kmc(cache: BlockCache) -> Victim | None:
     return cache.oldest()
 
 
-#: Default age gap (simulated ms) beyond which the hybrid policy prefers
+#: Age gap (simulated ms) beyond which the hybrid policy prefers
 #: evicting a very cold master over a recently used replica.
-DEFAULT_HYBRID_BIAS_MS = 1_000.0
+HYBRID_BIAS_MS = 1_000.0
 
 
-def _hybrid(cache: BlockCache, bias_ms: float) -> Victim | None:
+def _hybrid(cache: BlockCache) -> Victim | None:
     """KMC with an escape hatch for extremely cold masters.
 
     The paper notes KMC "is rather extreme; it leads to all memories
     holding only master copies, which does not necessarily lead to best
     performance" and that the policy "can likely be improved".  This
     variant tests one improvement: protect masters as KMC does, *unless*
-    the locally oldest master is more than ``bias_ms`` older than the
-    oldest replica — such a master is deep in the cold tail and keeping
-    a recently touched replica (a likely local hit) is the better trade.
-    Ablation A9 evaluates it.
+    the locally oldest master is more than :data:`HYBRID_BIAS_MS` older
+    than the oldest replica — such a master is deep in the cold tail and
+    keeping a recently touched replica (a likely local hit) is the better
+    trade.  Ablation A9 evaluates it.
     """
     nm = cache.oldest_nonmaster()
     overall = cache.oldest()
     if nm is None or overall is None:
         return overall
     blk, age, is_master = overall
-    if is_master and age + bias_ms < nm[1]:
+    if is_master and age + HYBRID_BIAS_MS < nm[1]:
         return overall  # the master is extremely cold: let it go
     return (nm[0], nm[1], False)
 
 
-POLICIES = {
-    "basic": lambda cache, bias_ms: _basic(cache),
-    "kmc": lambda cache, bias_ms: _kmc(cache),
-    "hybrid": _hybrid,
-}
+POLICIES = {"basic": _basic, "kmc": _kmc, "hybrid": _hybrid}
 
 
-def select_victim(
-    policy: str,
-    cache: BlockCache,
-    hybrid_bias_ms: float = DEFAULT_HYBRID_BIAS_MS,
-) -> Victim | None:
+def select_victim(policy: str, cache: BlockCache) -> Victim | None:
     """Choose the eviction victim for ``cache`` under ``policy``.
 
     Returns None for an empty cache.  Raises for unknown policy names so
-    configuration typos fail fast.  ``hybrid_bias_ms`` only affects the
-    ``hybrid`` policy.
+    configuration typos fail fast.
     """
     try:
         selector = POLICIES[policy]
@@ -94,4 +85,4 @@ def select_victim(
         raise ValueError(
             f"unknown replacement policy {policy!r}; choose from {sorted(POLICIES)}"
         ) from None
-    return selector(cache, hybrid_bias_ms)
+    return selector(cache)

@@ -7,12 +7,12 @@ one cell table that :func:`run_figures` runs
 (:mod:`~repro.experiments.runner`) and the sharded cell runner
 (:mod:`~repro.experiments.parallel`).
 
-Scaling: by default workloads run at ``SCALE`` (see
+Scaling: by default workloads run at ``defaults.SCALE`` (see
 :mod:`~repro.experiments.defaults`); set ``REPRO_FULL=1`` for full-size
 traces.
 """
 
-from .defaults import NUM_CLIENTS, NUM_REQUESTS, PAPER_MEMORY_MB, SCALE, workload
+from .defaults import PAPER_MEMORY_MB, workload
 from .figures import (
     ALL_SYSTEMS,
     CC_VARIANTS,
@@ -53,5 +53,5 @@ __all__ = [
     "render_fig1", "render_fig2", "render_fig3", "render_fig4",
     "render_fig5", "render_fig6a", "render_fig6b",
     "format_table", "format_kv", "banner",
-    "SCALE", "NUM_REQUESTS", "NUM_CLIENTS", "PAPER_MEMORY_MB", "workload",
+    "PAPER_MEMORY_MB", "workload",
 ]

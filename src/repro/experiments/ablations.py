@@ -17,7 +17,7 @@ run.  DESIGN.md §3 motivates each study.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Any
@@ -27,7 +27,6 @@ import numpy as np
 from ..cache.block import FileLayout
 from ..cache.directory import HomeMap
 from ..cluster.cluster import Cluster
-from ..core.api import blocks_for_mb
 from ..core.config import CoopCacheConfig, variant
 from ..core.middleware import CoopCacheLayer
 from ..core.wholefile import WholeFileCoopServer
@@ -42,7 +41,7 @@ from ..web.server import CoopCacheWebServer
 from . import defaults
 from .parallel import run_cells
 from .report import format_table
-from .runner import ExperimentConfig, ExperimentResult, run_experiment
+from .runner import ExperimentConfig, ExperimentResult, cc_layer, run_experiment
 
 __all__ = [
     "Ablation", "ABLATIONS", "METRICS", "run_ablation", "render_ablation",
@@ -140,11 +139,9 @@ def _hot_on_node0(cfg: ExperimentConfig, point: Any) -> ExperimentResult:
 
     def build(cluster, layout, homes):
         homes.concentrate((int(f) for f in hot), node_id=0)
-        return CoopCacheWebServer(CoopCacheLayer(
-            cluster, layout, homes,
-            blocks_for_mb(cfg.mem_mb_per_node, cfg.params),
-            config=variant("cc-kmc"),
-        ))
+        return CoopCacheWebServer(
+            cc_layer(cfg, cluster, layout, homes, variant("cc-kmc"))
+        )
 
     return _drive(cfg, build)
 
@@ -179,9 +176,8 @@ def _read_write(write_policy: str, cfg: ExperimentConfig,
     probability ``write_ratio``, under ``write_policy``."""
     rng = stream(17, "a7", write_policy, int(write_ratio * 1000))
     return _drive(cfg, lambda cluster, layout, homes: _ReadWriteService(
-        CoopCacheLayer(cluster, layout, homes,
-                       blocks_for_mb(cfg.mem_mb_per_node, cfg.params),
-                       config=CoopCacheConfig(write_policy=write_policy)),
+        cc_layer(cfg, cluster, layout, homes,
+                 CoopCacheConfig(write_policy=write_policy)),
         write_ratio, rng,
     ))
 
@@ -316,13 +312,14 @@ def render_ablation(record: dict) -> str:
 # ---------------------------------------------------------------------------
 # A10: availability and graceful degradation under injected crashes
 # ---------------------------------------------------------------------------
-def a10_faults(
-    trace_name: str = "rutgers",
-    crash_rates: Sequence[float] = (0.0, 1.0, 3.0),
-    mem_mb: float | None = None,
-    num_nodes: int = 8,
-    plan_seed: int = 1,
-) -> dict:
+#: A10's expected crashes per node over a run, its cluster size and the
+#: seed of its fault plans.
+_A10_CRASH_RATES = (0.0, 1.0, 3.0)
+_A10_NODES = 8
+_A10_PLAN_SEED = 1
+
+
+def a10_faults() -> dict:
     """Throughput/response degradation vs crash rate (DESIGN.md S14).
 
     The paper evaluates a perfect cluster; this ablation asks what each
@@ -333,26 +330,26 @@ def a10_faults(
     must terminate — degraded or "failed", never hung — so the sweep
     doubles as an availability check on all four systems.
     """
-    trace = defaults.workload(trace_name)
-    mem = mem_mb if mem_mb is not None else _default_mem()
+    trace = defaults.workload(_TRACE)
+    mem = _default_mem()
     systems = []
     for system in ("press", "cc-basic", "cc-sched", "cc-kmc"):
         cfg = ExperimentConfig(
             system=system,
             trace=trace,
-            num_nodes=num_nodes,
+            num_nodes=_A10_NODES,
             mem_mb_per_node=mem,
             num_clients=defaults.NUM_CLIENTS,
         )
         base = run_experiment(cfg)
         horizon = base.workload.total_ms
         points = []
-        for rate in crash_rates:
+        for rate in _A10_CRASH_RATES:
             if rate <= 0.0:
                 res = base
             else:
                 plan = FaultPlan.random(
-                    plan_seed, horizon, num_nodes, crashes_per_node=rate
+                    _A10_PLAN_SEED, horizon, _A10_NODES, crashes_per_node=rate
                 )
                 res = run_experiment(replace(cfg, faults=plan))
             w = res.workload
@@ -371,17 +368,16 @@ def a10_faults(
             )
         systems.append({"system": system, "points": points})
     return {
-        "trace": trace_name,
+        "trace": _TRACE,
         "mem_mb": mem,
-        "num_nodes": num_nodes,
-        "crash_rates": list(crash_rates),
+        "num_nodes": _A10_NODES,
+        "crash_rates": list(_A10_CRASH_RATES),
         "systems": systems,
     }
 
 
-def render_a10(data: dict | None = None, **kw) -> str:
+def render_a10(data: dict) -> str:
     """Print-ready A10."""
-    data = data or a10_faults(**kw)
     rows = []
     for sysrow in data["systems"]:
         for p in sysrow["points"]:

@@ -97,7 +97,7 @@ ARTIFACTS: dict[str, Callable[..., str]] = {
     "fig6b": figures.render_fig6b,
     "fig_ring": lambda: figures.render_fig_ring(figures.fig_ring()),
     **{name: partial(_render_ablation, name) for name in ablations.ABLATIONS},
-    "a10": ablations.render_a10,
+    "a10": lambda: ablations.render_a10(ablations.a10_faults()),
 }
 
 
@@ -345,7 +345,7 @@ def sweep_command(argv) -> int:
     memories = defaults.memory_points_mb(
         defaults.BENCH_MEMORY_MB if opts.memory_axis == "bench" else None
     )
-    trace_names = opts.workloads or list(TRACE_NAMES)
+    trace_names = list(dict.fromkeys(opts.workloads or TRACE_NAMES))
     spec = figures.FIGURES[_SWEEP_FIGURE](
         memories, [(name, opts.nodes) for name in trace_names]
     )
@@ -760,8 +760,17 @@ def _configure_logging(args) -> list:
 
 
 def main(argv=None) -> int:
-    """Render the requested artifacts to stdout; returns an exit code."""
+    """Render the requested artifacts to stdout; returns an exit code
+    (2 for a usage error, a bad ``REPRO_*`` knob included)."""
     args = _configure_logging(list(sys.argv[1:] if argv is None else argv))
+    try:
+        return _dispatch(args)
+    except defaults.KnobError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: list) -> int:
     if args and args[0] == "run":
         return run_command(args[1:])
     if args and args[0] == "chaos":

@@ -36,7 +36,7 @@ __all__ = [
     "fig1", "render_fig1",
     "render_fig2", "render_fig3", "render_fig4", "render_fig5",
     "render_fig6a", "render_fig6b",
-    "fig_ring", "render_fig_ring",
+    "fig_ring", "render_fig_ring", "RING_CAPACITIES",
     "CC_VARIANTS", "ALL_SYSTEMS",
 ]
 
@@ -49,21 +49,21 @@ ALL_SYSTEMS = ["press"] + CC_VARIANTS
 # ---------------------------------------------------------------------------
 # Figure 1: trace popularity/size CDF
 # ---------------------------------------------------------------------------
-def fig1(trace_name: str = "rutgers", points: int = 20) -> dict[str, list]:
+def fig1() -> dict[str, list]:
     """Figure 1: cumulative request fraction and cumulative file-set size
-    vs files sorted by request frequency (Rutgers in the paper).
+    vs files sorted by request frequency, for Rutgers as in the paper.
 
-    Returns ``points`` samples along the (normalized) file axis plus the
-    paper's anchor: the MB needed to cover 99% of requests.
+    Returns 20 samples along the (normalized) file axis plus the paper's
+    anchor: the MB needed to cover 99% of requests.
     """
-    trace = defaults.workload(trace_name)
+    trace = defaults.workload("rutgers")
     cum_req, cum_mb = popularity_cdf(trace)
     n = len(cum_req)
     idxs = np.unique(
-        np.clip((np.linspace(0.0, 1.0, points) * (n - 1)).astype(int), 0, n - 1)
+        np.clip((np.linspace(0.0, 1.0, 20) * (n - 1)).astype(int), 0, n - 1)
     )
     return {
-        "trace": trace_name,
+        "trace": "rutgers",
         "file_fraction": [float(i / (n - 1) if n > 1 else 1.0) for i in idxs],
         "cum_request_fraction": [float(cum_req[i]) for i in idxs],
         "cum_size_mb": [float(cum_mb[i]) for i in idxs],
@@ -100,7 +100,7 @@ def render_fig1(data: dict) -> str:
 # Figures 2-6b: one cell table
 # ---------------------------------------------------------------------------
 #: A figure cell: ``(trace, nodes, system, MB/node)``.  Every figure cell
-#: runs with the default params, home strategy and seed and with
+#: runs with the default params and seed and with
 #: ``defaults.NUM_CLIENTS`` clients, so these four coordinates name it.
 Cell = tuple[str, int, str, float]
 
@@ -516,15 +516,18 @@ def render_fig6b(data: dict) -> str:
 # ---------------------------------------------------------------------------
 # Figure R: partitioned-directory miss-ratio convergence
 # ---------------------------------------------------------------------------
-def fig_ring(
-    node_counts: Sequence[int] = (16, 64, 256),
-    capacities_per_node: Sequence[int] = (4, 16, 64),
-    num_files: int = 60_000,
-    num_requests: int = 150_000,
-    theta: float = 0.8,
-    vnodes: int = 64,
-    seed: int = 0,
-) -> dict:
+#: Figure R's analytic model: cluster sizes, per-node capacities in
+#: blocks, the seeded Zipf request stream, and ring points per node.
+RING_NODE_COUNTS = (16, 64, 256)
+RING_CAPACITIES = (4, 16, 64)
+RING_NUM_FILES = 60_000
+RING_NUM_REQUESTS = 150_000
+RING_THETA = 0.8
+RING_VNODES = 64
+RING_SEED = 0
+
+
+def fig_ring() -> dict:
     """Companion figure: miss-ratio convergence of the hash-partitioned
     LRU toward a single LRU of the aggregate capacity.
 
@@ -539,26 +542,28 @@ def fig_ring(
     """
     from ..analytic.ring import convergence_point, zipf_requests
 
-    requests = zipf_requests(num_files, num_requests, theta=theta, seed=seed)
+    requests = zipf_requests(RING_NUM_FILES, RING_NUM_REQUESTS,
+                             theta=RING_THETA, seed=RING_SEED)
     panels = {}
-    for nodes in node_counts:
+    for nodes in RING_NODE_COUNTS:
         points = [
-            convergence_point(requests, nodes, cap, vnodes=vnodes, seed=seed)
-            for cap in capacities_per_node
+            convergence_point(requests, nodes, cap, vnodes=RING_VNODES,
+                              seed=RING_SEED)
+            for cap in RING_CAPACITIES
         ]
         panels[str(nodes)] = {
-            "capacities_per_node": [int(c) for c in capacities_per_node],
+            "capacities_per_node": list(RING_CAPACITIES),
             "partitioned_miss": [p["partitioned_miss"] for p in points],
             "single_miss": [p["single_miss"] for p in points],
             "gap": [p["gap"] for p in points],
         }
     return {
-        "num_files": num_files,
-        "num_requests": num_requests,
-        "theta": theta,
-        "vnodes": vnodes,
-        "seed": seed,
-        "node_counts": [int(n) for n in node_counts],
+        "num_files": RING_NUM_FILES,
+        "num_requests": RING_NUM_REQUESTS,
+        "theta": RING_THETA,
+        "vnodes": RING_VNODES,
+        "seed": RING_SEED,
+        "node_counts": list(RING_NODE_COUNTS),
         "panels": panels,
     }
 

@@ -59,6 +59,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Callable, IO, Optional
 
+from .defaults import env_knob
 from .runner import (
     ExperimentConfig, ExperimentResult, run_experiment, system_label,
 )
@@ -76,19 +77,16 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Environment knob: default worker count for sweeps (0/unset = serial).
+#: Environment knob: default worker count for sweeps (unset = serial).
 WORKERS_ENV = "REPRO_WORKERS"
+#: A cell whose wall-clock exceeds this multiple of the sweep's median
+#: is a straggler.
+STRAGGLER_FACTOR = 3.0
 
 
 def default_workers() -> int:
     """Worker count from ``REPRO_WORKERS`` (default 1 = serial)."""
-    raw = os.environ.get(WORKERS_ENV)
-    if not raw:
-        return 1
-    value = int(raw)
-    if value < 1:
-        raise ValueError(f"{WORKERS_ENV} must be >= 1, got {value}")
-    return value
+    return env_knob(WORKERS_ENV, 1, int, lambda n: n >= 1, "an integer >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +248,16 @@ def _run_cell_job(job: _CellJob) -> CellOutcome:
         )
 
 
+def _run_pooled_cell_job(job: _CellJob) -> CellOutcome:
+    """Pool entry point: :func:`_run_cell_job` whose result travels back
+    without its config, which holds the cell's whole trace; the parent
+    re-attaches the config it submitted."""
+    outcome = _run_cell_job(job)
+    if outcome.result is not None:
+        del outcome.result.config
+    return outcome
+
+
 # ---------------------------------------------------------------------------
 # live progress telemetry
 # ---------------------------------------------------------------------------
@@ -261,7 +269,7 @@ class SweepProgress:
     visibility into a sharded sweep without perturbing the merged
     results.  ``clock`` is injectable (monotonic seconds) so tests pin
     the event stream byte-for-byte.  A cell whose wall-clock exceeds
-    ``straggler_factor`` × the median is flagged a straggler in the
+    :data:`STRAGGLER_FACTOR` × the median is flagged a straggler in the
     ``end`` event and the summary.
     """
 
@@ -270,16 +278,12 @@ class SweepProgress:
         total: int,
         path: Optional[str] = None,
         clock: Optional[Callable[[], float]] = None,
-        straggler_factor: float = 3.0,
         stream: Optional[IO[str]] = None,
     ) -> None:
         if total < 0:
             raise ValueError("total must be >= 0")
-        if straggler_factor <= 1.0:
-            raise ValueError("straggler_factor must be > 1")
         self.total = total
         self.path = path
-        self.straggler_factor = straggler_factor
         self._clock: Callable[[], float] = (
             clock if clock is not None else time.monotonic  # simlint: disable=SL02 -- progress heartbeats are operator telemetry, never sim state
         )
@@ -366,7 +370,7 @@ class SweepProgress:
             }
             for wall, info in sorted(self._walls,
                                      key=lambda wi: (wi[0], wi[1].index))
-            if wall > self.straggler_factor * median
+            if wall > STRAGGLER_FACTOR * median
         ]
 
     def summary(self) -> dict[str, Any]:
@@ -467,8 +471,10 @@ def run_cells_observed(
             # balance over batching.  imap_unordered surfaces outcomes in
             # completion order for live progress; the indexed reassembly
             # below restores submission order exactly.
-            for outcome in pool.imap_unordered(_run_cell_job, jobs,
+            for outcome in pool.imap_unordered(_run_pooled_cell_job, jobs,
                                                chunksize=1):
+                if outcome.result is not None:
+                    outcome.result.config = cells[outcome.info.index]
                 outcomes[outcome.info.index] = outcome
                 if progress is not None:
                     progress.cell_done(outcome)

@@ -23,25 +23,22 @@ from dataclasses import dataclass, field
 
 from ..cache.block import FileLayout
 from ..cache.directory import HomeMap
-from ..cache.hashring import PartitionedDirectory
 from ..cluster.cluster import Cluster
 from ..cluster.disk import SCAN
-from ..core.api import blocks_for_mb
+from ..core.api import blocks_for_mb, build_directory
 from ..core.config import CoopCacheConfig, variant
-from ..core.hints import HintDirectory
 from ..core.middleware import CoopCacheLayer
 from ..params import DEFAULT_PARAMS, SimParams
 from ..press.server import PressServer
 from ..sim.engine import Simulator
 from ..sim.faults import FaultInjector, FaultPlan
-from ..sim.rng import stream
 from ..traces.model import Trace
 from ..web.client import ClosedLoopDriver, WorkloadResult
 from ..web.server import CoopCacheWebServer
 
 __all__ = [
     "ExperimentConfig", "ExperimentResult", "run_experiment", "system_label",
-    "SYSTEMS", "DIRECTORY_ENV",
+    "cc_layer", "SYSTEMS", "DIRECTORY_ENV",
 ]
 
 logger = logging.getLogger(__name__)
@@ -87,7 +84,6 @@ class ExperimentConfig:
     num_clients: int = 64
     warmup_frac: float = 0.25
     params: SimParams = field(default_factory=lambda: DEFAULT_PARAMS)
-    home_strategy: str = "round_robin"
     seed: int = 0
     #: Fault schedule injected into the run; the empty plan (default)
     #: adds zero kernel events and reproduces the golden traces.
@@ -131,39 +127,37 @@ class ExperimentResult:
         return self.workload.mean_response_ms
 
 
-def _build_cc(
-    cfg: ExperimentConfig, sim: Simulator, config: CoopCacheConfig, obs=None,
-    faults=None,
-):
+def cc_layer(
+    cfg: ExperimentConfig, cluster: Cluster, layout: FileLayout,
+    homes: HomeMap, config: CoopCacheConfig, obs=None, faults=None,
+) -> CoopCacheLayer:
+    """The middleware layer of point ``cfg`` under ``config``, with the
+    directory that ``config`` and the ``REPRO_DIRECTORY`` knob select."""
     config = _apply_directory_env(config)
-    cluster = Cluster(
-        sim, cfg.params, cfg.num_nodes, disk_discipline=config.disk_discipline
-    )
-    layout = FileLayout(cfg.trace.sizes_kb, cfg.params)
-    homes = HomeMap(layout.num_files, cfg.num_nodes, cfg.home_strategy)
-    directory = None
-    if config.directory == "hints":
-        directory = HintDirectory(
-            config.hint_accuracy, cfg.num_nodes, stream(cfg.seed, "hints")
-        )
-    elif config.directory == "partitioned":
-        directory = PartitionedDirectory(
-            cfg.num_nodes,
-            vnodes=config.dir_vnodes,
-            seed=cfg.seed,
-            staleness_ms=config.dir_staleness_ms,
-        )
-        directory.attach(sim)
-    layer = CoopCacheLayer(
+    return CoopCacheLayer(
         cluster,
         layout,
         homes,
         capacity_blocks=blocks_for_mb(cfg.mem_mb_per_node, cfg.params),
         config=config,
-        directory=directory,
+        directory=build_directory(config, cfg.num_nodes, cfg.seed,
+                                  cluster.sim),
         obs=obs,
         faults=faults,
     )
+
+
+def _build_cc(
+    cfg: ExperimentConfig, sim: Simulator, config: CoopCacheConfig, obs=None,
+    faults=None,
+):
+    cluster = Cluster(
+        sim, cfg.params, cfg.num_nodes, disk_discipline=config.disk_discipline
+    )
+    layout = FileLayout(cfg.trace.sizes_kb, cfg.params)
+    homes = HomeMap(layout.num_files, cfg.num_nodes)
+    layer = cc_layer(cfg, cluster, layout, homes, config, obs=obs,
+                     faults=faults)
     return cluster, CoopCacheWebServer(layer, obs=obs)
 
 

@@ -50,6 +50,9 @@ __all__ = [
     "NULL_CACHESCOPE",
 ]
 
+#: Entries the eviction-provenance ledger keeps (the newest win).
+LEDGER_SIZE = 256
+
 #: Per-window point-event series kept by the scope.
 _EVENT_SERIES = (
     "master_evictions", "nonmaster_evictions", "violations",
@@ -74,13 +77,10 @@ class CacheScope:
     #: Real scopes record; the null scope advertises False so callers can
     #: skip building hook arguments entirely.
     active = True
+    #: Width (simulated ms) of the scope's time windows.
+    window_ms = 100.0
 
-    def __init__(self, window_ms: float = 100.0, ledger_size: int = 256):
-        if window_ms <= 0:
-            raise ValueError("window_ms must be positive")
-        if ledger_size < 1:
-            raise ValueError("ledger_size must be >= 1")
-        self.window_ms = float(window_ms)
+    def __init__(self) -> None:
         self._clock = lambda: 0.0
         self._layout = None
         self._directory = None
@@ -109,7 +109,7 @@ class CacheScope:
         self._hops: dict[Any, int] = {}
         self._hop_hist: dict[int, int] = {}
         # -- eviction provenance ring buffer --
-        self.ledger: deque = deque(maxlen=ledger_size)
+        self.ledger: deque = deque(maxlen=LEDGER_SIZE)
 
     # ------------------------------------------------------------------
     # wiring

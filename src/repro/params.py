@@ -57,7 +57,7 @@ class CPUParams:
     #: "Process an evicted master block": CPU time to absorb a forwarded
     #: master copy at its destination.
     evicted_master_ms: float = 0.016
-    #: Cost to forward a request to another node (PRESS hand-off path).
+    #: Cost to forward a request to another node (PRESS forwarding path).
     forward_request_ms: float = 0.05
     #: Process a replica-invalidation message for one block (the write
     #: protocol extension; paper Section 6 future work).
@@ -188,8 +188,6 @@ class SimParams:
     #: models "service centers with finite queues"; the default is large
     #: enough that drops signal a configuration error rather than policy.
     queue_limit: int = 100_000
-    #: PRESS-only: model the ~7% TCP-handoff CPU advantage (paper Sec. 6).
-    press_tcp_handoff: bool = False
     #: Failure detection / retry constants (only consulted when a
     #: :class:`~repro.sim.faults.FaultInjector` is active).
     faults: FaultParams = field(default_factory=FaultParams)
@@ -238,12 +236,4 @@ HARDWARE_CONFIGS: dict[str, SimParams] = {
     "lan-100mb": DEFAULT_PARAMS.with_overrides(network=lan_params(100)),
     "lan-1gb": DEFAULT_PARAMS.with_overrides(network=lan_params(1000)),
     "lan-10gb": DEFAULT_PARAMS.with_overrides(network=lan_params(10000)),
-    "slow-disk": DEFAULT_PARAMS.with_overrides(
-        disk=DiskParams(seek_ms=12.0, metadata_seek_ms=12.0,
-                        transfer_per_kb_ms=1.0 / 20.0)
-    ),
-    "fast-disk": DEFAULT_PARAMS.with_overrides(
-        disk=DiskParams(seek_ms=4.0, metadata_seek_ms=4.0,
-                        transfer_per_kb_ms=1.0 / 80.0)
-    ),
 }

@@ -14,14 +14,15 @@ PRESS lineage).  Behaviour reproduced:
   node.
 * **Load-aware replication**: "If a node becomes overloaded, however,
   [it] will replicate a subset of the files, sacrificing memory
-  efficiency for load balancing."  When the serving node's load exceeds
-  ``replicate_threshold`` and a much less loaded node exists, the file is
+  efficiency for load balancing."  When the serving node's load reaches
+  :data:`REPLICATE_THRESHOLD` and a node at least
+  :data:`REPLICATE_HEADROOM` jobs less loaded exists, the file is
   replicated there in the background.
 * **De-replication** lives in :class:`~repro.press.filecache.FileCache`.
-* **TCP hand-off**: forwarded requests are answered straight from the
-  serving node (the ~7% advantage the paper grants PRESS); setting
-  ``SimParams.press_tcp_handoff=False`` relays replies through the
-  entry node instead.
+* **Reply relay**: a forwarded request's reply travels from the serving
+  node back through the entry node, which answers the client.  The
+  paper's PRESS uses TCP hand-off (the serving node answers directly,
+  the ~7% advantage the paper grants it); this model does not.
 
 Hit accounting is block-weighted (a hit on a 5-block file counts 5) so
 Figure 4 compares PRESS and the middleware on the same denominator.
@@ -45,8 +46,14 @@ from .filecache import FileCache, ReplicaDirectory
 
 __all__ = ["PressServer"]
 
-#: KB of an intra-cluster forward/handoff control message.
+#: KB of an intra-cluster forward control message.
 FORWARD_MSG_KB = 0.2
+#: Serving-node load (queued jobs) at which PRESS considers a file hot
+#: enough to replicate.
+REPLICATE_THRESHOLD = 8
+#: Minimum load gap to the replication target (prevents replication
+#: storms between equally busy nodes).
+REPLICATE_HEADROOM = 4
 
 
 class PressServer:
@@ -57,18 +64,9 @@ class PressServer:
         cluster: Cluster,
         layout: FileLayout,
         capacity_kb: float,
-        replicate_threshold: int = 8,
-        replicate_headroom: int = 4,
         obs=None,
         faults=None,
     ):
-        """``replicate_threshold``: serving-node load (queued jobs) above
-        which PRESS considers a file hot enough to replicate;
-        ``replicate_headroom``: minimum load gap to the replication
-        target (prevents replication storms between equally busy nodes).
-        """
-        if replicate_threshold < 1:
-            raise ValueError("replicate_threshold must be >= 1")
         self.cluster = cluster
         self.sim = cluster.sim
         self.params: SimParams = cluster.params
@@ -84,8 +82,6 @@ class PressServer:
                       scope=cache_scope)
             for node in cluster.nodes
         ]
-        self.replicate_threshold = replicate_threshold
-        self.replicate_headroom = replicate_headroom
         self.counters = CounterSet()
         #: Request tracer (no-op unless an Observability bundle is given).
         self.tracer = obs.tracer if obs is not None else NULL_TRACER
@@ -200,8 +196,7 @@ class PressServer:
                 # entry node reads its own copy instead.
                 yield from self._failover_to_local_disk(node, file_id, span)
                 return "coalesced"
-            reply_via = target if self.params.press_tcp_handoff else node
-            yield from self._serve_from_memory(target, reply_via, file_id,
+            yield from self._serve_from_memory(target, node, file_id,
                                                parent=span)
             return "coalesced"
 
@@ -268,21 +263,16 @@ class PressServer:
             or not self.faults.link_ok(entry.node_id, target.node_id)
         ):
             # Target died (or vanished behind a dropped link) while the
-            # hand-off was in flight: the entry node serves from its own
+            # forward was in flight: the entry node serves from its own
             # disk copy instead.
             yield from self._failover_to_local_disk(entry, file_id, span)
             span.finish(failover=True)
             return
         if from_disk:
             yield from self._read_from_disk(target, file_id, parent=span)
-        if self.params.press_tcp_handoff:
-            # Hand-off: the reply leaves the serving node directly.
-            yield from self._serve_from_memory(target, target, file_id,
-                                               parent=span)
-        else:
-            # Relay: serving node sends to the entry node, which replies.
-            yield from self._serve_from_memory(target, entry, file_id,
-                                               parent=span)
+        # Relay: the serving node sends to the entry node, which replies.
+        yield from self._serve_from_memory(target, entry, file_id,
+                                           parent=span)
         span.finish()
 
     # ------------------------------------------------------------------
@@ -391,7 +381,7 @@ class PressServer:
 
     def _maybe_replicate(self, server: Node, file_id: int) -> None:
         """Load-aware replication of a hot file off an overloaded node."""
-        if server.load < self.replicate_threshold:
+        if server.load < REPLICATE_THRESHOLD:
             return
         candidates = [
             n.node_id
@@ -402,7 +392,7 @@ class PressServer:
         if not candidates:
             return
         target_id = self._least_loaded(candidates)
-        if self.cluster.nodes[target_id].load > server.load - self.replicate_headroom:
+        if self.cluster.nodes[target_id].load > server.load - REPLICATE_HEADROOM:
             return
         size_kb = self.layout.size_kb(file_id)
         if not self.caches[target_id].fits(size_kb):

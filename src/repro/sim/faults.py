@@ -6,7 +6,7 @@ matters when something breaks.  This module makes breakage a first-class,
 *deterministic* simulation input:
 
 * :class:`FaultPlan` — an immutable, seeded schedule of fault events
-  (node crashes/restarts, link drops, disk stalls, LAN degradation),
+  (node crashes/restarts, link drops, disk stalls),
   serializable to JSON so a chaotic run can be replayed exactly.
 * :class:`FaultInjector` — installs a plan into a running simulation,
   flips cluster state at the scheduled instants, and answers the
@@ -61,9 +61,13 @@ FAULT_KINDS = (
     "link_down",    # the (node, peer) link drops messages
     "link_up",      # the link recovers
     "disk_stall",   # node's disk head freezes for extra_ms
-    "lan_degrade",  # every wire hop gains extra_ms of latency
-    "lan_restore",  # wire latency back to nominal
 )
+
+#: Mean crash downtime, link outage and disk stall of a random plan, as
+#: fractions of its horizon.
+MEAN_DOWNTIME_FRAC = 0.15
+LINK_DOWN_FRAC = 0.05
+STALL_FRAC = 0.05
 
 
 class RequestAborted(RuntimeError):
@@ -85,7 +89,7 @@ class FaultEvent:
     node: int | None = None
     #: Link endpoint B (link_down / link_up only).
     peer: int | None = None
-    #: Duration (disk_stall) or added latency (lan_degrade), in ms.
+    #: Duration of a disk_stall, in ms.
     extra_ms: float = 0.0
 
     def __post_init__(self) -> None:
@@ -141,19 +145,14 @@ class FaultPlan:
         horizon_ms: float,
         num_nodes: int,
         crashes_per_node: float = 1.0,
-        mean_downtime_frac: float = 0.15,
         link_drops: int = 0,
-        link_down_frac: float = 0.05,
         disk_stalls: int = 0,
-        stall_frac: float = 0.05,
-        lan_degrade_ms: float = 0.0,
-        lan_degrade_frac: float = 0.25,
     ) -> "FaultPlan":
         """A seeded random schedule over ``[0, horizon_ms)``.
 
         ``crashes_per_node`` is the *expected* crash count per node over
         the horizon (each node draws a Poisson count); downtimes are
-        exponential with mean ``mean_downtime_frac * horizon_ms``.  The
+        exponential with mean ``MEAN_DOWNTIME_FRAC * horizon_ms``.  The
         generator guarantees at least one node is up at every instant —
         a fully dark cluster has no behavior worth simulating — and that
         a node never crashes while already down.
@@ -174,7 +173,7 @@ class FaultPlan:
             for start in starts:
                 if start < prev_end:
                     continue
-                down = float(rng.exponential(mean_downtime_frac * horizon_ms))
+                down = float(rng.exponential(MEAN_DOWNTIME_FRAC * horizon_ms))
                 end = start + max(down, 1e-6)
                 candidates.append((start, end, node))
                 prev_end = end
@@ -194,22 +193,15 @@ class FaultPlan:
                 break
             a, b = (int(i) for i in rng.choice(num_nodes, size=2, replace=False))
             start = float(rng.uniform(0.0, horizon_ms))
-            down = max(float(rng.exponential(link_down_frac * horizon_ms)), 1e-6)
+            down = max(float(rng.exponential(LINK_DOWN_FRAC * horizon_ms)), 1e-6)
             events.append(FaultEvent("link_down", start, node=a, peer=b))
             events.append(FaultEvent("link_up", start + down, node=a, peer=b))
 
         for _ in range(disk_stalls):
             node = int(rng.integers(num_nodes))
             start = float(rng.uniform(0.0, horizon_ms))
-            dur = max(float(rng.exponential(stall_frac * horizon_ms)), 1e-6)
+            dur = max(float(rng.exponential(STALL_FRAC * horizon_ms)), 1e-6)
             events.append(FaultEvent("disk_stall", start, node=node, extra_ms=dur))
-
-        if lan_degrade_ms > 0.0:
-            start = float(rng.uniform(0.0, horizon_ms * (1.0 - lan_degrade_frac)))
-            events.append(FaultEvent("lan_degrade", start, extra_ms=lan_degrade_ms))
-            events.append(
-                FaultEvent("lan_restore", start + lan_degrade_frac * horizon_ms)
-            )
         return cls(tuple(events))
 
     # -- serialization ------------------------------------------------------
@@ -254,7 +246,7 @@ class FaultInjector:
     __slots__ = (
         "plan", "params", "counters", "tracer",
         "crash_listeners", "restart_listeners", "fault_listeners",
-        "sim", "cluster", "_backoff_rng", "_down", "_lost_links", "_lan_extra",
+        "sim", "cluster", "_backoff_rng", "_down", "_lost_links",
     )
 
     def __init__(self, plan: FaultPlan, params: SimParams, seed: int = 0,
@@ -280,13 +272,11 @@ class FaultInjector:
         self._backoff_rng = stream(seed, "faults", "backoff")
         self._down: set = set()
         self._lost_links: set = set()
-        self._lan_extra = 0.0
 
     def install(self, sim: Simulator, cluster: Cluster) -> None:
-        """Schedule the plan's events and hook the cluster's network."""
+        """Schedule the plan's events against ``cluster``."""
         self.sim = sim
         self.cluster = cluster
-        cluster.network.faults = self
         for ev in self.plan.events:
             sim.call_at(ev.at_ms, self._apply, ev)
 
@@ -300,10 +290,6 @@ class FaultInjector:
         if a is None or b is None or a == b:
             return True
         return frozenset((a, b)) not in self._lost_links
-
-    def extra_latency_ms(self) -> float:
-        """Added per-hop wire latency while the LAN is degraded."""
-        return self._lan_extra
 
     def alive_node_ids(self) -> list[int]:
         """Ids of currently-up nodes, ascending."""
@@ -355,14 +341,6 @@ class FaultInjector:
             self.counters.incr("disk_stalls")
             self.tracer.point("fault", node=ev.node, kind="disk_stall",
                               ms=ev.extra_ms)
-        elif kind == "lan_degrade":
-            self._lan_extra = ev.extra_ms
-            self.counters.incr("lan_degrades")
-            self.tracer.point("fault", node=None, kind="lan_degrade",
-                              ms=ev.extra_ms)
-        elif kind == "lan_restore":
-            self._lan_extra = 0.0
-            self.counters.incr("lan_restores")
         for fn in self.fault_listeners:
             fn(ev)
 
@@ -385,9 +363,6 @@ class NullFaultInjector:
 
     def link_ok(self, a: int, b: int) -> bool:
         return True
-
-    def extra_latency_ms(self) -> float:
-        return 0.0
 
     def backoff_ms(self, attempt: int) -> float:
         return 0.0

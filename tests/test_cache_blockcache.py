@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache import BlockCache, BlockId, CacheFullError, GlobalDirectory, HomeMap
-from repro.core.policies import POLICIES, select_victim
+from repro.core.policies import HYBRID_BIAS_MS, POLICIES, select_victim
 
 if TYPE_CHECKING:
     from repro.obs.cachestats import CacheScope
@@ -417,10 +417,9 @@ class RefBlockCache:
             self._scope.on_promote(self.node_id, block)
 
 
-#: Ages come from a small set so that ties are common.
-AGES = (0.0, 1.0)
-#: Hybrid bias small enough for both of its branches to fire at these ages.
-HYBRID_BIAS_MS = 0.5
+#: Ages come from a small set so that ties are common, and lie more than
+#: the hybrid bias apart so that both of its branches fire.
+AGES = (0.0, 2 * HYBRID_BIAS_MS)
 UNIVERSE = [b(i) for i in range(6)]
 
 #: (operation, pick, is_master, age or age step); ``pick`` indexes the
@@ -451,8 +450,7 @@ def assert_same_answers(new: BlockCache, ref: RefBlockCache) -> None:
     assert new.oldest() == ref.oldest()
     assert new.oldest_age() == ref.oldest_age()
     for policy in sorted(POLICIES):
-        assert (select_victim(policy, new, HYBRID_BIAS_MS)
-                == select_victim(policy, ref, HYBRID_BIAS_MS))
+        assert select_victim(policy, new) == select_victim(policy, ref)
 
 
 class TestMatchesReference:
@@ -498,8 +496,8 @@ class TestMatchesReference:
                         c.insert(blk, master=was_master, age=old_age)
             elif kind == "evict" and resident:
                 policy = sorted(POLICIES)[pick % len(POLICIES)]
-                victim = select_victim(policy, ref, HYBRID_BIAS_MS)
-                assert select_victim(policy, new, HYBRID_BIAS_MS) == victim
+                victim = select_victim(policy, ref)
+                assert select_victim(policy, new) == victim
                 removed[victim[0]] = victim[1:]
                 assert new.remove(victim[0]) == ref.remove(victim[0])
             assert_same_answers(new, ref)
@@ -567,10 +565,6 @@ class TestHomeMap:
         h = HomeMap(num_files=10, num_nodes=4)
         assert [h.home_of(f) for f in range(10)] == [f % 4 for f in range(10)]
 
-    def test_concentrated(self):
-        h = HomeMap(num_files=5, num_nodes=4, strategy="concentrated")
-        assert all(h.home_of(f) == 0 for f in range(5))
-
     def test_concentrate_subset(self):
         h = HomeMap(num_files=10, num_nodes=4)
         h.concentrate([1, 2, 3], node_id=2)
@@ -581,10 +575,6 @@ class TestHomeMap:
         h = HomeMap(num_files=10, num_nodes=4)
         with pytest.raises(ValueError):
             h.concentrate([1], node_id=7)
-
-    def test_bad_strategy(self):
-        with pytest.raises(ValueError):
-            HomeMap(5, 2, strategy="random")
 
     def test_bad_counts(self):
         with pytest.raises(ValueError):

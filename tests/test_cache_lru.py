@@ -90,17 +90,6 @@ class TestAgedLRU:
         lru.add(b(2), 0.5)
         assert lru.oldest() == (b(2), 0.5)
 
-    def test_compact_preserves_order(self):
-        lru = AgedLRU()
-        for i in range(20):
-            lru.add(b(i), float(i))
-        for i in range(0, 20, 2):
-            lru.touch(b(i), 100.0 + i)
-        before = lru.oldest()
-        lru.compact()
-        assert lru.heap_size == len(lru)
-        assert lru.oldest() == before
-
     def test_iter_and_contains(self):
         lru = AgedLRU()
         lru.add(b(1), 1.0)

@@ -72,6 +72,75 @@ class TestCli:
         assert set(cli.ARTIFACTS) == expected
 
 
+class TestEnvKnobs:
+    @pytest.fixture
+    def unread_knobs(self, monkeypatch):
+        """Forget the workload knobs already read, so the command under
+        test reads them from the environment it sets."""
+        from repro.experiments import defaults
+
+        for name in ("SCALE", "NUM_REQUESTS", "NUM_CLIENTS"):
+            monkeypatch.delattr(defaults, name, raising=False)
+        for name in ("REPRO_FULL", "REPRO_SCALE", "REPRO_REQUESTS",
+                     "REPRO_CLIENTS", "REPRO_WORKERS"):
+            monkeypatch.delenv(name, raising=False)
+
+    @pytest.mark.parametrize("name, value, argv", [
+        ("REPRO_WORKERS", "0", ["fig6b"]),
+        ("REPRO_WORKERS", "abc", ["sweep"]),
+        ("REPRO_SCALE", "abc", ["run"]),
+        ("REPRO_SCALE", "nan", ["run"]),
+        ("REPRO_SCALE", "0", ["run"]),
+        ("REPRO_CLIENTS", "0", ["run"]),
+        ("REPRO_REQUESTS", "-5", ["run"]),
+    ])
+    def test_bad_knob_is_a_usage_error(
+        self, name, value, argv, unread_knobs, monkeypatch, capsys
+    ):
+        monkeypatch.setenv(name, value)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and name in err and repr(value) in err
+
+    def test_knob_range_edges_are_accepted(self, unread_knobs, monkeypatch):
+        from repro.experiments import defaults
+
+        monkeypatch.setenv("REPRO_SCALE", "1e-3")
+        monkeypatch.setenv("REPRO_REQUESTS", "0")  # the trace's own length
+        monkeypatch.setenv("REPRO_CLIENTS", "1")
+        assert (defaults.SCALE, defaults.NUM_REQUESTS,
+                defaults.NUM_CLIENTS) == (1e-3, 0, 1)
+
+    def test_bad_knob_does_not_break_the_import(self):
+        """The knobs are read on use, so the CLI itself still starts."""
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ, REPRO_SCALE="abc")
+        env.pop("REPRO_FULL", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.cli", "run"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: REPRO_SCALE must be positive and " \
+            "finite, got 'abc'\n"
+
+    def test_sweep_runs_a_repeated_workload_once(self, capsys, monkeypatch):
+        from repro.experiments import defaults
+
+        monkeypatch.setattr(defaults, "workload", lambda name: tiny_trace())
+        monkeypatch.setattr(defaults, "NUM_CLIENTS", 4)
+        monkeypatch.setattr(
+            defaults, "memory_points_mb", lambda points=None: [0.125]
+        )
+        assert cli.main(["sweep", "--workload", "rutgers", "--workload",
+                         "rutgers", "--nodes", "2", "--workers", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "4 (1 traces x 4 systems x 1 memory points)" in out
+
+
 class TestRunAndAnalyzeCli:
     @pytest.fixture()
     def tiny_defaults(self, monkeypatch):

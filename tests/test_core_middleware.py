@@ -69,18 +69,6 @@ class TestBasicProtocol:
         # the oldest thing in node 0's cache ordering vs a fresh block.
         assert layer.caches[0].age_of(blk) > 0.0
 
-    def test_no_touch_on_peer_hit_when_disabled(self):
-        cfg = variant("cc-kmc").with_overrides(touch_on_peer_hit=False)
-        svc = make(config=cfg)
-        read_seq(svc, [(0, 0)])
-        layer = svc.layer
-        ages_before = {
-            blk: layer.caches[0].age_of(blk) for blk in layer.layout.blocks(0)
-        }
-        read_seq(svc, [(1, 0)])
-        for blk, age in ages_before.items():
-            assert layer.caches[0].age_of(blk) == age
-
     def test_disk_read_at_remote_home_transfers_master(self):
         # File 1's home is node 1 (round robin), but node 3 reads it.
         svc = make()

@@ -54,9 +54,7 @@ class TestSelectVictim:
     def test_hybrid_protects_masters_normally(self):
         c = self.make_cache()
         # Oldest master age 1.0, oldest replica age 2.0: gap 1.0 < bias.
-        assert select_victim("hybrid", c, hybrid_bias_ms=10.0) == (
-            b(3), 2.0, False
-        )
+        assert select_victim("hybrid", c) == (b(3), 2.0, False)
 
     def test_hybrid_releases_extremely_cold_master(self):
         from repro.cache import BlockCache
@@ -64,9 +62,7 @@ class TestSelectVictim:
         c = BlockCache(0, 8)
         c.insert(b(1), master=True, age=1.0)       # ancient master
         c.insert(b(2), master=False, age=5000.0)   # recent replica
-        assert select_victim("hybrid", c, hybrid_bias_ms=100.0) == (
-            b(1), 1.0, True
-        )
+        assert select_victim("hybrid", c) == (b(1), 1.0, True)
 
     def test_hybrid_empty_and_masters_only(self):
         from repro.cache import BlockCache

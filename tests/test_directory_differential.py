@@ -49,8 +49,7 @@ _OPS = st.lists(
 
 def _pair():
     oracle = GlobalDirectory()
-    part = PartitionedDirectory(NUM_NODES, vnodes=16, seed=0,
-                                staleness_ms=0.0)
+    part = PartitionedDirectory(NUM_NODES, seed=0, staleness_ms=0.0)
     return oracle, part
 
 

@@ -198,7 +198,7 @@ class TestFigureHelpers:
         monkeypatch.setattr(
             figs.defaults, "workload", lambda name: tiny_trace()
         )
-        data = figs.fig1("rutgers", points=5)
+        data = figs.fig1()
         assert data["cum_request_fraction"][-1] == pytest.approx(1.0)
         assert data["mb_for_99pct"] <= data["file_set_mb"]
         out = figs.render_fig1(data)

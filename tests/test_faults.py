@@ -9,6 +9,7 @@ which wires the whole chaos stack from one constructor argument.
 
 import pytest
 
+import repro.sim.faults as faults_mod
 from repro.cache import BlockId
 from repro.core import CoopCacheService, variant
 from repro.params import DEFAULT_PARAMS
@@ -72,28 +73,27 @@ class TestFaultPlan:
 
     def test_random_is_deterministic_per_seed(self):
         a = FaultPlan.random(7, 1000.0, 4, crashes_per_node=2.0,
-                             link_drops=2, disk_stalls=2, lan_degrade_ms=0.5)
+                             link_drops=2, disk_stalls=2)
         b = FaultPlan.random(7, 1000.0, 4, crashes_per_node=2.0,
-                             link_drops=2, disk_stalls=2, lan_degrade_ms=0.5)
+                             link_drops=2, disk_stalls=2)
         assert a == b
         c = FaultPlan.random(8, 1000.0, 4, crashes_per_node=2.0)
         assert a != c
 
     def test_random_covers_requested_kinds(self):
         plan = FaultPlan.random(1, 1000.0, 4, crashes_per_node=2.0,
-                                link_drops=1, disk_stalls=1,
-                                lan_degrade_ms=0.5)
+                                link_drops=1, disk_stalls=1)
         kinds = {e.kind for e in plan.events}
-        assert {"link_down", "link_up", "disk_stall",
-                "lan_degrade", "lan_restore"} <= kinds
+        assert {"link_down", "link_up", "disk_stall"} <= kinds
         assert kinds <= set(FAULT_KINDS)
 
-    def test_random_keeps_one_node_alive(self):
-        # Heavy crash load on a tiny cluster: the generator must refuse
-        # any crash that would darken the whole cluster.
+    def test_random_keeps_one_node_alive(self, monkeypatch):
+        # Heavy crash load and long downtimes on a tiny cluster: the
+        # generator must refuse any crash that would darken the whole
+        # cluster.
+        monkeypatch.setattr(faults_mod, "MEAN_DOWNTIME_FRAC", 0.5)
         for seed in range(10):
-            plan = FaultPlan.random(seed, 1000.0, 2, crashes_per_node=8.0,
-                                    mean_downtime_frac=0.5)
+            plan = FaultPlan.random(seed, 1000.0, 2, crashes_per_node=8.0)
             down = set()
             for ev in plan.events:
                 if ev.kind == "crash":
@@ -158,17 +158,6 @@ class TestInjectorStateMachine:
         svc.run(until=250.0)
         assert svc.faults.link_ok(0, 2)
 
-    def test_lan_degrade_sets_extra_latency(self):
-        plan = FaultPlan((
-            FaultEvent("lan_degrade", 100.0, extra_ms=0.7),
-            FaultEvent("lan_restore", 200.0),
-        ))
-        svc = make_faulted(plan)
-        svc.run(until=150.0)
-        assert svc.faults.extra_latency_ms() == pytest.approx(0.7)
-        svc.run(until=250.0)
-        assert svc.faults.extra_latency_ms() == 0.0
-
     def test_fault_listeners_see_every_event(self):
         plan = FaultPlan((
             FaultEvent("crash", 100.0, node=1),
@@ -214,7 +203,6 @@ class TestBackoff:
         assert NULL_FAULTS.backoff_ms(5) == 0.0
         assert not NULL_FAULTS.is_down(0)
         assert NULL_FAULTS.link_ok(0, 1)
-        assert NULL_FAULTS.extra_latency_ms() == 0.0
         # No counters: fault paths must guard on .active before counting.
         assert not hasattr(NULL_FAULTS, "counters")
 

@@ -262,6 +262,21 @@ def test_partitioned_directory_validates():
     with pytest.raises(ValueError):
         PartitionedDirectory(0)
     with pytest.raises(ValueError):
-        PartitionedDirectory(4, vnodes=0)
-    with pytest.raises(ValueError):
         PartitionedDirectory(4, staleness_ms=-1.0)
+
+
+@pytest.mark.parametrize("directory, expected", [
+    ("perfect", "GlobalDirectory"),
+    ("hints", "HintDirectory"),
+    ("partitioned", "PartitionedDirectory"),
+])
+def test_facade_builds_the_configured_directory(directory, expected):
+    """CoopCacheService wires the directory its config names, as the
+    experiment runner does."""
+    from repro.core import CoopCacheConfig, CoopCacheService
+
+    svc = CoopCacheService(
+        file_sizes_kb=[16.0] * 4, num_nodes=4, mem_mb_per_node=1.0,
+        config=CoopCacheConfig(directory=directory),
+    )
+    assert type(svc.layer.directory).__name__ == expected

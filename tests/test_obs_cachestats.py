@@ -17,7 +17,9 @@ import pytest
 from repro.cache.blockcache import BlockCache
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.obs import Observability
-from repro.obs.cachestats import NULL_CACHESCOPE, CacheScope, NullCacheScope
+from repro.obs.cachestats import (
+    LEDGER_SIZE, NULL_CACHESCOPE, CacheScope, NullCacheScope,
+)
 from repro.traces import datasets
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -156,11 +158,11 @@ class TestEvictions:
         assert totals["evictions_by_reason"] == {reason: 1}
 
     def test_ledger_is_a_ring_buffer(self):
-        scope = CacheScope(ledger_size=3)
-        for i in range(5):
+        scope = CacheScope()
+        for i in range(LEDGER_SIZE + 2):
             scope.on_evict(0, f"b{i}", False, 0, "drop")
         keys = [e["key"] for e in scope.ledger]
-        assert keys == ["b2", "b3", "b4"]
+        assert keys == [f"b{i}" for i in range(2, LEDGER_SIZE + 2)]
 
     def test_ledger_records_destination(self):
         scope = CacheScope()
@@ -231,7 +233,7 @@ class TestWindowsAndExport:
         duplicated for 50 ms then 0 of 1 KB for 50 ms gives
         50 / (100 + 50) = 1/3 — not the arithmetic mean of 0.5 and 0."""
         sim = FakeSim()
-        scope = CacheScope(window_ms=100.0)
+        scope = CacheScope()
         scope.attach(sim)
         scope.on_insert(0, "b", True, kb=1.0)
         scope.on_insert(1, "b", False, kb=1.0)   # share now 0.5
@@ -244,7 +246,7 @@ class TestWindowsAndExport:
 
     def test_window_rows_carry_event_counts(self):
         sim = FakeSim()
-        scope = CacheScope(window_ms=100.0)
+        scope = CacheScope()
         scope.attach(sim)
         scope.on_insert(0, "b", True, kb=1.0)
         sim.now = 10.0
@@ -258,7 +260,7 @@ class TestWindowsAndExport:
 
     def test_dump_and_load_round_trip(self, tmp_path):
         sim = FakeSim()
-        scope = CacheScope(window_ms=100.0)
+        scope = CacheScope()
         scope.attach(sim)
         scope.on_insert(0, "b", True, kb=2.0)
         scope.on_insert(1, "b", False, kb=2.0)
@@ -284,12 +286,6 @@ class TestWindowsAndExport:
         assert kinds == ["window"] * n_windows + ["evict"]
         assert rest[:n_windows] == direct["windows"]
         assert rest[n_windows:] == direct["ledger"]
-
-    def test_ctor_validation(self):
-        with pytest.raises(ValueError):
-            CacheScope(window_ms=0.0)
-        with pytest.raises(ValueError):
-            CacheScope(ledger_size=0)
 
     def test_null_scope_is_inert(self):
         scope = NullCacheScope()

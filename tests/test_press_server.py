@@ -7,17 +7,17 @@ from repro.cache.block import FileLayout
 from repro.cluster import Cluster
 from repro.params import DEFAULT_PARAMS
 from repro.press import PressServer
+from repro.press import server as press_server
 from repro.sim import Simulator
 from repro.traces import Trace, TraceSpec
 from repro.web import ClosedLoopDriver
 
 
-def build(num_nodes=4, capacity_kb=64.0, sizes=(16.0, 16.0, 16.0, 16.0),
-          params=DEFAULT_PARAMS, **kw):
+def build(num_nodes=4, capacity_kb=64.0, sizes=(16.0, 16.0, 16.0, 16.0)):
     sim = Simulator()
-    cluster = Cluster(sim, params, num_nodes)
-    layout = FileLayout(list(sizes), params)
-    server = PressServer(cluster, layout, capacity_kb=capacity_kb, **kw)
+    cluster = Cluster(sim, DEFAULT_PARAMS, num_nodes)
+    layout = FileLayout(list(sizes), DEFAULT_PARAMS)
+    server = PressServer(cluster, layout, capacity_kb=capacity_kb)
     return sim, cluster, server
 
 
@@ -81,9 +81,10 @@ class TestDispatch:
 
 
 class TestReplication:
-    def test_overload_triggers_replication(self):
-        sim, cluster, server = build(replicate_threshold=1,
-                                     replicate_headroom=0)
+    def test_overload_triggers_replication(self, monkeypatch):
+        monkeypatch.setattr(press_server, "REPLICATE_THRESHOLD", 1)
+        monkeypatch.setattr(press_server, "REPLICATE_HEADROOM", 0)
+        sim, cluster, server = build()
         # Make node 0 the holder, then hammer it while it is loaded.
         serve_seq(sim, cluster, server, [(0, 0)])
 
@@ -99,25 +100,12 @@ class TestReplication:
         assert server.counters.get("replications") >= 1
         assert server.directory.copies(0) >= 2
 
-    def test_no_replication_when_threshold_high(self):
-        sim, cluster, server = build(replicate_threshold=1000)
+    def test_no_replication_when_threshold_high(self, monkeypatch):
+        monkeypatch.setattr(press_server, "REPLICATE_THRESHOLD", 1000)
+        sim, cluster, server = build()
         serve_seq(sim, cluster, server, [(0, 0), (1, 0), (2, 0), (3, 0)])
         assert server.counters.get("replications") == 0
 
-    def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            build(replicate_threshold=0)
-
-
-class TestTcpHandoff:
-    def test_handoff_faster_than_relay(self):
-        def run(handoff):
-            params = DEFAULT_PARAMS.with_overrides(press_tcp_handoff=handoff)
-            sim, cluster, server = build(params=params)
-            serve_seq(sim, cluster, server, [(0, 0), (1, 0)])
-            return sim.now
-
-        assert run(True) < run(False)
 
 
 class TestHitRates:

@@ -119,6 +119,19 @@ def test_run_cells_preserves_submission_order():
     assert [r.config.mem_mb_per_node for r in results] == mems
 
 
+def test_sharded_results_keep_the_submitted_configs(smoke_defaults):
+    """Workers send results back without the config, whose trace would
+    otherwise arrive as one private copy per cell: every sharded result
+    carries the very config it was submitted as, so fig6b's four cells
+    share one trace as they do serially."""
+    cells = cell_configs(FIGURES["fig6b"]([0.1]).cells)
+    results = run_cells(cells, workers=2)
+    assert all(res.config is cfg for res, cfg in zip(results, cells))
+    assert len({id(res.config.trace) for res in results}) == 1
+    outcome = parallel._run_pooled_cell_job(parallel._CellJob(0, cells[0]))
+    assert "config" not in vars(outcome.result)
+
+
 def test_default_workers_env_knob(monkeypatch):
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     assert default_workers() == 1

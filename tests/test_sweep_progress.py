@@ -105,8 +105,7 @@ class TestSweepProgress:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_straggler_detection(self):
-        progress = SweepProgress(total=3, clock=fake_clock(),
-                                 straggler_factor=3.0)
+        progress = SweepProgress(total=3, clock=fake_clock())
         progress.start()
         progress.cell_done(make_outcome(0, wall_s=1.0))
         progress.cell_done(make_outcome(1, wall_s=1.0))
@@ -132,8 +131,6 @@ class TestSweepProgress:
     def test_validation(self):
         with pytest.raises(ValueError):
             SweepProgress(total=-1)
-        with pytest.raises(ValueError):
-            SweepProgress(total=1, straggler_factor=1.0)
 
 
 # ---------------------------------------------------------------------------
