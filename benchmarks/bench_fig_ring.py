@@ -1,9 +1,8 @@
 """Ring-convergence benchmark: partitioned vs aggregate LRU miss ratio.
 
 Regenerates the ``fig_ring`` companion figure — the hash-partitioned
-LRU (one arc per node, as the PartitionedDirectory homes blocks)
-against a single LRU of the aggregate capacity over the same seeded
-Zipf stream — and records the per-panel gap metrics as a trajectory
+LRU (one consistent-hash arc per node) against a single LRU of the
+aggregate capacity over the same seeded Zipf stream — and records the per-panel gap metrics as a trajectory
 record.  It is independent of the ``REPRO_*`` workload knobs: its
 params are the analytic-model constants of
 :func:`~repro.experiments.figures.fig_ring`, and the metrics are fully

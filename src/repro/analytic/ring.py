@@ -2,12 +2,12 @@
 
 *Asymptotic Miss Ratio of LRU Caching with Consistent Hashing*
 (PAPERS.md) predicts that hash-partitioning an LRU cache across nodes —
-each key served by exactly one node's LRU, as the
-:class:`~repro.cache.hashring.PartitionedDirectory` homes blocks — has
-the **same asymptotic miss ratio as one big LRU of the aggregate
-capacity**: the gap vanishes as per-node capacity grows, at *every*
-node count.  That is the falsifiable claim behind the ``fig_ring``
-experiment and the nightly statistical test.
+each key served by exactly one node's LRU — has the **same asymptotic
+miss ratio as one big LRU of the aggregate capacity**: the gap vanishes
+as per-node capacity grows, at *every* node count.  That is the
+falsifiable claim behind the ``fig_ring`` experiment and the nightly
+statistical test, and the reason a global LRU of the aggregate capacity
+is a fair hit-ratio bound for a content-partitioned cache.
 
 This model deliberately strips everything but the claim: a seeded Zipf
 request stream, one :class:`~repro.cache.hashring.HashRing` routing
@@ -88,7 +88,7 @@ def partitioned_miss_ratio(
     """Aggregate miss ratio of ``num_nodes`` LRUs behind a hash ring.
 
     Every key is served by its ring home's LRU only (single-copy
-    placement — the directory's partitioning, not the middleware's
+    placement — content partitioning, not the middleware's
     replication), so aggregate capacity is ``num_nodes *
     capacity_per_node`` and any excess misses over the single LRU come
     from hash imbalance across partitions.

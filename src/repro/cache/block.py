@@ -13,6 +13,7 @@ import math
 from collections.abc import Sequence
 from typing import NamedTuple
 
+from ..cluster.disk import DiskRequest
 from ..params import SimParams
 
 __all__ = ["BlockId", "FileLayout"]
@@ -74,6 +75,22 @@ class FileLayout:
     def num_extents(self, file_id: int) -> int:
         """Extents ``file_id`` spans on disk."""
         return self.params.extents_of(self._sizes_kb[file_id])
+
+    def extent_runs(self, file_id: int) -> list[DiskRequest]:
+        """One disk request per 64 KB extent of ``file_id``: a whole-file
+        read, as PRESS and whole-file caching make it."""
+        bpe = self._blocks_per_extent
+        nblocks = len(self._blocks[file_id])
+        extent_kb = float(self.params.extent_kb)
+        runs = []
+        remaining = self._sizes_kb[file_id]
+        for ext in range(self.num_extents(file_id)):
+            chunk = min(remaining, extent_kb)
+            start = ext * bpe
+            runs.append(DiskRequest(file_id, ext, start,
+                                    min(bpe, nblocks - start), chunk))
+            remaining -= chunk
+        return runs
 
     def total_blocks(self) -> int:
         """Blocks needed to cache the entire file set (the theoretical

@@ -59,10 +59,8 @@ class GlobalDirectory:
         counts: dict[int, int] = {}
         # simlint: ordered -- entries were inserted in event order
         # (set_master is only called from the deterministic event loop;
-        # this holds for every implementation behind the directory seam:
-        # PartitionedDirectory mutates _masters only through these same
-        # event-ordered methods), and integer counting is
-        # order-independent anyway.
+        # HintDirectory inherits these same event-ordered methods), and
+        # integer counting is order-independent anyway.
         for holder in self._masters.values():
             counts[holder] = counts.get(holder, 0) + 1
         return counts
@@ -78,9 +76,9 @@ class GlobalDirectory:
         purged = [
             # simlint: ordered -- dict insertion order: entries were
             # recorded in event order, so the purge list (and the repair
-            # events it drives) is deterministic run to run.  Subclasses
-            # (HintDirectory, PartitionedDirectory) insert through the
-            # same methods, so the argument survives the directory seam.
+            # events it drives) is deterministic run to run.
+            # HintDirectory inserts through the same methods, so the
+            # argument survives the directory seam.
             blk for blk, holder in self._masters.items() if holder == node_id
         ]
         for blk in purged:

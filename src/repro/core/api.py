@@ -13,7 +13,7 @@ writes only their request-handling logic::
         yield from svc.layer.read(node, file_id)      # the middleware
         yield node.cpu.submit(0.05)                   # service-specific work
 
-    svc.submit(node_id=0, gen=handler(svc.node(0), 1))
+    svc.submit(handler(svc.node(0), 1))
     svc.run()
 
 Experiments that need full control (warm-up windows, custom clients)
@@ -27,7 +27,6 @@ from collections.abc import Generator, Sequence
 
 from ..cache.block import FileLayout
 from ..cache.directory import GlobalDirectory, HomeMap
-from ..cache.hashring import PartitionedDirectory
 from ..cluster.cluster import Cluster
 from ..cluster.node import Node
 from ..params import DEFAULT_PARAMS, SimParams
@@ -50,7 +49,7 @@ def blocks_for_mb(mem_mb: float, params: SimParams = DEFAULT_PARAMS) -> int:
 
 
 def build_directory(
-    config: CoopCacheConfig, num_nodes: int, seed: int, sim: Simulator
+    config: CoopCacheConfig, num_nodes: int, seed: int
 ) -> GlobalDirectory | None:
     """The master directory ``config.directory`` names, or None for the
     perfect one (the layer builds that itself)."""
@@ -58,12 +57,6 @@ def build_directory(
         return HintDirectory(
             config.hint_accuracy, num_nodes, stream(seed, "hints")
         )
-    if config.directory == "partitioned":
-        directory = PartitionedDirectory(
-            num_nodes, seed=seed, staleness_ms=config.dir_staleness_ms
-        )
-        directory.attach(sim)
-        return directory
     return None
 
 
@@ -101,7 +94,7 @@ class CoopCacheService:
             self.homes,
             capacity_blocks=blocks_for_mb(mem_mb_per_node, params),
             config=self.config,
-            directory=build_directory(self.config, num_nodes, seed, self.sim),
+            directory=build_directory(self.config, num_nodes, seed),
             faults=self.faults,
         )
 

@@ -35,23 +35,12 @@ class CoopCacheConfig:
     #: Forward evicted masters to the peer with the oldest block (the
     #: traditional "second chance").  Off = drop masters like replicas.
     forward_on_evict: bool = True
-    #: Directory type: "perfect" (the paper's optimistic assumption),
-    #: "hints" (Sarkar & Hartman-style, see :mod:`repro.core.hints`) or
-    #: "partitioned" (consistent-hash homes with bounded staleness, see
-    #: :mod:`repro.cache.hashring`).
+    #: Directory type: "perfect" (the paper's optimistic assumption) or
+    #: "hints" (Sarkar & Hartman-style, see :mod:`repro.core.hints`).
     directory: str = "perfect"
     #: Probability a hint lookup points at the true master location
     #: (Sarkar & Hartman report ~98% achievable).  Only with "hints".
     hint_accuracy: float = 0.98
-    #: Bounded-staleness window (simulated ms) of partitioned routing
-    #: answers — the asynchrony of directory update propagation.  Zero
-    #: makes routing exact (the differential-test configuration).  Only
-    #: with "partitioned".
-    dir_staleness_ms: float = 0.25
-    #: Charge network round trips to remote ring homes on the lookup
-    #: path.  Off (with zero staleness) reproduces the oracle's event
-    #: stream byte-for-byte.  Only with "partitioned".
-    dir_hop_cost: bool = True
     #: Write handling (paper Section 6 future work): "write-back" keeps
     #: dirty masters in memory and flushes them on eviction;
     #: "write-through" flushes every write to the home disk immediately.
@@ -64,12 +53,10 @@ class CoopCacheConfig:
             )
         if self.disk_discipline not in (FIFO, SCAN):
             raise ValueError(f"unknown disk discipline {self.disk_discipline!r}")
-        if self.directory not in ("perfect", "hints", "partitioned"):
+        if self.directory not in ("perfect", "hints"):
             raise ValueError(f"unknown directory type {self.directory!r}")
         if not 0.0 <= self.hint_accuracy <= 1.0:
             raise ValueError("hint_accuracy must be in [0, 1]")
-        if self.dir_staleness_ms < 0:
-            raise ValueError("dir_staleness_ms must be >= 0")
         if self.write_policy not in ("write-back", "write-through"):
             raise ValueError(f"unknown write policy {self.write_policy!r}")
 

@@ -45,7 +45,7 @@ from ..obs.profile import NULL_PROFILER
 from ..obs.tracing import NULL_TRACER, Span
 from ..sim.engine import Event
 from ..sim.faults import NULL_FAULTS, FaultInjector, NullFaultInjector, RequestAborted
-from ..sim.stats import CounterSet
+from ..sim.stats import CounterSet, block_hit_rates
 from .config import CoopCacheConfig
 from .policies import select_victim
 
@@ -132,26 +132,14 @@ class CoopCacheLayer:
         self._pending_master: dict[BlockId, Event] = {}
         # Hint exchange piggybacks on control messages (Sarkar & Hartman's
         # measured 0.4% overhead); perfect directories pay nothing.
-        from ..cache.hashring import PartitionedDirectory
         from .hints import HINT_TRAFFIC_OVERHEAD, HintDirectory
 
-        #: Set iff the directory is hash-partitioned (ring repair hooks
-        #: and lookup hop charging key off this).
-        self._partitioned: PartitionedDirectory | None = None
         if isinstance(self.directory, HintDirectory):
             self._msg_kb = REQUEST_MSG_KB * (1.0 + HINT_TRAFFIC_OVERHEAD)
             self._route = self.directory.route_lookup
-        elif isinstance(self.directory, PartitionedDirectory):
-            self._msg_kb = REQUEST_MSG_KB
-            self._route = self.directory.route_lookup
-            self._partitioned = self.directory
         else:
             self._msg_kb = REQUEST_MSG_KB
             self._route = self.directory.lookup
-        #: Charge round trips to remote ring homes on the lookup path?
-        self._dir_hops = (
-            self._partitioned is not None and self.config.dir_hop_cost
-        )
 
     # ------------------------------------------------------------------
     # public API
@@ -188,11 +176,6 @@ class CoopCacheLayer:
             span, node.node_id, "cpu",
             node.cpu.submit(self.params.cpu.file_request_ms(len(blocks))),
         )
-
-        if self._dir_hops:
-            # Partitioned directory: ask the remote ring homes where the
-            # not-yet-resident blocks live before acting on the answers.
-            yield from self._directory_lookup_hops(node, blocks, span)
 
         local, joined, by_peer, by_home = self._classify(node, blocks, span)
 
@@ -295,71 +278,6 @@ class CoopCacheLayer:
                 table.pop(blk, None)
 
     # ------------------------------------------------------------------
-    # partitioned-directory lookup cost (DESIGN.md S19)
-    # ------------------------------------------------------------------
-    def _directory_lookup_hops(
-        self, node: Node, blocks: list[BlockId], span: Span | None
-    ) -> Generator[Event, object, None]:
-        """Charge location-lookup round trips to remote ring homes.
-
-        One round trip per *distinct* remote home covering the request's
-        not-yet-resident blocks (lookups for co-homed blocks batch into
-        one message, like the data-path fan-out).  Blocks homed at the
-        requesting node answer locally for free; blocks already cached
-        or in flight never ask.  This charges cost only — the routing
-        *answer* comes from ``route_lookup`` in ``_classify``, whose
-        bounded staleness models the asynchrony of update propagation
-        (directory updates are not separately charged: they piggyback
-        within the staleness window).
-        """
-        pdir = self._partitioned
-        assert pdir is not None  # _dir_hops implies a partitioned directory
-        cache = self.caches[node.node_id]
-        inflight = self._inflight[node.node_id]
-        homes: list[int] = []
-        for blk in blocks:
-            if blk in cache or blk in inflight:
-                continue
-            home = pdir.home_of(blk)
-            if home != node.node_id and home not in homes:
-                homes.append(home)
-        if not homes:
-            return
-        self.counters.incr("dir_lookups_remote", len(homes))
-        trips = [
-            self.sim.process(self._dir_round_trip(node, home, span))
-            for home in homes
-        ]
-        yield from self.prof.wait(
-            span, node.node_id, "dir_lookup", self.sim.all_of(trips),
-        )
-
-    def _dir_round_trip(
-        self, node: Node, home_id: int, span: Span | None
-    ) -> Generator[Event, object, None]:
-        """One location-lookup round trip to ring home ``home_id``.
-
-        An unreachable home costs one failure detection and is skipped:
-        the requester proceeds on its (boundedly stale) routing view —
-        a crash invalidated every record naming a dead node
-        synchronously, so the view can still never point at a corpse.
-        """
-        faults = self.faults
-        if faults.active and (
-            faults.is_down(home_id)
-            or not faults.link_ok(node.node_id, home_id)
-        ):
-            yield from self._detect_fault(node, span)
-            faults.counters.incr("dir_lookup_failovers")
-            return
-        home = self.cluster.nodes[home_id]
-        net = self.cluster.network
-        yield from net.transfer(node, home, self._msg_kb,
-                                prof=self.prof, parent=span)
-        yield from net.transfer(home, node, self._msg_kb,
-                                prof=self.prof, parent=span)
-
-    # ------------------------------------------------------------------
     # fault handling (fail-stop model; DESIGN.md S14)
     # ------------------------------------------------------------------
     def _on_node_crash(self, node_id: int) -> None:
@@ -374,19 +292,7 @@ class CoopCacheLayer:
         cluster memory; the next reader re-creates the master from disk.
         Dirty masters lose their unwritten modifications — that is the
         data loss fail-stop implies, and it is counted, not hidden.
-
-        With a partitioned directory the dead node was also the ring
-        home for part of the location map: that partition's entries are
-        forgotten *first* (ring repair, before the holder purge below,
-        so re-elected masters are never scanned as homed-at-the-corpse)
-        and, after the usual repair, every forgotten entry whose holder
-        still has the master resident re-registers with the block's new
-        ring home — the directory re-registration half of the repair
-        protocol.
         """
-        lost_homed: list[tuple[BlockId, int]] = []
-        if self._partitioned is not None:
-            lost_homed = self._partitioned.partition_crash(node_id)
         cache = self.caches[node_id]
         dirty_lost = cache.num_dirty
         if self.scope.active:
@@ -410,31 +316,10 @@ class CoopCacheLayer:
             self.caches[target].promote_to_master(blk)
             self.directory.set_master(blk, target)
             reelected += 1
-        reregistered = 0
-        for blk, holder in lost_homed:
-            if self.faults.is_down(holder):
-                continue
-            holder_cache = self.caches[holder]
-            if (
-                blk in holder_cache
-                and holder_cache.is_master(blk)
-                and self.directory.lookup(blk) is None
-            ):
-                # The master survived the home's crash: re-register it
-                # with the block's new ring home.  Entries that were
-                # only in flight stay forgotten — _forward_master drops
-                # a copy the directory no longer expects, and _install
-                # re-registers fresh disk reads, so no dual master can
-                # arise.
-                self.directory.set_master(blk, holder)
-                reregistered += 1
         fc = self.faults.counters
         fc.incr("cc_blocks_lost", len(lost))
         fc.incr("cc_masters_purged", len(purged))
         fc.incr("cc_masters_reelected", reelected)
-        if lost_homed:
-            fc.incr("dir_entries_lost", len(lost_homed))
-            fc.incr("dir_reregistered", reregistered)
         if dirty_lost:
             fc.incr("cc_dirty_lost", dirty_lost)
         self.tracer.point(
@@ -448,12 +333,8 @@ class CoopCacheLayer:
         Nothing is re-registered here: the crash repair already moved or
         dropped its masters, and new ones appear only as blocks are
         re-fetched through the normal read paths (the recovery unit tests
-        pin exactly this).  Under a partitioned directory the node does
-        re-take its ring arcs — location authority returns even though
-        its cache is cold.
+        pin exactly this).
         """
-        if self._partitioned is not None:
-            self._partitioned.partition_rejoin(node_id)
         self.tracer.point("fault_recovery", node=node_id)
 
     def _youngest_replica(self, blk: BlockId, exclude: int) -> int | None:
@@ -1315,16 +1196,7 @@ class CoopCacheLayer:
     # ------------------------------------------------------------------
     def hit_rates(self) -> dict[str, float]:
         """Block-level local / remote / disk fractions (Figure 4)."""
-        c = self.counters
-        total = c.get("local_hit") + c.get("remote_hit") + c.get("disk_read")
-        if total == 0:
-            return {"local": 0.0, "remote": 0.0, "disk": 0.0, "total": 0.0}
-        return {
-            "local": c.get("local_hit") / total,
-            "remote": c.get("remote_hit") / total,
-            "disk": c.get("disk_read") / total,
-            "total": (c.get("local_hit") + c.get("remote_hit")) / total,
-        }
+        return block_hit_rates(self.counters)
 
     def resident_blocks(self) -> int:
         """Blocks currently cached cluster-wide."""

@@ -27,10 +27,9 @@ from ..cache.block import FileLayout
 from ..cache.directory import HomeMap
 from ..cache.lru import AgedLRU
 from ..cluster.cluster import Cluster
-from ..cluster.disk import DiskRequest
 from ..cluster.node import Node
 from ..sim.engine import Event
-from ..sim.stats import CounterSet
+from ..sim.stats import CounterSet, block_hit_rates
 from .middleware import REQUEST_MSG_KB
 
 __all__ = ["WholeFileCoopServer", "WholeFileCache"]
@@ -194,7 +193,7 @@ class WholeFileCoopServer:
         if home.node_id != node.node_id:
             yield from net.transfer(node, home, REQUEST_MSG_KB)
         self.counters.incr("disk_read", nblocks)
-        runs = self._extent_runs(file_id)
+        runs = self.layout.extent_runs(file_id)
         yield self.sim.all_of([home.disk.submit(r) for r in runs])
         yield home.bus.submit(self.params.bus.transfer_ms(size_kb))
         if home.node_id != node.node_id:
@@ -203,20 +202,6 @@ class WholeFileCoopServer:
         yield node.cpu.submit(self.params.cpu.cache_block_ms * nblocks)
         self._install(node.node_id, file_id, master=True)
         return "disk"
-
-    def _extent_runs(self, file_id: int) -> list[DiskRequest]:
-        params = self.params
-        nblocks = self.layout.num_blocks(file_id)
-        bpe = params.extent_kb // params.block_kb
-        remaining = self.layout.size_kb(file_id)
-        runs = []
-        for ext in range(self.layout.num_extents(file_id)):
-            chunk = min(remaining, float(params.extent_kb))
-            start = ext * bpe
-            runs.append(DiskRequest(file_id, ext, start,
-                                    min(bpe, nblocks - start), chunk))
-            remaining -= chunk
-        return runs
 
     # ------------------------------------------------------------------
     def _install(self, node_id: int, file_id: int, *, master: bool) -> None:
@@ -308,13 +293,4 @@ class WholeFileCoopServer:
 
     def hit_rates(self) -> dict[str, float]:
         """Block-weighted hit fractions (same denominator as the others)."""
-        c = self.counters
-        total = c.get("local_hit") + c.get("remote_hit") + c.get("disk_read")
-        if total == 0:
-            return {"local": 0.0, "remote": 0.0, "disk": 0.0, "total": 0.0}
-        return {
-            "local": c.get("local_hit") / total,
-            "remote": c.get("remote_hit") / total,
-            "disk": c.get("disk_read") / total,
-            "total": (c.get("local_hit") + c.get("remote_hit")) / total,
-        }
+        return block_hit_rates(self.counters)

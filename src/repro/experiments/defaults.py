@@ -15,9 +15,11 @@ Environment overrides::
     REPRO_CLIENTS=256      # closed-loop client population (default 96)
     REPRO_FULL=1           # scale 1.0 and full trace lengths (slow!)
 
-They are read on first use of ``SCALE``, ``NUM_REQUESTS`` or
-``NUM_CLIENTS``, not at import, and a value outside its range raises
-:class:`KnobError` naming the variable.
+``REPRO_FULL`` is off when unset, empty or ``0`` and on at ``1``; on, it
+overrides ``REPRO_SCALE`` and ``REPRO_REQUESTS``.  The knobs are read on
+first use of ``SCALE``, ``NUM_REQUESTS`` or ``NUM_CLIENTS``, not at
+import, and a value outside its range raises :class:`KnobError` naming
+the variable.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ NUM_CLIENTS: int
 
 
 def _read_knobs() -> dict[str, Any]:
-    if os.environ.get("REPRO_FULL"):
+    if env_knob("REPRO_FULL", 0, int, lambda n: n in (0, 1), "0 or 1"):
         scale, requests = 1.0, 0
     else:
         scale = env_knob("REPRO_SCALE", 0.02, float,

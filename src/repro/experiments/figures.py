@@ -514,7 +514,7 @@ def render_fig6b(data: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Figure R: partitioned-directory miss-ratio convergence
+# Figure R: hash-partitioned LRU miss-ratio convergence
 # ---------------------------------------------------------------------------
 #: Figure R's analytic model: cluster sizes, per-node capacities in
 #: blocks, the seeded Zipf request stream, and ring points per node.
@@ -531,14 +531,14 @@ def fig_ring() -> dict:
     """Companion figure: miss-ratio convergence of the hash-partitioned
     LRU toward a single LRU of the aggregate capacity.
 
-    The PartitionedDirectory homes each block on one ring node; the
+    A consistent-hash ring homes each file on one node's LRU; the
     asymptotic-LRU result (PAPERS.md) says this partitioning costs
     nothing in miss ratio as per-node capacity grows, at every cluster
-    size.  One panel per node count: partitioned vs single-LRU miss
-    ratio over the same seeded Zipf stream, swept over per-node
-    capacity.  Analytic (timing-free) — the protocol-level price of the
-    partitioned directory (lookup hops, staleness) is measured by the
-    golden/ablation machinery instead.
+    size, so one LRU of the aggregate capacity bounds what a
+    content-partitioned cache can reach.  One panel per node count:
+    partitioned vs single-LRU miss ratio over the same seeded Zipf
+    stream, swept over per-node capacity.  Analytic (timing-free): no
+    protocol, network or disk.
     """
     from ..analytic.ring import convergence_point, zipf_requests
 

@@ -18,7 +18,6 @@ sweep keys, logs and the sweep runner's cell identities.
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass, field
 
 from ..cache.block import FileLayout
@@ -38,38 +37,13 @@ from ..web.server import CoopCacheWebServer
 
 __all__ = [
     "ExperimentConfig", "ExperimentResult", "run_experiment", "system_label",
-    "cc_layer", "SYSTEMS", "DIRECTORY_ENV",
+    "cc_layer", "SYSTEMS",
 ]
 
 logger = logging.getLogger(__name__)
 
 #: Named systems accepted by :class:`ExperimentConfig`.
 SYSTEMS = ("press", "cc-basic", "cc-sched", "cc-kmc")
-
-#: Environment knob selecting the middleware's directory implementation:
-#: ``oracle``/``perfect`` keeps the
-#: paper's perfect directory, ``partitioned`` swaps in the
-#: consistent-hash :class:`~repro.cache.hashring.PartitionedDirectory`.
-#: It only applies to configs that left ``directory`` at the default —
-#: an explicit choice ("hints", or a pinned ablation) always wins.
-DIRECTORY_ENV = "REPRO_DIRECTORY"
-
-
-def _apply_directory_env(config: CoopCacheConfig) -> CoopCacheConfig:
-    """Resolve the ``REPRO_DIRECTORY`` knob against ``config``."""
-    env = os.environ.get(DIRECTORY_ENV)
-    if not env:
-        return config
-    if env not in ("oracle", "perfect", "partitioned"):
-        raise ValueError(
-            f"unknown {DIRECTORY_ENV} value {env!r}; "
-            "choose oracle, perfect or partitioned"
-        )
-    if config.directory != "perfect":
-        return config  # explicit per-config choice beats the env knob
-    if env == "partitioned":
-        return config.with_overrides(directory="partitioned")
-    return config
 
 
 @dataclass(frozen=True)
@@ -132,16 +106,14 @@ def cc_layer(
     homes: HomeMap, config: CoopCacheConfig, obs=None, faults=None,
 ) -> CoopCacheLayer:
     """The middleware layer of point ``cfg`` under ``config``, with the
-    directory that ``config`` and the ``REPRO_DIRECTORY`` knob select."""
-    config = _apply_directory_env(config)
+    directory that ``config`` names."""
     return CoopCacheLayer(
         cluster,
         layout,
         homes,
         capacity_blocks=blocks_for_mb(cfg.mem_mb_per_node, cfg.params),
         config=config,
-        directory=build_directory(config, cfg.num_nodes, cfg.seed,
-                                  cluster.sim),
+        directory=build_directory(config, cfg.num_nodes, cfg.seed),
         obs=obs,
         faults=faults,
     )

@@ -377,12 +377,6 @@ class CacheScope:
                 totals["directory_masters_per_node"] = {
                     str(n): c for n, c in sorted(census().items())
                 }
-            # Partitioned-directory extras (absent for the oracle, so
-            # oracle snapshots — and their goldens — are unchanged).
-            stale_served = getattr(self._directory, "stale_served", None)
-            if stale_served is not None:
-                totals["directory_route_lookups"] = self._directory.lookups
-                totals["directory_stale_served"] = stale_served
         return {
             "window_ms": self.window_ms,
             "totals": totals,

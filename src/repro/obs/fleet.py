@@ -242,7 +242,6 @@ def fleet_report(
         "sweep": {
             "run_id": sweep.get("run_id"),
             "git_sha": sweep.get("git_sha"),
-            "env": sweep.get("env"),
             "workers": sweep.get("workers"),
             "progress": sweep.get("progress"),
             "cells": len(rows),

@@ -2,12 +2,11 @@
 
 ``sweep --ledger`` appends one JSONL *manifest record* for the sweep
 and one for each of its ``cell``s, describing what ran: git sha, seed,
-workload knobs and their digest, the active directory environment,
-wall-clock, exit status, and the paths of the artifacts the run
-produced (BENCH record, progress stream, per-cell attribution
-summary).  ``python -m repro.obs.ledger list`` answers *what ran*, and
-:mod:`repro.obs.fleet` aggregates a sweep's slice of the ledger into
-cross-cell reports.
+workload knobs and their digest, wall-clock, exit status, and the
+paths of the artifacts the run produced (BENCH record, progress
+stream, per-cell attribution summary).  ``python -m repro.obs.ledger
+list`` answers *what ran*, and :mod:`repro.obs.fleet` aggregates a
+sweep's slice of the ledger into cross-cell reports.
 
 Design rules:
 
@@ -40,7 +39,6 @@ __all__ = [
     "run_id",
     "load_ledger",
     "latest_sweep",
-    "environment_stamp",
     "main",
 ]
 
@@ -64,13 +62,6 @@ def run_id(record: dict[str, Any]) -> str:
     # the digest is independent of this iteration order.
     stripped = {k: v for k, v in record.items() if k != "run_id"}
     return hashlib.sha256(_canonical(stripped).encode()).hexdigest()[:16]
-
-
-def environment_stamp() -> dict[str, str]:
-    """The simulator-shaping environment knobs active right now."""
-    return {
-        "directory": os.environ.get("REPRO_DIRECTORY") or "oracle",
-    }
 
 
 class Ledger:
@@ -107,7 +98,6 @@ class Ledger:
             "status": status,
             "git_sha": git_sha(),
             "recorded_at": round(float(self._clock()), 6),
-            "env": environment_stamp(),
         }
         if parent is not None:
             record["parent"] = parent

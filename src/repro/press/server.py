@@ -34,14 +34,13 @@ from collections.abc import Generator
 
 from ..cache.block import FileLayout
 from ..cluster.cluster import Cluster
-from ..cluster.disk import DiskRequest
 from ..cluster.node import Node
 from ..obs.profile import NULL_PROFILER
 from ..obs.tracing import NULL_TRACER, Span
 from ..params import SimParams
 from ..sim.engine import Event
 from ..sim.faults import NULL_FAULTS
-from ..sim.stats import CounterSet
+from ..sim.stats import CounterSet, block_hit_rates
 from .filecache import FileCache, ReplicaDirectory
 
 __all__ = ["PressServer"]
@@ -317,7 +316,7 @@ class PressServer:
         )
         try:
             size_kb = self.layout.size_kb(file_id)
-            runs = self._extent_runs(file_id)
+            runs = self.layout.extent_runs(file_id)
             # Extent reads go to the disk queue in parallel; one disk
             # phase span summarizes their combined queue/seek/transfer.
             run_events = [node.disk.submit(run) for run in runs]
@@ -333,24 +332,6 @@ class PressServer:
         finally:
             self._adopting.pop(file_id, None)
             done.succeed()
-
-    def _extent_runs(self, file_id: int) -> list[DiskRequest]:
-        """One disk request per 64 KB extent of the file."""
-        params = self.params
-        size_kb = self.layout.size_kb(file_id)
-        blocks_per_extent = params.extent_kb // params.block_kb
-        runs = []
-        remaining = size_kb
-        nblocks = self.layout.num_blocks(file_id)
-        for ext in range(self.layout.num_extents(file_id)):
-            chunk = min(remaining, float(params.extent_kb))
-            start_block = ext * blocks_per_extent
-            run_blocks = min(blocks_per_extent, nblocks - start_block)
-            runs.append(
-                DiskRequest(file_id, ext, start_block, run_blocks, chunk)
-            )
-            remaining -= chunk
-        return runs
 
     def _cache_file(self, node_id: int, file_id: int) -> None:
         """Adopt a file into a node's memory (if it can ever fit)."""
@@ -446,16 +427,7 @@ class PressServer:
 
     def hit_rates(self):
         """Block-weighted hit fractions on the Figure 4 denominator."""
-        c = self.counters
-        total = c.get("local_hit") + c.get("remote_hit") + c.get("disk_read")
-        if total == 0:
-            return {"local": 0.0, "remote": 0.0, "disk": 0.0, "total": 0.0}
-        return {
-            "local": c.get("local_hit") / total,
-            "remote": c.get("remote_hit") / total,
-            "disk": c.get("disk_read") / total,
-            "total": (c.get("local_hit") + c.get("remote_hit")) / total,
-        }
+        return block_hit_rates(self.counters)
 
     def resident_files(self) -> int:
         """Whole files currently in cluster memory (copies counted once)."""

@@ -4,8 +4,8 @@ Public surface:
 
 * :class:`~repro.sim.engine.Simulator` — the event loop over one heap.
 * :class:`~repro.sim.engine.Event`, :class:`~repro.sim.engine.Process`,
-  :class:`~repro.sim.engine.Timeout`, :class:`~repro.sim.engine.AllOf`,
-  :class:`~repro.sim.engine.AnyOf` — waitables for protocol coroutines.
+  :class:`~repro.sim.engine.Timeout`, :class:`~repro.sim.engine.AllOf`
+  — waitables for protocol coroutines.
 * :class:`~repro.sim.servicecenter.ServiceCenter` — finite-queue resource.
 * :mod:`~repro.sim.stats` — measurement instruments.
 * :func:`~repro.sim.rng.stream` — keyed deterministic RNG streams.
@@ -14,7 +14,6 @@ Public surface:
 from . import theory
 from .engine import (
     AllOf,
-    AnyOf,
     Event,
     Process,
     SimulationError,
@@ -45,7 +44,6 @@ __all__ = [
     "Process",
     "Timeout",
     "AllOf",
-    "AnyOf",
     "SimulationError",
     "ServiceCenter",
     "QueueFullError",

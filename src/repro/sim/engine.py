@@ -30,7 +30,6 @@ __all__ = [
     "Event",
     "Timeout",
     "AllOf",
-    "AnyOf",
     "Process",
     "Simulator",
     "SimulationError",
@@ -208,35 +207,6 @@ class AllOf(Event):
         return cb
 
 
-class AnyOf(Event):
-    """Fires when the *first* child event fires; value = that event's value.
-
-    An already-processed child wins at once (the first such in argument
-    order), as :meth:`Process._resume` treats an already-processed target.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        events = list(events)
-        if not events:
-            raise SimulationError("AnyOf requires at least one event")
-        for ev in events:
-            if ev._processed:
-                self._child_cb(ev)
-            else:
-                ev.callbacks.append(self._child_cb)
-
-    def _child_cb(self, ev: Event) -> None:
-        if self._triggered:
-            return
-        if ev._ok:
-            self.succeed(ev._value)
-        else:
-            self.fail(ev._value)
-
-
 class Process(Event):
     """Drives a generator; itself an event that fires when the generator ends.
 
@@ -354,10 +324,6 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires once every event in ``events`` has fired."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires when the first event in ``events`` fires."""
-        return AnyOf(self, events)
 
     def call_at(self, when: float, fn: Callable[..., None], *args: Any) -> Event:
         """Schedule a plain callback at absolute time ``when``."""

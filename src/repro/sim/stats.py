@@ -20,6 +20,7 @@ __all__ = [
     "RunningStats",
     "ReservoirQuantiles",
     "CounterSet",
+    "block_hit_rates",
     "WindowedSeries",
 ]
 
@@ -337,3 +338,20 @@ class CounterSet:
         if denom == 0:
             return 0.0
         return self.get(numerator) / denom
+
+
+def block_hit_rates(counters: CounterSet) -> dict[str, float]:
+    """Block-level local / remote / disk fractions of a server's
+    ``local_hit``, ``remote_hit`` and ``disk_read`` counters (Figure 4)."""
+    local = counters.get("local_hit")
+    remote = counters.get("remote_hit")
+    disk = counters.get("disk_read")
+    total = local + remote + disk
+    if total == 0:
+        return {"local": 0.0, "remote": 0.0, "disk": 0.0, "total": 0.0}
+    return {
+        "local": local / total,
+        "remote": remote / total,
+        "disk": disk / total,
+        "total": (local + remote) / total,
+    }

@@ -57,10 +57,7 @@ class TestA1Hints:
         assert at[mem, "perfect"]["vs_perfect"] == 1.0
         assert "hint-based directory" in out
 
-    def test_perfect_hints_near_parity(self, monkeypatch):
-        # A1's claim is hints-vs-*perfect*: an inherited REPRO_DIRECTORY
-        # would swap the baseline and make the ratio meaningless.
-        monkeypatch.delenv("REPRO_DIRECTORY", raising=False)
+    def test_perfect_hints_near_parity(self):
         rows = {row["variant"]: row for row in abl.run_ablation("a1")["rows"]}
         assert rows["hints1"]["vs_perfect"] == pytest.approx(1.0, abs=0.1)
 
@@ -138,26 +135,3 @@ def test_sharded_study_matches_serial(monkeypatch):
     serial = [abl.run_ablation(name) for name in abl.ABLATIONS]
     monkeypatch.setenv("REPRO_WORKERS", "2")
     assert [abl.run_ablation(name) for name in abl.ABLATIONS] == serial
-
-
-@pytest.mark.parametrize("name", ["a2", "a7"])
-def test_directory_knob_reaches_every_layer(name, monkeypatch):
-    """Under REPRO_DIRECTORY=partitioned every cell of A2 and A7, those
-    their own runners build included, runs the partitioned directory."""
-    from repro.cache.hashring import PartitionedDirectory
-    from repro.core.middleware import CoopCacheLayer
-
-    monkeypatch.setenv("REPRO_DIRECTORY", "partitioned")
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    layers = []
-    init = CoopCacheLayer.__init__
-
-    def capturing_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        layers.append(self)
-
-    monkeypatch.setattr(CoopCacheLayer, "__init__", capturing_init)
-    rows = abl.run_ablation(name)["rows"]
-    assert len(layers) == len(rows)
-    assert all(isinstance(layer.directory, PartitionedDirectory)
-               for layer in layers)

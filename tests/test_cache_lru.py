@@ -168,6 +168,13 @@ class TestFileLayout:
         layout = self.make([1.0, 64.0, 65.0, 200.0])
         assert [layout.num_extents(f) for f in range(4)] == [1, 1, 2, 4]
 
+    def test_extent_runs_cover_the_file(self):
+        layout = self.make([200.0])
+        runs = layout.extent_runs(0)
+        assert [(r.extent, r.start_block, r.nblocks, r.size_kb)
+                for r in runs] == [(0, 0, 8, 64.0), (1, 8, 8, 64.0),
+                                   (2, 16, 8, 64.0), (3, 24, 1, 8.0)]
+
     def test_block_size_kb_partial_tail(self):
         layout = self.make([20.0])
         assert layout.block_size_kb(BlockId(0, 0)) == 8.0

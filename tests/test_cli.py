@@ -93,6 +93,7 @@ class TestEnvKnobs:
         ("REPRO_SCALE", "0", ["run"]),
         ("REPRO_CLIENTS", "0", ["run"]),
         ("REPRO_REQUESTS", "-5", ["run"]),
+        ("REPRO_FULL", "yes", ["run"]),
     ])
     def test_bad_knob_is_a_usage_error(
         self, name, value, argv, unread_knobs, monkeypatch, capsys
@@ -101,6 +102,17 @@ class TestEnvKnobs:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and name in err and repr(value) in err
+
+    @pytest.mark.parametrize("value, expected", [
+        ("0", "scale=0.02 requests=10000"),
+        ("1", "scale=1 requests=0"),
+    ])
+    def test_full_knob_is_zero_or_one(
+        self, value, expected, unread_knobs, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_FULL", value)
+        assert cli.main(["list"]) == 0
+        assert expected in capsys.readouterr().out
 
     def test_knob_range_edges_are_accepted(self, unread_knobs, monkeypatch):
         from repro.experiments import defaults

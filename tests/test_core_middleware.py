@@ -260,6 +260,24 @@ class TestServiceFacade:
         with pytest.raises(ValueError):
             CoopCacheLayer(cluster, layout, HomeMap(5, 2), 16)
 
+    def test_module_docstring_example_runs(self):
+        """The embedding example in :mod:`repro.core.api` runs as written:
+        the indented block after its ``::``."""
+        import textwrap
+
+        from repro.core import api
+
+        lines = []
+        for line in api.__doc__.split("::\n", 1)[1].splitlines():
+            if line and not line.startswith(" "):
+                break
+            lines.append(line)
+        namespace = {"CoopCacheService": CoopCacheService}
+        exec(textwrap.dedent("\n".join(lines)), namespace)
+        svc = namespace["svc"]
+        assert svc.sim.now > 0
+        assert svc.layer.counters.get("disk_read") > 0
+
     def test_read_convenience(self):
         svc = make()
         p = svc.read(0, 0)

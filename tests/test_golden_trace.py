@@ -30,22 +30,11 @@ from repro.sim import Simulator
 from repro.traces import datasets
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-#: Separate fingerprints for runs under ``REPRO_DIRECTORY=partitioned``.
-PARTITIONED_GOLDEN_DIR = GOLDEN_DIR / "partitioned"
 #: Kernel event count and final clock of each system's golden run.
 EVENTS_FILE = GOLDEN_DIR / "events.json"
 
 #: The four Figure-2 curves.
 SYSTEMS = ["cc-basic", "cc-sched", "cc-kmc", "press"]
-
-
-@pytest.fixture(autouse=True)
-def _pin_directory_env(monkeypatch):
-    """Golden fingerprints are knob-independent: every test here states
-    its directory mode explicitly (setenv below), so an inherited
-    ``REPRO_DIRECTORY`` — e.g. from the partitioned CI matrix leg —
-    must not leak into the baseline runs."""
-    monkeypatch.delenv("REPRO_DIRECTORY", raising=False)
 
 
 def _workload():
@@ -129,50 +118,6 @@ def test_golden_event_counts(monkeypatch):
         "kernel event counts drifted; if intended, refresh with "
         "REPRO_REFRESH_GOLDEN=1 and review the diff"
     )
-
-
-@pytest.mark.parametrize("system", SYSTEMS)
-def test_golden_under_oracle_env(system, monkeypatch):
-    """Directory-knob neutrality: ``REPRO_DIRECTORY=oracle`` is the
-    explicit spelling of the default and reproduces every golden
-    fingerprint byte-for-byte."""
-    monkeypatch.setenv("REPRO_DIRECTORY", "oracle")
-    path = GOLDEN_DIR / f"{system}.json"
-    assert path.exists(), "golden files must exist before this check"
-    assert _serialize(_fingerprint(_run(system))) == path.read_text()
-
-
-@pytest.mark.parametrize("system", SYSTEMS)
-def test_golden_partitioned(system, monkeypatch):
-    """The partitioned directory gets its own committed fingerprints:
-    same workload, ``REPRO_DIRECTORY=partitioned``.  Hop charging and
-    the staleness window make these legitimately different traces from
-    the oracle's — pinned so partitioned-mode behavior can't drift
-    silently either."""
-    monkeypatch.setenv("REPRO_DIRECTORY", "partitioned")
-    path = PARTITIONED_GOLDEN_DIR / f"{system}.json"
-    current = _serialize(_fingerprint(_run(system)))
-    if os.environ.get("REPRO_REFRESH_GOLDEN"):
-        PARTITIONED_GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-        path.write_text(current)
-    assert path.exists(), (
-        f"golden file {path} missing; generate it with "
-        "REPRO_REFRESH_GOLDEN=1 and commit the result"
-    )
-    assert current == path.read_text(), (
-        f"{system} (partitioned) drifted from its golden fingerprint; "
-        "if the change is intended, refresh with REPRO_REFRESH_GOLDEN=1 "
-        "and review the diff"
-    )
-
-
-def test_partitioned_press_golden_equals_oracle():
-    """PRESS never consults the middleware directory, so its partitioned
-    fingerprint must be byte-identical to its oracle one — pinning that
-    the env knob touches exactly the systems it claims to."""
-    oracle = (GOLDEN_DIR / "press.json").read_text()
-    partitioned = (PARTITIONED_GOLDEN_DIR / "press.json").read_text()
-    assert oracle == partitioned
 
 
 def test_run_twice_byte_identical():

@@ -379,13 +379,10 @@ class TestMechanism:
 
 
 @pytest.mark.parametrize("system", ["cc-basic", "cc-sched", "cc-kmc", "press"])
-def test_cachestats_is_passive(system, monkeypatch):
+def test_cachestats_is_passive(system):
     """Enabling cache telemetry must not perturb the simulation: the
     trace digest with cachestats on equals the committed golden digest
     (which is produced with cachestats off)."""
-    # Pin the oracle directory: this compares against the oracle
-    # goldens, so an inherited REPRO_DIRECTORY must not leak in.
-    monkeypatch.delenv("REPRO_DIRECTORY", raising=False)
     path = GOLDEN_DIR / f"{system}.json"
     assert path.exists(), "golden fingerprints must exist for this check"
     golden = json.loads(path.read_text())

@@ -187,11 +187,10 @@ class TestAttrBaseline:
         baseline, so the recipe must reproduce it: the same request
         counts, classes and binding resource, every value within 1e-9.
         Re-bless it on purpose (README "Explaining a regression") when
-        attribution changes.  Workload knobs from the environment (e.g.
-        the partitioned-directory CI leg) must not leak into the
-        recipe."""
+        attribution changes.  Workload knobs from the environment must
+        not leak into the recipe."""
         env = {k: v for k, v in os.environ.items()
-               if k not in ("REPRO_SCALE", "REPRO_FULL", "REPRO_DIRECTORY")}
+               if k not in ("REPRO_SCALE", "REPRO_FULL")}
         env.update(
             REPRO_REQUESTS="800", REPRO_CLIENTS="16",
             PYTHONPATH=os.pathsep.join(

@@ -1,9 +1,9 @@
 """Tests for the append-only provenance run ledger.
 
 The determinism contract: with an injected clock and a pinned
-``REPRO_GIT_SHA``/directory environment, appending the same
-records produces a byte-identical ledger file — ``run_id`` is a digest
-of the record itself, so identical provenance means identical identity.
+``REPRO_GIT_SHA``, appending the same records produces a byte-identical
+ledger file — ``run_id`` is a digest of the record itself, so identical
+provenance means identical identity.
 """
 
 import itertools
@@ -14,7 +14,6 @@ from repro.obs.ledger import (
     LEDGER_VERSION,
     RECORD_KINDS,
     Ledger,
-    environment_stamp,
     latest_sweep,
     load_ledger,
     run_id,
@@ -31,7 +30,6 @@ def fake_clock(start=1_700_000_000.0, step=1.0):
 def pinned_env(monkeypatch):
     """Pin every environment input a ledger record captures."""
     monkeypatch.setenv("REPRO_GIT_SHA", "cafebabe")
-    monkeypatch.delenv("REPRO_DIRECTORY", raising=False)
 
 
 def _populate(path, clock=None):
@@ -57,7 +55,6 @@ class TestLedger:
         assert rec["status"] == "ok"
         assert rec["git_sha"] == "cafebabe"
         assert rec["recorded_at"] == 1_700_000_000.0
-        assert rec["env"] == {"directory": "oracle"}
         assert rec["run_id"] == run_id(rec)
         assert len(rec["run_id"]) == 16
 
@@ -100,12 +97,6 @@ class TestLedger:
         Ledger(str(path), clock=fake_clock()).append("cell", seed=1)
         records = load_ledger(str(path))
         assert [r["seed"] for r in records] == [0, 1]
-
-    def test_environment_stamp_tracks_knobs(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DIRECTORY", raising=False)
-        assert environment_stamp() == {"directory": "oracle"}
-        monkeypatch.setenv("REPRO_DIRECTORY", "partitioned")
-        assert environment_stamp() == {"directory": "partitioned"}
 
 
 class TestQueries:

@@ -1,8 +1,13 @@
 """Package-level surface tests: imports, exports, docstrings."""
 
+import ast
 import importlib
+import re
+from pathlib import Path
 
 import pytest
+
+REPO = Path(__file__).resolve().parent.parent
 
 SUBPACKAGES = [
     "repro",
@@ -56,3 +61,27 @@ def test_public_classes_have_docstrings():
             assert getattr(member, "__doc__", None), (
                 f"{cls.__name__}.{name} lacks a docstring"
             )
+
+
+
+def _repro_env_names(*roots):
+    """Every ``REPRO_*`` name used as a string constant under ``roots``:
+    how the code names an environment variable it reads."""
+    names = set()
+    for root in roots:
+        for path in (REPO / root).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Constant)
+                        and isinstance(node.value, str)
+                        and re.fullmatch(r"REPRO_[A-Z0-9_]+", node.value)):
+                    names.add(node.value)
+    return names
+
+
+def test_readme_documents_exactly_the_env_knobs():
+    """README names every ``REPRO_*`` variable the program reads, and no
+    variable that nothing reads any more."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    documented = set(re.findall(r"REPRO_[A-Z0-9_]*[A-Z0-9]", readme))
+    assert _repro_env_names("src", "benchmarks") <= documented
+    assert documented <= _repro_env_names("src", "benchmarks", "tests")

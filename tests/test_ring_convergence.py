@@ -1,7 +1,7 @@
 """Statistical convergence: partitioned LRU approaches the single LRU.
 
-The theoretical backbone of the partitioned directory (PAPERS.md:
-asymptotic miss ratio of LRU with consistent hashing) — splitting one
+The result behind Fig R (PAPERS.md: asymptotic miss ratio of LRU
+with consistent hashing) — splitting one
 LRU into per-node LRUs behind the hash ring costs a vanishing amount of
 miss ratio as per-node capacity grows.  The fast test smoke-checks the
 model at toy scale; the ``slow``-marked test (nightly, deselected from

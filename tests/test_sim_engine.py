@@ -9,7 +9,6 @@ from repro.cluster import FIFO, SCAN, Disk, DiskRequest
 from repro.params import DEFAULT_PARAMS, DiskParams
 from repro.sim import (
     AllOf,
-    AnyOf,
     Event,
     QueueFullError,
     ServiceCenter,
@@ -454,23 +453,6 @@ class TestCombinators:
         sim.run()
         assert caught == [True]
 
-    def test_anyof_first_value_wins(self):
-        sim = Simulator()
-        got = []
-
-        def proc():
-            v = yield sim.any_of([sim.timeout(3, "slow"), sim.timeout(1, "fast")])
-            got.append((sim.now, v))
-
-        sim.process(proc())
-        sim.run()
-        assert got == [(1.0, "fast")]
-
-    def test_anyof_empty_raises(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.any_of([])
-
     def test_allof_counts_processed_children(self):
         """A child that fired before the AllOf was built counts at once
         (regression: its callback was appended and never ran, so the
@@ -521,43 +503,10 @@ class TestCombinators:
         sim.run()
         assert caught == [(0.0, "gone")]
 
-    def test_anyof_processed_child_wins_at_once(self):
-        sim = Simulator()
-        done = sim.event()
-        done.succeed("first")
-        sim.run()
-        got = []
-
-        def proc():
-            got.append((yield sim.any_of([sim.timeout(4.0, "slow"), done])))
-            got.append(sim.now)
-
-        sim.process(proc())
-        sim.run()
-        assert got == ["first", 0.0]
-
-    def test_anyof_processed_failed_child_fails(self):
-        sim = Simulator()
-        bad = sim.event()
-        bad.fail(KeyError("k"))
-        sim.run()
-        caught = []
-
-        def proc():
-            try:
-                yield sim.any_of([bad, sim.timeout(4.0)])
-            except KeyError:
-                caught.append(sim.now)
-
-        sim.process(proc())
-        sim.run()
-        assert caught == [0.0]
-
     def test_allof_is_event_subclass(self):
         sim = Simulator()
         assert isinstance(sim.all_of([sim.timeout(1)]), Event)
         assert isinstance(AllOf(sim, [sim.timeout(1)]), Event)
-        assert isinstance(AnyOf(sim, [sim.timeout(1)]), Event)
 
 
 # -- in-place completion of service-centre jobs and disk runs -------------

@@ -236,7 +236,6 @@ class TestObservedSweepEndToEnd:
         (2 memories x 4 systems = 8 cells after scaling)."""
         monkeypatch.setattr(defaults, "BENCH_MEMORY_MB", [20, 100])
         monkeypatch.setenv("REPRO_GIT_SHA", "cafebabe")
-        monkeypatch.delenv("REPRO_DIRECTORY", raising=False)
 
     def test_ledgered_sweep_is_passive_and_fleet_checks_out(
         self, sweep_defaults, tmp_path, capsys
