@@ -23,6 +23,7 @@ from ..cache.blockcache import BlockCache
 from ..cache.directory import GlobalDirectory
 from ..core.policies import select_victim
 from ..press.filecache import FileCache, ReplicaDirectory
+from ..sim.stats import hit_fractions
 from ..traces.model import Trace
 
 __all__ = ["AnalyticCoopCache", "AnalyticPress"]
@@ -136,15 +137,8 @@ class AnalyticCoopCache:
 
     def hit_rates(self) -> dict[str, float]:
         """Block-level local/remote/disk fractions since the last reset."""
-        total = sum(self.counts.values())
-        if total == 0:
-            return {"local": 0.0, "remote": 0.0, "disk": 0.0, "total": 0.0}
-        return {
-            "local": self.counts["local"] / total,
-            "remote": self.counts["remote"] / total,
-            "disk": self.counts["disk"] / total,
-            "total": (self.counts["local"] + self.counts["remote"]) / total,
-        }
+        counts = self.counts
+        return hit_fractions(counts["local"], counts["remote"], counts["disk"])
 
 
 class AnalyticPress:
@@ -202,12 +196,5 @@ class AnalyticPress:
 
     def hit_rates(self) -> dict[str, float]:
         """Block-weighted hit fractions since the last reset."""
-        total = sum(self.counts.values())
-        if total == 0:
-            return {"local": 0.0, "remote": 0.0, "disk": 0.0, "total": 0.0}
-        return {
-            "local": self.counts["local"] / total,
-            "remote": self.counts["remote"] / total,
-            "disk": self.counts["disk"] / total,
-            "total": (self.counts["local"] + self.counts["remote"]) / total,
-        }
+        counts = self.counts
+        return hit_fractions(counts["local"], counts["remote"], counts["disk"])

@@ -33,13 +33,19 @@ class FileLayout:
     constructor also builds the block table: each file's tuple of
     canonical :class:`BlockId` objects and the KB held by its last block,
     so every query is a lookup and no request rebuilds a block list.
+
+    This is where trace numbers enter the model, so the sizes become
+    Python floats here, once.  A trace keeps them as a numpy array, and
+    every size-dependent service demand, and through ``now + delay`` the
+    kernel clock, would otherwise run on ``numpy.float64`` scalars, whose
+    arithmetic costs several times a float's for the same bits.
     """
 
     __slots__ = ("params", "_sizes_kb", "_blocks_per_extent", "_full_kb",
                  "_blocks", "_last_kb")
 
     def __init__(self, sizes_kb: Sequence[float], params: SimParams) -> None:
-        sizes: list[float] = list(sizes_kb)
+        sizes = [float(s) for s in sizes_kb]
         full = params.block_kb
         blocks: list[tuple[BlockId, ...]] = []
         last_kb: list[float] = []

@@ -64,8 +64,16 @@ class Cluster:
     def utilization(self) -> dict[str, float]:
         """Cluster-mean utilization per resource class (Figure 6a)."""
         per_node = [n.utilization() for n in self.nodes]
-        keys = ("cpu", "nic", "bus", "disk")
-        return {k: sum(u[k] for u in per_node) / len(per_node) for k in keys}
+        means: dict[str, float] = {}
+        for k in ("cpu", "nic", "bus", "disk"):
+            # Plain left-to-right float additions: from Python 3.12 on,
+            # builtin sum() compensates rounding over floats, and the
+            # means must not depend on the interpreter.
+            total = 0.0
+            for u in per_node:
+                total += u[k]
+            means[k] = total / len(per_node)
+        return means
 
     def max_utilization(self) -> dict[str, float]:
         """Maximum per-node utilization per resource class.

@@ -60,11 +60,11 @@ class Network:
             # Local loopback costs nothing but a bus hop, modeled by caller.
             if dst is not None and src.node_id == dst.node_id:
                 return
-            yield from prof.wait(
+            yield prof.wait(
                 parent, src.node_id, "nic",
                 src.nic.submit(self.params.network.transfer_ms(size_kb)),
             )
-        yield from prof.wait(
+        yield prof.wait(
             parent, None, "wire",
             self.sim.timeout(self.params.network.latency_ms),
         )

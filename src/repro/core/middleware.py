@@ -172,7 +172,7 @@ class CoopCacheLayer:
         latency premium to exactly these classes).
         """
         # "Process a file request": per-block bookkeeping on the CPU.
-        yield from self.prof.wait(
+        yield self.prof.wait(
             span, node.node_id, "cpu",
             node.cpu.submit(self.params.cpu.file_request_ms(len(blocks))),
         )
@@ -224,7 +224,7 @@ class CoopCacheLayer:
         if fetches:
             # Parallel fan-out: the analyzer refines this wait by walking
             # the child fetch spans backward along the critical path.
-            yield from self.prof.wait(
+            yield self.prof.wait(
                 span, node.node_id, "fetch", self.sim.all_of(fetches),
                 d=len(by_home), pe=len(by_peer), j=len(joined),
             )
@@ -365,7 +365,7 @@ class CoopCacheLayer:
         it adds kernel events only when a fault is actually in the way.
         """
         self.faults.counters.incr("fault_detects")
-        yield from self.prof.wait(
+        yield self.prof.wait(
             span, node.node_id, "fault_detect",
             self.sim.timeout(self.params.faults.detect_timeout_ms),
         )
@@ -394,7 +394,7 @@ class CoopCacheLayer:
             yield from self._detect_fault(node, span)
             delay = faults.backoff_ms(attempt)
             if delay > 0.0:
-                yield from self.prof.wait(
+                yield self.prof.wait(
                     span, node.node_id, "retry_wait", self.sim.timeout(delay)
                 )
             faults.counters.incr("disk_retries")
@@ -673,7 +673,7 @@ class CoopCacheLayer:
         attempt = 0
         while True:
             if not pending.processed:
-                yield from self.prof.wait(
+                yield self.prof.wait(
                     parent, node.node_id, "master_wait", pending
                 )
             cache = self.caches[node.node_id]
@@ -698,7 +698,7 @@ class CoopCacheLayer:
                     break
                 delay = faults.backoff_ms(attempt - 1)
                 if delay > 0.0:
-                    yield from self.prof.wait(
+                    yield self.prof.wait(
                         parent, node.node_id, "retry_wait",
                         self.sim.timeout(delay),
                     )
@@ -777,7 +777,7 @@ class CoopCacheLayer:
             for blk in present:
                 peer_cache.touch(blk, self.sim.now)
             # Peer CPU: "serve peer block request" per block.
-            yield from self.prof.wait(
+            yield self.prof.wait(
                 span, peer_id, "cpu",
                 peer.cpu.submit(
                     self.params.cpu.serve_peer_block_ms * len(present)
@@ -844,7 +844,7 @@ class CoopCacheLayer:
             # simlint: ordered -- same classification pass as chase.
             for h, blks in by_home.items()
         ]
-        yield from self.prof.wait(
+        yield self.prof.wait(
             parent, node.node_id, "fetch", self.sim.all_of(fallback),
             d=len(by_home), pe=len(chase), j=0,
         )
@@ -904,7 +904,7 @@ class CoopCacheLayer:
                 runs = self._runs(blocks)
                 for run in runs:
                     ev = home.disk.submit(run)
-                    yield from self.prof.disk_wait(span, home_id, ev, (ev,))
+                    yield self.prof.disk_wait(span, home_id, ev, (ev,))
                 if faults.active and faults.is_down(home_id):
                     # Home crashed after the head moved but before the
                     # data left the node: the read is lost, retry it.
@@ -917,14 +917,14 @@ class CoopCacheLayer:
 
             total_kb = sum(self.layout.block_size_kb(blk) for blk in blocks)
             # Move the data across the home's bus (disk -> memory/NIC).
-            yield from self.prof.wait(
+            yield self.prof.wait(
                 span, home_id, "bus",
                 home.bus.submit(self.params.bus.transfer_ms(total_kb)),
             )
 
             if remote_home:
                 # Home CPU forwards the freshly read master copies.
-                yield from self.prof.wait(
+                yield self.prof.wait(
                     span, home_id, "cpu",
                     home.cpu.submit(
                         self.params.cpu.serve_peer_block_ms * len(blocks)
@@ -984,7 +984,7 @@ class CoopCacheLayer:
             self.faults.counters.incr("installs_dropped", len(blocks))
             return
         cache = self.caches[node.node_id]
-        yield from self.prof.wait(
+        yield self.prof.wait(
             parent, node.node_id, "cpu",
             node.cpu.submit(self.params.cpu.cache_block_ms * len(blocks)),
         )

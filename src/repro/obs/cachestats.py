@@ -38,6 +38,7 @@ forward outcomes, stale lookups) that the caches cannot know about.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import deque
 from typing import Any
@@ -116,7 +117,8 @@ class CacheScope:
     # ------------------------------------------------------------------
     def attach(self, sim) -> None:
         """Read timestamps from ``sim`` from now on."""
-        self._clock = lambda: sim.now
+        # A partial calls getattr in C: no lambda frame per timestamp.
+        self._clock = functools.partial(getattr, sim, "now")
 
     def bind_layout(self, layout) -> None:
         """Resolve block sizes through ``layout`` (middleware systems)."""

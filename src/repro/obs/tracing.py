@@ -20,6 +20,7 @@ Design constraints:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from collections.abc import Callable
@@ -66,7 +67,7 @@ class Span:
         """Close the span at the current simulated time and emit it."""
         if self.end is not None:
             raise RuntimeError(f"span {self.span_id} ({self.name}) finished twice")
-        self.end = self._tracer._now()
+        self.end = self._tracer._clock()
         if attrs:
             self.attrs.update(attrs)
         self._tracer._emit(self)
@@ -107,10 +108,8 @@ class Tracer:
 
     def attach(self, sim) -> None:
         """Read timestamps from ``sim`` from now on."""
-        self._clock = lambda: sim.now
-
-    def _now(self) -> float:
-        return self._clock()
+        # A partial calls getattr in C: no lambda frame per timestamp.
+        self._clock = functools.partial(getattr, sim, "now")
 
     def _emit(self, span: Span) -> None:
         self._open.pop(span.span_id, None)
@@ -132,7 +131,7 @@ class Tracer:
         else:
             trace_id, parent_id = parent.trace_id, parent.span_id
         span = Span(
-            self, trace_id, span_id, parent_id, name, node, self._now(), attrs
+            self, trace_id, span_id, parent_id, name, node, self._clock(), attrs
         )
         self._open[span_id] = span
         return span

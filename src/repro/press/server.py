@@ -120,8 +120,8 @@ class PressServer:
         span = self.tracer.start(
             "request", parent=parent, node=node.node_id, file=file_id
         )
-        yield from self.prof.wait(span, node.node_id, "cpu",
-                                  node.cpu.submit(cpu.parse_ms))
+        yield self.prof.wait(span, node.node_id, "cpu",
+                             node.cpu.submit(cpu.parse_ms))
         service_class = yield from self._dispatch(node, file_id, span)
         if self.faults.active and self.faults.is_down(node.node_id):
             # Entry node crashed mid-request: fail-stop took the client
@@ -177,7 +177,7 @@ class PressServer:
             target = self.cluster.nodes[target_id]
             if target_id != node.node_id:
                 self.counters.incr("forwarded_requests")
-                yield from self.prof.wait(
+                yield self.prof.wait(
                     span, node.node_id, "cpu",
                     node.cpu.submit(cpu.forward_request_ms),
                 )
@@ -186,7 +186,7 @@ class PressServer:
                     prof=self.prof, parent=span,
                 )
             if not done.processed:
-                yield from self.prof.wait(
+                yield self.prof.wait(
                     span, node.node_id, "coalesce_wait", done
                 )
             if faults.active and faults.is_down(target_id):
@@ -226,7 +226,7 @@ class PressServer:
         chosen serving node failed (PRESS replicates files on every
         disk, so a local read is always possible)."""
         self.faults.counters.incr("press_failovers")
-        yield from self.prof.wait(
+        yield self.prof.wait(
             span, node.node_id, "fault_detect",
             self.sim.timeout(self.params.faults.detect_timeout_ms),
         )
@@ -250,7 +250,7 @@ class PressServer:
             "forward", parent=parent, node=entry.node_id,
             target=target.node_id,
         )
-        yield from self.prof.wait(
+        yield self.prof.wait(
             span, entry.node_id, "cpu",
             entry.cpu.submit(cpu.forward_request_ms),
         )
@@ -287,7 +287,7 @@ class PressServer:
         if file_id in cache:
             cache.touch(file_id)
         size_kb = self.layout.size_kb(file_id)
-        yield from prof.wait(
+        yield prof.wait(
             parent, server.node_id, "cpu",
             server.cpu.submit(self.params.cpu.serve_ms(size_kb)),
         )
@@ -295,11 +295,11 @@ class PressServer:
             yield from self.cluster.network.transfer(
                 server, reply_via, size_kb, prof=prof, parent=parent
             )
-            yield from prof.wait(
+            yield prof.wait(
                 parent, reply_via.node_id, "cpu",
                 reply_via.cpu.submit(self.params.cpu.forward_request_ms),
             )
-        yield from prof.wait(
+        yield prof.wait(
             parent, reply_via.node_id, "nic",
             reply_via.nic.submit(self.params.network.transfer_ms(size_kb)),
         )
@@ -320,10 +320,10 @@ class PressServer:
             # Extent reads go to the disk queue in parallel; one disk
             # phase span summarizes their combined queue/seek/transfer.
             run_events = [node.disk.submit(run) for run in runs]
-            yield from self.prof.disk_wait(
+            yield self.prof.disk_wait(
                 span, node.node_id, self.sim.all_of(run_events), run_events
             )
-            yield from self.prof.wait(
+            yield self.prof.wait(
                 span, node.node_id, "bus",
                 node.bus.submit(self.params.bus.transfer_ms(size_kb)),
             )

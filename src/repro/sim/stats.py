@@ -21,6 +21,7 @@ __all__ = [
     "ReservoirQuantiles",
     "CounterSet",
     "block_hit_rates",
+    "hit_fractions",
     "WindowedSeries",
 ]
 
@@ -343,9 +344,13 @@ class CounterSet:
 def block_hit_rates(counters: CounterSet) -> dict[str, float]:
     """Block-level local / remote / disk fractions of a server's
     ``local_hit``, ``remote_hit`` and ``disk_read`` counters (Figure 4)."""
-    local = counters.get("local_hit")
-    remote = counters.get("remote_hit")
-    disk = counters.get("disk_read")
+    return hit_fractions(counters.get("local_hit"), counters.get("remote_hit"),
+                         counters.get("disk_read"))
+
+
+def hit_fractions(local: int, remote: int, disk: int) -> dict[str, float]:
+    """Shares of ``local``, ``remote`` and ``disk`` block accesses in
+    their total, and ``total``: the share served from memory."""
     total = local + remote + disk
     if total == 0:
         return {"local": 0.0, "remote": 0.0, "disk": 0.0, "total": 0.0}

@@ -200,7 +200,7 @@ class ClosedLoopDriver:
                 root = self._tracer.start(
                     "client", node=node.node_id, file=file_id
                 )
-                yield from prof.wait(
+                yield prof.wait(
                     root, None, "router", self.cluster.router.forward()
                 )
                 yield from net.transfer(None, node, HTTP_REQUEST_KB,
@@ -208,7 +208,7 @@ class ClosedLoopDriver:
                 service_class = yield self.sim.process(
                     self.service.handle(node, file_id, parent=root)
                 )
-                yield from prof.wait(
+                yield prof.wait(
                     root, None, "wire",
                     self.sim.timeout(params.network.latency_ms),
                 )

@@ -59,8 +59,8 @@ class CoopCacheWebServer:
         span = self.tracer.start(
             "request", parent=parent, node=node.node_id, file=file_id
         )
-        yield from prof.wait(span, node.node_id, "cpu",
-                             node.cpu.submit(cpu.parse_ms))
+        yield prof.wait(span, node.node_id, "cpu",
+                        node.cpu.submit(cpu.parse_ms))
         try:
             service_class = yield from self.layer.read(
                 node, file_id, span=span
@@ -73,10 +73,10 @@ class CoopCacheWebServer:
                 self._registry.counter("requests_failed").incr()
             return "failed"
         size_kb = self.layout.size_kb(file_id)
-        yield from prof.wait(span, node.node_id, "cpu",
-                             node.cpu.submit(cpu.serve_ms(size_kb)))
+        yield prof.wait(span, node.node_id, "cpu",
+                        node.cpu.submit(cpu.serve_ms(size_kb)))
         # Reply to the client over the shared LAN.
-        yield from prof.wait(
+        yield prof.wait(
             span, node.node_id, "nic",
             node.nic.submit(self.params.network.transfer_ms(size_kb)),
         )

@@ -32,6 +32,8 @@ from repro.traces import datasets
 GOLDEN_DIR = Path(__file__).parent / "golden"
 #: Kernel event count and final clock of each system's golden run.
 EVENTS_FILE = GOLDEN_DIR / "events.json"
+#: Trace digest and span count of each system's profiled golden run.
+PROFILED_FILE = GOLDEN_DIR / "profiled.json"
 
 #: The four Figure-2 curves.
 SYSTEMS = ["cc-basic", "cc-sched", "cc-kmc", "press"]
@@ -44,7 +46,7 @@ def _workload():
     return datasets.scaled("rutgers", 0.01, num_requests=400)
 
 
-def _run(system, workload=None):
+def _run(system, workload=None, profile=False):
     cfg = ExperimentConfig(
         system=system,
         trace=workload if workload is not None else _workload(),
@@ -54,7 +56,7 @@ def _run(system, workload=None):
         num_clients=8,
         seed=0,
     )
-    obs = Observability(trace=True)
+    obs = Observability(trace=True, profile=profile)
     run_experiment(cfg, obs=obs)
     return obs
 
@@ -86,6 +88,28 @@ def test_golden(system):
     assert current == golden, (
         f"{system} drifted from its golden fingerprint; if the change is "
         "intended, refresh with REPRO_REFRESH_GOLDEN=1 and review the diff"
+    )
+
+
+def test_golden_profiled():
+    """The phase spans of a profiled run, in order, with their stamps.
+
+    The fingerprints above come from tracing-only runs, which hold no
+    phase span.  This pins the trace digest and span count of an
+    ``Observability(profile=True)`` run, so a profiler edit that moves a
+    phase span, or changes its ``q``, ``seek`` or ``svc``, fails here.
+    """
+    current = {}
+    for system in SYSTEMS:
+        tracer = _run(system, profile=True).tracer
+        current[system] = {"trace_digest": tracer.digest(),
+                           "trace_spans": len(tracer.records)}
+    text = json.dumps(current, indent=2, sort_keys=True) + "\n"
+    if os.environ.get("REPRO_REFRESH_GOLDEN"):
+        PROFILED_FILE.write_text(text)
+    assert text == PROFILED_FILE.read_text(), (
+        "profiled traces drifted; if intended, refresh with "
+        "REPRO_REFRESH_GOLDEN=1 and review the diff"
     )
 
 
