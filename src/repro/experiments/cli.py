@@ -200,9 +200,9 @@ def run_command(argv) -> int:
     elif opts.invariant_every:
         print("invariant checks  n/a (no middleware layer in this system)")
     if opts.trace:
-        obs.tracer.dump_jsonl(opts.trace)
+        sha = obs.tracer.dump_jsonl(opts.trace)
         print(f"trace             {len(obs.tracer.records)} spans -> "
-              f"{opts.trace} (sha256 {obs.tracer.digest()[:16]}...)")
+              f"{opts.trace} (sha256 {sha[:16]}...)")
     if opts.metrics_out:
         obs.registry.dump(opts.metrics_out)
         print(f"metrics           -> {opts.metrics_out}")
@@ -534,9 +534,9 @@ def chaos_command(argv) -> int:
               + " ".join(f"{k}={v}"
                          for k, v in sorted(result.fault_counters.items())))
     if opts.trace:
-        obs.tracer.dump_jsonl(opts.trace)
+        sha = obs.tracer.dump_jsonl(opts.trace)
         print(f"trace             {len(obs.tracer.records)} spans -> "
-              f"{opts.trace} (sha256 {obs.tracer.digest()[:16]}...)")
+              f"{opts.trace} (sha256 {sha[:16]}...)")
     if opts.metrics_out:
         obs.registry.dump(opts.metrics_out)
         print(f"metrics           -> {opts.metrics_out}")

@@ -18,6 +18,7 @@ The workload is built directly from a scaled trace spec (not via
 the ``REPRO_*`` environment knobs.
 """
 
+import gc
 import json
 import os
 from pathlib import Path
@@ -46,8 +47,8 @@ def _workload():
     return datasets.scaled("rutgers", 0.01, num_requests=400)
 
 
-def _run(system, workload=None, profile=False):
-    cfg = ExperimentConfig(
+def _config(system, workload=None):
+    return ExperimentConfig(
         system=system,
         trace=workload if workload is not None else _workload(),
         num_nodes=4,
@@ -56,8 +57,11 @@ def _run(system, workload=None, profile=False):
         num_clients=8,
         seed=0,
     )
+
+
+def _run(system, workload=None, profile=False):
     obs = Observability(trace=True, profile=profile)
-    run_experiment(cfg, obs=obs)
+    run_experiment(_config(system, workload), obs=obs)
     return obs
 
 
@@ -142,6 +146,53 @@ def test_golden_event_counts(monkeypatch):
         "kernel event counts drifted; if intended, refresh with "
         "REPRO_REFRESH_GOLDEN=1 and review the diff"
     )
+
+
+def test_records_read_mid_run_match_a_fresh_run(monkeypatch):
+    """``records`` read while a profiled run is under way, and again
+    after it, equal a fresh run's records: each read adds the spans
+    finished since the last one to the same list."""
+    obs = Observability(profile=True)
+    reads = []
+    run = Simulator.run
+
+    def run_with_a_read(self, *args, **kwargs):
+        run(self, until=400.0)  # the golden cc-kmc run ends near 813 ms
+        reads.append((obs.tracer.records, len(obs.tracer.records)))
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(Simulator, "run", run_with_a_read)
+    run_experiment(_config("cc-kmc"), obs=obs)
+    monkeypatch.undo()
+    fresh = _run("cc-kmc", profile=True).tracer
+    [(mid, spans_mid)] = reads
+    assert 0 < spans_mid < len(fresh.records)
+    assert obs.tracer.records is mid
+    assert obs.tracer.records == fresh.records
+    assert obs.tracer.to_jsonl() == fresh.to_jsonl()
+
+
+def test_finished_spans_hold_no_gc_tracked_objects():
+    """A finished span leaves nothing the cyclic collector tracks, so GC
+    passes over a profiled run do not grow with its span count.
+
+    Two profiled runs that differ by thousands of finished spans leave
+    the same number of tracked objects behind, to within 1% of the span
+    difference (a dict per record would add about one per span).
+    """
+
+    def tracked_and_spans(requests):
+        workload = datasets.scaled("rutgers", 0.01, num_requests=requests)
+        obs = _run("cc-kmc", workload, profile=True)
+        gc.collect()
+        tracked = len(gc.get_objects())
+        return tracked, len(obs.tracer.records)
+
+    small, small_spans = tracked_and_spans(400)
+    large, large_spans = tracked_and_spans(1200)
+    more_spans = large_spans - small_spans
+    assert more_spans > 10_000
+    assert abs(large - small) < 0.01 * more_spans
 
 
 def test_run_twice_byte_identical():

@@ -1,5 +1,6 @@
 """Unit tests for the observability subsystem (repro.obs)."""
 
+import hashlib
 import json
 
 import pytest
@@ -224,11 +225,47 @@ class TestTracer:
         t.dump_jsonl(path)
         assert path.read_text() == t.to_jsonl()
 
+    def test_export_matches_records_read_before_and_after(self, tmp_path):
+        """Exports cover records already read, spans finished since the
+        last read and open spans, in that order, each line encoded as
+        ``json.dumps(rec, sort_keys=True, default=float)``."""
+        t = Tracer()
+        root = t.start("request", node=1, file=9)
+        probe = t.point("probe", parent=root, n=3)
+        first = t.records
+        assert first == [probe.to_record()]
+        fetch = t.start("peer_fetch", parent=root, node=2, p="fetch")
+        tick = t.point("tick")
+        fetch.finish(q=0.5, error=True)
+        t.start("dangling", parent=root)
+        text = t.to_jsonl()
+        path = tmp_path / "t.jsonl"
+        written = t.dump_jsonl(path)
+        digest = t.digest()
+        records = t.records
+        assert records is first and records is t.records
+        assert records == [probe.to_record(), tick.to_record(), fetch.to_record()]
+        assert "attrs" not in records[1]
+        assert records[2]["attrs"] == {"p": "fetch", "q": 0.5, "error": True}
+        unfinished = [{**span.to_record(), "unfinished": True}
+                      for span in t.open_spans]
+        assert [r["name"] for r in unfinished] == ["request", "dangling"]
+        expected = "".join(json.dumps(r, sort_keys=True, default=float) + "\n"
+                           for r in records + unfinished)
+        assert text == expected
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert written == digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_clear(self):
         t = Tracer()
         t.point("x")
+        records = t.records
+        t.point("y")  # finished after the read
+        t.start("open")
         t.clear()
-        assert t.records == []
+        assert t.records is records and records == []
+        assert t.open_spans == []
+        assert t.to_jsonl() == ""
 
     def test_unfinished_spans_flagged_in_export(self):
         t = Tracer()
@@ -269,7 +306,9 @@ class TestNullTracer:
         assert NULL_TRACER.point("y") is NULL_SPAN
         assert NULL_TRACER.records == []
         assert NULL_TRACER.to_jsonl() == ""
-        NULL_TRACER.dump_jsonl("/nonexistent/never-written")  # no-op
+        # Writes nothing; returns the digest of the empty export.
+        assert (NULL_TRACER.dump_jsonl("/nonexistent/never-written")
+                == NULL_TRACER.digest() == hashlib.sha256(b"").hexdigest())
 
 
 class TestInvariantSampler:
