@@ -42,13 +42,13 @@ Usage::
     python -m repro.experiments.cli sweep --workers 4 \\
         --bench-out BENCH_fig2.json
 
-    # Fleet observability: the same sweep with a run ledger (per-cell
-    # manifests + attribution artifacts) and live progress telemetry,
-    # then the cross-cell rollup (conservation check, binding-resource
-    # frequency, throughput heatmaps) over the latest sweep.
-    python -m repro.experiments.cli sweep --workers 4 \\
-        --ledger ledger.jsonl --progress progress.jsonl \\
-        --bench-out BENCH_fig2.json
+    # Fleet observability: the same sweep with a run ledger (one row per
+    # cell, carrying its attribution) and one progress log line per
+    # finished cell (-v), then the cross-cell rollup (conservation
+    # check, binding-resource frequency, throughput heatmaps,
+    # stragglers) over the latest sweep.
+    python -m repro.experiments.cli sweep -v --workers 4 \\
+        --ledger ledger.jsonl --bench-out BENCH_fig2.json
     python -m repro.obs.ledger list ledger.jsonl
     python -m repro.experiments.cli analyze fleet ledger.jsonl
 
@@ -199,13 +199,7 @@ def run_command(argv) -> int:
               f"(every {obs.sampler.every} of {obs.sampler.events_seen} events)")
     elif opts.invariant_every:
         print("invariant checks  n/a (no middleware layer in this system)")
-    if opts.trace:
-        sha = obs.tracer.dump_jsonl(opts.trace)
-        print(f"trace             {len(obs.tracer.records)} spans -> "
-              f"{opts.trace} (sha256 {sha[:16]}...)")
-    if opts.metrics_out:
-        obs.registry.dump(opts.metrics_out)
-        print(f"metrics           -> {opts.metrics_out}")
+    _dump_trace_and_metrics(obs, opts)
     if opts.cachestats:
         scope = obs.cachescope
         scope.dump_jsonl(opts.cachestats)
@@ -220,16 +214,32 @@ def run_command(argv) -> int:
         print(f"  forwards        {snap_totals['forwards']} "
               f"stale lookups {snap_totals['stale_lookups']}")
     if opts.profile:
-        from ..obs.analyze import attribute
-        from ..obs.reports import render_profile_report
-
-        print()
-        print(banner("critical-path profile"))
-        print(render_profile_report(
-            attribute(obs.tracer.records),
-            metrics=obs.registry.snapshot(),
-        ))
+        _print_profile(obs, "critical-path profile")
     return 0
+
+
+def _dump_trace_and_metrics(obs, opts) -> None:
+    """``run``/``chaos``: write ``--trace`` and ``--metrics-out``."""
+    if opts.trace:
+        sha = obs.tracer.dump_jsonl(opts.trace)
+        print(f"trace             {obs.tracer.finished_count()} spans -> "
+              f"{opts.trace} (sha256 {sha[:16]}...)")
+    if opts.metrics_out:
+        obs.registry.dump(opts.metrics_out)
+        print(f"metrics           -> {opts.metrics_out}")
+
+
+def _print_profile(obs, title: str) -> None:
+    """``run``/``chaos --profile``: the critical-path bottleneck report."""
+    from ..obs.analyze import attribute
+    from ..obs.reports import render_profile_report
+
+    print()
+    print(banner(title))
+    print(render_profile_report(
+        attribute(obs.tracer.records),
+        metrics=obs.registry.snapshot(),
+    ))
 
 
 def _sweep_parser() -> argparse.ArgumentParser:
@@ -258,36 +268,30 @@ def _sweep_parser() -> argparse.ArgumentParser:
     p.add_argument("--bench-out", metavar="FILE", default=None,
                    help="write the provenance-wrapped trajectory record "
                         "(JSON, repro.bench schema) to FILE")
-    p.add_argument("--progress", metavar="FILE", default=None,
-                   help="stream live per-cell heartbeat events (done, "
-                        "cells/s, ETA, stragglers, failures) as JSONL to "
-                        "FILE and print the completion timeline afterwards")
     p.add_argument("--ledger", metavar="FILE", default=None,
-                   help="append a provenance-stamped manifest record per "
-                        "sweep and per cell (git sha, seed, knobs, "
-                        "wall-clock, exit status, artifact paths) to this "
-                        "run-ledger JSONL, and write each cell's attribution "
-                        "to <FILE>.d; inspect with "
-                        "`python -m repro.obs.ledger list`")
+                   help="profile every cell and append a provenance-stamped "
+                        "manifest record per sweep and per cell (git sha, "
+                        "seed, knobs, wall-clock, exit status, metric "
+                        "summary, attribution) to this run-ledger JSONL; "
+                        "inspect with `python -m repro.obs.ledger list` "
+                        "and `analyze fleet`")
     return p
 
 
-def _ledger_sweep_records(ledger, opts, outcomes, progress_summary,
+def _ledger_sweep_records(ledger, opts, outcomes, elapsed,
                           workers, n_cells) -> None:
     """Append the sweep manifest + one cell record per outcome."""
-    artifacts = {}
-    if opts.bench_out:
-        artifacts["bench"] = opts.bench_out
-    if opts.progress:
-        artifacts["progress"] = opts.progress
+    failed = any(not o.ok for o in outcomes)
     sweep_rec = ledger.append(
         "sweep",
-        status="failed" if any(not o.ok for o in outcomes) else "ok",
+        status="failed" if failed else "ok",
         figure=_SWEEP_FIGURE,
         cells=n_cells,
         workers=workers,
-        progress=progress_summary,
-        artifacts=artifacts,
+        elapsed_s=round(elapsed, 6),
+        # A failed sweep writes no BENCH record (see sweep_command).
+        artifacts=({"bench": opts.bench_out}
+                   if opts.bench_out and not failed else {}),
     )
     for out in outcomes:
         fields = dict(
@@ -302,7 +306,7 @@ def _ledger_sweep_records(ledger, opts, outcomes, progress_summary,
             wall_s=round(out.wall_s, 6),
             worker=out.worker,
             summary=out.summary,
-            artifacts=out.artifacts,
+            attribution=out.attribution,
         )
         if out.error is not None:
             fields["error"] = out.error
@@ -320,25 +324,19 @@ def _ledger_sweep_records(ledger, opts, outcomes, progress_summary,
 def sweep_command(argv) -> int:
     """``sweep`` subcommand: sharded figure sweep + BENCH record.
 
-    ``--ledger``/``--progress`` switch to the *observed* runner: same
-    cells, same merged results (telemetry is passive — BENCH records
-    stay byte-identical), plus per-cell manifests, artifacts and live
-    heartbeat events.  A failing cell no longer surfaces as a bare
-    multiprocessing traceback: it is named (system/trace/params digest),
-    recorded in the ledger, and the exit code is 1.
+    Every cell runs through the *observed* runner; with ``--ledger`` it
+    is also profiled and appended as one ledger row carrying its
+    attribution.  Telemetry is passive: the BENCH record is
+    byte-identical either way.  ``-v`` logs one line per finished cell.
+    A failing cell is named (system/trace/params digest), recorded in
+    the ledger, and the exit code is 1.
     """
     import time
 
     from ..bench.schema import dump_record, wrap_result
     from ..obs.ledger import Ledger
     from ..traces.datasets import TRACE_NAMES
-    from .parallel import (
-        SweepCellError,
-        SweepProgress,
-        default_workers,
-        run_cells,
-        run_cells_observed,
-    )
+    from .parallel import default_workers, run_cells_observed
 
     opts = _sweep_parser().parse_args(argv)
     workers = opts.workers if opts.workers is not None else default_workers()
@@ -357,48 +355,20 @@ def sweep_command(argv) -> int:
           f"({len(trace_names)} traces x {n_systems} systems x "
           f"{len(memories)} memory points)")
     print(f"workers           {workers}")
-    observed = opts.ledger is not None or opts.progress is not None
     ledger = Ledger(opts.ledger) if opts.ledger is not None else None
     failures = []
-    outcomes = []
     # Wall-clock is operator-facing progress reporting only; it never
     # feeds simulation state (results are a pure function of the cells).
     t0 = time.perf_counter()  # simlint: disable=SL02 -- elapsed-time report, not sim state
-    if observed:
-        progress = SweepProgress(
-            total=n_cells,
-            path=opts.progress,
-            stream=sys.stderr if opts.progress else None,
-        )
-        results, outcomes = run_cells_observed(
-            cells, workers=workers,
-            progress=progress,
-            artifacts_dir=opts.ledger + ".d" if ledger is not None else None,
-            profile=ledger is not None,
-            failures=failures,
-        )
-        progress_summary = progress.summary()
-    else:
-        try:
-            results = run_cells(cells, workers=workers)
-        except SweepCellError as exc:
-            print(f"sweep: {exc}", file=sys.stderr)
-            return 1
-        progress_summary = None
+    results, outcomes = run_cells_observed(
+        cells, workers, profile=ledger is not None, failures=failures,
+    )
     elapsed = time.perf_counter() - t0  # simlint: disable=SL02 -- elapsed-time report, not sim state
     print(f"elapsed           {elapsed:.1f} s wall "
           f"({n_cells / elapsed:.2f} cells/s)")
     if ledger is not None:
-        _ledger_sweep_records(ledger, opts, outcomes, progress_summary,
+        _ledger_sweep_records(ledger, opts, outcomes, elapsed,
                               workers, n_cells)
-    if opts.progress:
-        from ..obs.ledger import load_ledger as _load_jsonl
-        from ..obs.reports import render_progress_report
-
-        print()
-        print(banner("sweep progress"))
-        print(render_progress_report(_load_jsonl(opts.progress)))
-        print(f"progress events   -> {opts.progress}")
     if failures:
         print(f"sweep: {len(failures)} cell(s) failed:", file=sys.stderr)
         for out in failures:
@@ -533,24 +503,21 @@ def chaos_command(argv) -> int:
         print("fault counters    "
               + " ".join(f"{k}={v}"
                          for k, v in sorted(result.fault_counters.items())))
-    if opts.trace:
-        sha = obs.tracer.dump_jsonl(opts.trace)
-        print(f"trace             {len(obs.tracer.records)} spans -> "
-              f"{opts.trace} (sha256 {sha[:16]}...)")
-    if opts.metrics_out:
-        obs.registry.dump(opts.metrics_out)
-        print(f"metrics           -> {opts.metrics_out}")
+    _dump_trace_and_metrics(obs, opts)
     if opts.profile:
-        from ..obs.analyze import attribute
-        from ..obs.reports import render_profile_report
-
-        print()
-        print(banner("critical-path profile (chaotic run)"))
-        print(render_profile_report(
-            attribute(obs.tracer.records),
-            metrics=obs.registry.snapshot(),
-        ))
+        _print_profile(obs, "critical-path profile (chaotic run)")
     return 0
+
+
+def _write_json(doc, dest: str, label: str) -> None:
+    """``--json FILE``: the report as sorted JSON to FILE (``-``: stdout)."""
+    text = json.dumps(doc, indent=2, sort_keys=True, default=float)
+    if dest == "-":
+        print(text)
+    else:
+        with open(dest, "w", encoding="utf-8") as fp:
+            fp.write(text + "\n")
+        print(f"{label:<18}-> {dest}")
 
 
 def _analyze_parser() -> argparse.ArgumentParser:
@@ -618,13 +585,7 @@ def analyze_diff_command(argv) -> int:
         return 2
     report = diff_attributions(base, current)
     if opts.json_out:
-        text = json.dumps(report, indent=2, sort_keys=True, default=float)
-        if opts.json_out == "-":
-            print(text)
-        else:
-            with open(opts.json_out, "w", encoding="utf-8") as fp:
-                fp.write(text + "\n")
-            print(f"diff json         -> {opts.json_out}")
+        _write_json(report, opts.json_out, "diff json")
     if opts.json_out != "-":
         print(banner(f"diff: {opts.base} -> {opts.current}"))
         print(render_diff_report(report))
@@ -649,27 +610,18 @@ def _fleet_parser() -> argparse.ArgumentParser:
 
 def analyze_fleet_command(argv) -> int:
     """``analyze fleet`` subcommand: cross-cell rollup over a ledger."""
-    import os
-
     from ..obs.fleet import fleet_report
     from ..obs.ledger import load_ledger
     from ..obs.reports import render_fleet_report
 
     opts = _fleet_parser().parse_args(argv)
-    base_dir = os.path.dirname(os.path.abspath(opts.ledger))
     try:
-        report = fleet_report(load_ledger(opts.ledger), base_dir=base_dir)
+        report = fleet_report(load_ledger(opts.ledger))
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"analyze fleet: {exc}", file=sys.stderr)
         return 2
     if opts.json_out:
-        text = json.dumps(report, indent=2, sort_keys=True, default=float)
-        if opts.json_out == "-":
-            print(text)
-        else:
-            with open(opts.json_out, "w", encoding="utf-8") as fp:
-                fp.write(text + "\n")
-            print(f"fleet json        -> {opts.json_out}")
+        _write_json(report, opts.json_out, "fleet json")
     if opts.json_out != "-":
         print(banner(f"fleet: {opts.ledger}"))
         print(render_fleet_report(report))
@@ -705,14 +657,8 @@ def analyze_command(argv) -> int:
     if opts.json_out:
         from ..obs.analyze import attribution_to_dict
 
-        summary = attribution_to_dict(attr, metrics=metrics)
-        text = json.dumps(summary, indent=2, sort_keys=True, default=float)
-        if opts.json_out == "-":
-            print(text)
-        else:
-            with open(opts.json_out, "w", encoding="utf-8") as fp:
-                fp.write(text + "\n")
-            print(f"attribution json  -> {opts.json_out}")
+        _write_json(attribution_to_dict(attr, metrics=metrics),
+                    opts.json_out, "attribution json")
     if want_report:
         from ..obs.reports import render_profile_report
 

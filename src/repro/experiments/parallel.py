@@ -26,20 +26,19 @@ Hence ``run_cells(cells, workers=4)`` == ``run_cells(cells, workers=1)``
 element-for-element, which ``tests/test_sweep_parallel.py`` pins all the
 way down to BENCH-record and golden-digest bytes.
 
-On top of the runner sits the *fleet telemetry* layer (all opt-in, all
-passive — wall-clock readings land only in outcome/progress records,
-never in simulation state):
+On top of the runner sits the *fleet telemetry* layer (opt-in and
+passive — wall-clock readings land only in outcomes and log lines, never
+in simulation state):
 
 * :func:`run_cells_observed` returns, alongside the ordered results, one
   :class:`CellOutcome` per cell: wall-clock, worker identity, exit
-  status, a metrics summary (throughput, response percentiles, binding
-  resource) and — when an artifacts directory is given — the path of
-  each cell's attribution artifact for the run ledger
-  (:mod:`repro.obs.ledger`) and fleet rollups (:mod:`repro.obs.fleet`).
-* :class:`SweepProgress` streams heartbeat events (cells done,
-  cells/sec, ETA, stragglers, failures) to a JSONL file as outcomes
-  arrive in *completion* order — live visibility without touching the
-  merged results.
+  status, a metrics summary (throughput, mean response, hit rate and,
+  for a profiled cell, p95/p99 response) and a profiled cell's
+  attribution report.  ``sweep --ledger`` writes each outcome as one
+  run-ledger row (:mod:`repro.obs.ledger`), the only record of the
+  cell, which :mod:`repro.obs.fleet` rolls up.
+* The merge logs one INFO line per finished cell, in completion order:
+  live progress (``-v`` on the CLI) without touching the merged results.
 * A worker exception no longer surfaces as a bare multiprocessing
   traceback: the failing cell's system/trace/params digest is captured
   in its outcome and either collected (``failures=[]``) or raised as one
@@ -48,21 +47,22 @@ never in simulation state):
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import multiprocessing
-import os
 import time
 import traceback as traceback_mod
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Any, Callable, IO, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from .defaults import env_knob
 from .runner import (
     ExperimentConfig, ExperimentResult, run_experiment, system_label,
 )
+
+if TYPE_CHECKING:
+    from ..obs.analyze import Attribution
 
 __all__ = [
     "default_workers",
@@ -72,16 +72,12 @@ __all__ = [
     "CellInfo",
     "CellOutcome",
     "SweepCellError",
-    "SweepProgress",
 ]
 
 logger = logging.getLogger(__name__)
 
 #: Environment knob: default worker count for sweeps (unset = serial).
 WORKERS_ENV = "REPRO_WORKERS"
-#: A cell whose wall-clock exceeds this multiple of the sweep's median
-#: is a straggler.
-STRAGGLER_FACTOR = 3.0
 
 
 def default_workers() -> int:
@@ -149,10 +145,10 @@ class CellOutcome:
     #: Wall-clock seconds the cell took (worker-measured, ledger-only).
     wall_s: float = 0.0
     worker: str = "main"
-    #: Artifact name -> path written by the worker (attribution).
-    artifacts: dict[str, str] = field(default_factory=dict)
     #: Ledger-ready metric summary (empty for failed cells).
     summary: dict[str, Any] = field(default_factory=dict)
+    #: The cell's attribution report (profiled cells only).
+    attribution: Optional[dict[str, Any]] = None
 
 
 class SweepCellError(RuntimeError):
@@ -183,28 +179,23 @@ class _CellJob:
 
     index: int
     cfg: ExperimentConfig
-    artifacts_dir: Optional[str] = None
     profile: bool = False
 
 
-def _cell_summary(result: ExperimentResult, obs: Any) -> dict[str, Any]:
-    """Ledger-facing metric summary of one finished cell."""
+def _cell_summary(
+    result: ExperimentResult, attr: Optional[Attribution],
+) -> dict[str, Any]:
+    """Ledger-facing metric summary of one finished cell; a profiled
+    cell's response percentiles come from its attribution ``attr``."""
     summary: dict[str, Any] = {
         "throughput_rps": result.throughput_rps,
         "mean_response_ms": result.mean_response_ms,
         "hit_rate_total": result.hit_rates.get("total", 0.0),
     }
-    if obs is None:
-        return summary
-    from ..obs.analyze import binding_resource, build_trees, request_roots
-
-    roots, _ = build_trees(obs.tracer.records)
-    durs = sorted(r.dur for r in request_roots(roots, measured_only=True))
-    summary["requests_measured"] = len(durs)
-    summary["p95_ms"] = _percentile(durs, 0.95)
-    summary["p99_ms"] = _percentile(durs, 0.99)
-    binding = binding_resource(obs.registry.snapshot())
-    summary["binding_resource"] = binding["resource"] if binding else None
+    if attr is not None:
+        durs = sorted(r.dur for r in attr.requests)
+        summary["p95_ms"] = _percentile(durs, 0.95)
+        summary["p99_ms"] = _percentile(durs, 0.99)
     return summary
 
 
@@ -222,21 +213,16 @@ def _run_cell_job(job: _CellJob) -> CellOutcome:
             obs = Observability(profile=True)
         result = run_experiment(job.cfg, obs=obs)
         wall_s = time.perf_counter() - t0  # simlint: disable=SL02 -- per-cell wall-clock is ledger telemetry, never sim state
-        artifacts: dict[str, str] = {}
-        if job.artifacts_dir is not None and obs is not None:
-            os.makedirs(job.artifacts_dir, exist_ok=True)
-            stem = os.path.join(job.artifacts_dir, f"cell-{job.index:04d}")
+        attr: Optional[Attribution] = None
+        attribution: Optional[dict[str, Any]] = None
+        if obs is not None:
             from ..obs.analyze import attribute, attribution_to_dict
 
             attr = attribute(obs.tracer.records, measured_only=True)
-            report = attribution_to_dict(attr, obs.registry.snapshot())
-            with open(stem + "-attr.json", "w", encoding="utf-8") as fp:
-                json.dump(report, fp, indent=2, sort_keys=True, default=float)
-                fp.write("\n")
-            artifacts = {"attribution": stem + "-attr.json"}
+            attribution = attribution_to_dict(attr, obs.registry.snapshot())
         return CellOutcome(
             info=info, ok=True, result=result, wall_s=wall_s, worker=worker,
-            artifacts=artifacts, summary=_cell_summary(result, obs),
+            summary=_cell_summary(result, attr), attribution=attribution,
         )
     except Exception as exc:  # noqa: BLE001 - worker boundary, reported upward
         wall_s = time.perf_counter() - t0  # simlint: disable=SL02 -- per-cell wall-clock is ledger telemetry, never sim state
@@ -259,150 +245,6 @@ def _run_pooled_cell_job(job: _CellJob) -> CellOutcome:
 
 
 # ---------------------------------------------------------------------------
-# live progress telemetry
-# ---------------------------------------------------------------------------
-class SweepProgress:
-    """Streams sweep heartbeat events to a JSONL file (and optionally a
-    terminal) as cells complete.
-
-    Events are emitted in *completion* order — that is the point: live
-    visibility into a sharded sweep without perturbing the merged
-    results.  ``clock`` is injectable (monotonic seconds) so tests pin
-    the event stream byte-for-byte.  A cell whose wall-clock exceeds
-    :data:`STRAGGLER_FACTOR` × the median is flagged a straggler in the
-    ``end`` event and the summary.
-    """
-
-    def __init__(
-        self,
-        total: int,
-        path: Optional[str] = None,
-        clock: Optional[Callable[[], float]] = None,
-        stream: Optional[IO[str]] = None,
-    ) -> None:
-        if total < 0:
-            raise ValueError("total must be >= 0")
-        self.total = total
-        self.path = path
-        self._clock: Callable[[], float] = (
-            clock if clock is not None else time.monotonic  # simlint: disable=SL02 -- progress heartbeats are operator telemetry, never sim state
-        )
-        self._stream = stream
-        self._fp: Optional[IO[str]] = None
-        self._t0 = 0.0
-        self.done = 0
-        self.failed: list[CellOutcome] = []
-        self._walls: list[tuple[float, CellInfo]] = []
-        self._workers: dict[str, int] = {}
-
-    # -- event plumbing -----------------------------------------------------
-    def _emit(self, event: dict[str, Any]) -> None:
-        if self.path is not None:
-            if self._fp is None:
-                self._fp = open(self.path, "w", encoding="utf-8")
-            self._fp.write(
-                json.dumps(event, sort_keys=True, default=float) + "\n"
-            )
-            self._fp.flush()
-
-    def _rate(self, elapsed: float) -> float:
-        return self.done / elapsed if elapsed > 0 else 0.0
-
-    # -- lifecycle ----------------------------------------------------------
-    def start(self) -> None:
-        """Mark the sweep started; emits the ``start`` event."""
-        self._t0 = self._clock()
-        self._emit({"event": "start", "total": self.total})
-        if self._stream is not None:
-            print(f"sweep: 0/{self.total} cells", file=self._stream)
-
-    def cell_done(self, outcome: CellOutcome) -> None:
-        """Record one completed cell; emits a ``cell`` heartbeat."""
-        self.done += 1
-        if not outcome.ok:
-            self.failed.append(outcome)
-        self._walls.append((outcome.wall_s, outcome.info))
-        self._workers[outcome.worker] = (
-            self._workers.get(outcome.worker, 0) + 1
-        )
-        elapsed = self._clock() - self._t0
-        rate = self._rate(elapsed)
-        remaining = self.total - self.done
-        eta = remaining / rate if rate > 0 else 0.0
-        self._emit({
-            "event": "cell",
-            "index": outcome.info.index,
-            "system": outcome.info.system,
-            "workload": outcome.info.workload,
-            "mem_mb_per_node": outcome.info.mem_mb_per_node,
-            "status": "ok" if outcome.ok else "failed",
-            "worker": outcome.worker,
-            "wall_s": round(outcome.wall_s, 6),
-            "done": self.done,
-            "total": self.total,
-            "elapsed_s": round(elapsed, 6),
-            "cells_per_s": round(rate, 6),
-            "eta_s": round(eta, 6),
-        })
-        if self._stream is not None:
-            status = "" if outcome.ok else "  FAILED"
-            print(
-                f"sweep: {self.done}/{self.total} cells "
-                f"({rate:.2f}/s, eta {eta:.0f}s) "
-                f"[{outcome.info.coords()}]{status}",
-                file=self._stream,
-            )
-
-    def stragglers(self) -> list[dict[str, Any]]:
-        """Cells whose wall-clock exceeded factor × median (needs >= 2)."""
-        if len(self._walls) < 2:
-            return []
-        walls = sorted(w for w, _info in self._walls)
-        median = walls[len(walls) // 2]
-        if median <= 0:
-            return []
-        return [
-            {
-                "index": info.index,
-                "cell": info.coords(),
-                "wall_s": round(wall, 6),
-                "x_median": round(wall / median, 3),
-            }
-            for wall, info in sorted(self._walls,
-                                     key=lambda wi: (wi[0], wi[1].index))
-            if wall > STRAGGLER_FACTOR * median
-        ]
-
-    def summary(self) -> dict[str, Any]:
-        """Ledger/report-ready rollup of the whole sweep."""
-        elapsed = (self._clock() - self._t0) if self.done else 0.0
-        return {
-            "total": self.total,
-            "done": self.done,
-            "failed": len(self.failed),
-            "elapsed_s": round(elapsed, 6),
-            "cells_per_s": round(self._rate(elapsed), 6),
-            "stragglers": self.stragglers(),
-            "workers": dict(sorted(self._workers.items())),
-        }
-
-    def finish(self) -> dict[str, Any]:
-        """Emit the ``end`` event; returns the summary."""
-        summary = self.summary()
-        self._emit(dict(summary, event="end"))
-        if self._fp is not None:
-            self._fp.close()
-            self._fp = None
-        if self._stream is not None:
-            print(
-                f"sweep: done — {summary['done']}/{summary['total']} cells, "
-                f"{summary['failed']} failed, {summary['elapsed_s']:.1f}s",
-                file=self._stream,
-            )
-        return summary
-
-
-# ---------------------------------------------------------------------------
 # runners
 # ---------------------------------------------------------------------------
 def _pool_context() -> Any:
@@ -415,12 +257,32 @@ def _pool_context() -> Any:
     )
 
 
+def _merge(
+    finished: Iterable[CellOutcome], cells: Sequence[ExperimentConfig],
+) -> list[CellOutcome]:
+    """Slot outcomes arriving in completion order back into cell order,
+    logging one INFO line per finished cell as it arrives."""
+    slots: list[Optional[CellOutcome]] = [None] * len(cells)
+    for done, outcome in enumerate(finished, 1):
+        if outcome.result is not None:
+            # Pooled results travel without their config (see
+            # _run_pooled_cell_job); serially this re-sets the same one.
+            outcome.result.config = cells[outcome.info.index]
+        slots[outcome.info.index] = outcome
+        logger.info(
+            "cell %d/%d [%s] %s, %.2f s wall, worker %s",
+            done, len(cells), outcome.info.coords(),
+            "ok" if outcome.ok else "FAILED", outcome.wall_s, outcome.worker,
+        )
+    merged = [out for out in slots if out is not None]
+    assert len(merged) == len(cells)
+    return merged
+
+
 def run_cells_observed(
     cells: Sequence[ExperimentConfig],
     workers: Optional[int] = None,
     *,
-    progress: Optional[SweepProgress] = None,
-    artifacts_dir: Optional[str] = None,
     profile: bool = False,
     failures: Optional[list[CellOutcome]] = None,
 ) -> tuple[list[Optional[ExperimentResult]], list[CellOutcome]]:
@@ -428,12 +290,11 @@ def run_cells_observed(
 
     ``results`` is in cell order and identical to :func:`run_cells` —
     telemetry is passive.  ``outcomes`` (also cell order) carries
-    per-cell wall-clock, worker identity, status, metric summaries and
-    artifact paths.  ``profile=True`` runs each cell under
-    ``Observability(profile=True)`` (verified passive: simulated results
-    are unchanged) so summaries include response percentiles and the
-    binding resource; with ``artifacts_dir`` each worker also writes the
-    cell's attribution report there.
+    per-cell wall-clock, worker identity, status and metric summaries.
+    ``profile=True`` runs each cell under ``Observability(profile=True)``
+    (verified passive: simulated results are unchanged) and attributes
+    its trace once, so each outcome also carries the cell's attribution
+    report and its summary the p95/p99 response.
 
     Failures: by default any failed cell raises :class:`SweepCellError`
     (after *all* cells ran — the merge is never aborted mid-flight).
@@ -447,19 +308,11 @@ def run_cells_observed(
         raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(workers, len(cells))
     jobs = [
-        _CellJob(index=i, cfg=cfg, artifacts_dir=artifacts_dir,
-                 profile=profile)
+        _CellJob(index=i, cfg=cfg, profile=profile)
         for i, cfg in enumerate(cells)
     ]
-    if progress is not None:
-        progress.start()
-    outcomes: list[Optional[CellOutcome]] = [None] * len(cells)
     if workers <= 1:
-        for job in jobs:
-            outcome = _run_cell_job(job)
-            outcomes[outcome.info.index] = outcome
-            if progress is not None:
-                progress.cell_done(outcome)
+        done = _merge(map(_run_cell_job, jobs), cells)
     else:
         ctx = _pool_context()
         logger.info(
@@ -469,19 +322,12 @@ def run_cells_observed(
         with ctx.Pool(processes=workers) as pool:
             # chunksize=1: cells are coarse (whole simulations), so favor
             # balance over batching.  imap_unordered surfaces outcomes in
-            # completion order for live progress; the indexed reassembly
-            # below restores submission order exactly.
-            for outcome in pool.imap_unordered(_run_pooled_cell_job, jobs,
-                                               chunksize=1):
-                if outcome.result is not None:
-                    outcome.result.config = cells[outcome.info.index]
-                outcomes[outcome.info.index] = outcome
-                if progress is not None:
-                    progress.cell_done(outcome)
-    if progress is not None:
-        progress.finish()
-    done = [out for out in outcomes if out is not None]
-    assert len(done) == len(cells)
+            # completion order for the progress log; _merge restores
+            # submission order exactly.
+            done = _merge(
+                pool.imap_unordered(_run_pooled_cell_job, jobs, chunksize=1),
+                cells,
+            )
     failed = [out for out in done if not out.ok]
     if failed:
         if failures is None:

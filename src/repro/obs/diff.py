@@ -11,8 +11,7 @@ the difference telescopes too; any residue is float noise).
 Inputs are deliberately flexible: :func:`load_attribution` accepts
 either an attribution JSON summary (preferred — small, CI-archivable)
 or a raw profiled trace JSONL, which it attributes on the fly.  That
-lets ``analyze diff A B`` and the ``repro.bench compare --explain-*``
-hook work from whichever artifact a pipeline kept.
+lets ``analyze diff A B`` work from whichever artifact a pipeline kept.
 """
 
 from __future__ import annotations

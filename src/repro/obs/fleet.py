@@ -4,33 +4,34 @@ Input is a list of ledger records (:func:`repro.obs.ledger.load_ledger`)
 containing one ``sweep`` record and its ``cell`` children.  The output
 — report kind ``"fleet"`` under the shared
 :data:`~repro.obs.schema.OUTPUT_SCHEMA_VERSION` envelope — rolls the
-per-cell observability artifacts up into fleet-level answers:
+cell rows up into fleet-level answers:
 
 * **Attribution rollup + conservation check** — per-cell phase tables
-  (from each cell's attribution artifact) summed across the fleet must
-  reconcile *exactly* with the per-cell response-time totals (phase sums
-  telescope to root durations per request, so the cross-cell identity
-  ``Σ_cells Σ_phases = Σ_cells mean·n`` holds to float tolerance; a
-  violation means an artifact is stale or truncated).
+  (from the attribution each cell row carries) summed across the fleet
+  must reconcile *exactly* with the per-cell response-time totals (phase
+  sums telescope to root durations per request, so the cross-cell
+  identity ``Σ_cells Σ_phases = Σ_cells mean·n`` holds to float
+  tolerance; a violation means a row was edited or truncated).
 * **Binding-resource frequency** — how often each resource class binds
   across the (memory × system × trace) matrix, the fleet version of the
   paper's Figure-6a bottleneck-migration narrative.
 * **Throughput matrix** — the fig2-shaped (trace × system × memory)
   grid, rendered as ASCII heatmaps by
   :func:`repro.obs.reports.render_fleet_report`.
+* **The program's view** — wall-clock, cells/s, cells per worker and
+  the stragglers: cells slower than :data:`STRAGGLER_FACTOR` × the
+  sweep's median wall-clock.
 
-Everything here is offline post-processing of ledger rows and artifact
-files; nothing touches simulation state.
+Everything here is offline post-processing of ledger rows; nothing
+touches simulation state.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from collections.abc import Iterable, Sequence
 from typing import Any, Optional
 
-from .ledger import latest_sweep
+from .ledger import LEDGER_VERSION, latest_sweep
 from .schema import as_report
 
 __all__ = [
@@ -38,10 +39,14 @@ __all__ = [
     "fleet_report",
     "conservation_check",
     "CONSERVATION_REL_TOL",
+    "STRAGGLER_FACTOR",
 ]
 
 #: Relative float tolerance for the cross-cell conservation identity.
 CONSERVATION_REL_TOL = 1e-6
+#: A cell whose wall-clock exceeds this multiple of the sweep's median
+#: is a straggler.
+STRAGGLER_FACTOR = 3.0
 
 
 def select_sweep(
@@ -60,38 +65,12 @@ def select_sweep(
     return sweep, cells
 
 
-def _resolve(path: str, base_dir: str) -> Optional[str]:
-    """An artifact path as recorded, else relative to the ledger's dir."""
-    if os.path.exists(path):
-        return path
-    alt = os.path.join(base_dir, path)
-    if os.path.exists(alt):
-        return alt
-    return None
-
-
-def _load_attribution(cell: dict[str, Any],
-                      base_dir: str) -> Optional[dict[str, Any]]:
-    artifacts = cell.get("artifacts") or {}
-    raw = artifacts.get("attribution")
-    if not raw:
-        return None
-    path = _resolve(str(raw), base_dir)
-    if path is None:
-        return None
-    with open(path, encoding="utf-8") as fp:
-        doc = json.load(fp)
-    if not isinstance(doc, dict) or doc.get("kind") != "attribution":
-        return None
-    return doc
-
-
 def conservation_check(
     cell_rows: Sequence[dict[str, Any]],
 ) -> dict[str, Any]:
     """The exact cross-cell attribution conservation identity.
 
-    For every cell with an attribution artifact, per-request phase sums
+    For every cell with an attribution, per-request phase sums
     telescope to the root duration, so ``(Σ phase_means + residual) · n``
     must equal ``mean_response_ms · n`` — and summed across cells, the
     fleet-wide per-phase totals must reconcile with the fleet-wide
@@ -112,9 +91,9 @@ def conservation_check(
         checked += 1
         total += float(attr.get("mean_response_ms", 0.0)) * n
         residual_sum += float(attr.get("mean_residual_ms", 0.0)) * n
-        # simlint: ordered -- JSON-parsed dict preserves the artifact's
-        # key order, and attribution artifacts are dumped sort_keys=True,
-        # so the float accumulation order is fixed by the file bytes.
+        # simlint: ordered -- JSON-parsed dict preserves the row's key
+        # order, and ledger rows are dumped sort_keys=True, so the float
+        # accumulation order is fixed by the file bytes.
         for ms in attr.get("phase_means_ms", {}).values():
             phase_sum += float(ms) * n
     error = abs(total - (phase_sum + residual_sum))
@@ -138,8 +117,8 @@ def _phase_totals(cell_rows: Sequence[dict[str, Any]]) -> dict[str, float]:
         if not attr:
             continue
         n = float(attr.get("requests", 0))
-        # simlint: ordered -- artifact dicts are sort_keys=True on disk,
-        # so JSON-parse insertion order (hence summation order) is fixed;
+        # simlint: ordered -- ledger rows are sort_keys=True on disk, so
+        # JSON-parse insertion order (hence summation order) is fixed;
         # the result is re-sorted below regardless.
         for phase, ms in attr.get("phase_means_ms", {}).items():
             totals[phase] = totals.get(phase, 0.0) + float(ms) * n
@@ -187,9 +166,45 @@ def _throughput_matrix(
     }
 
 
-def _cell_row(cell: dict[str, Any], base_dir: str) -> dict[str, Any]:
-    """One flattened per-cell row (ledger fields + artifact joins)."""
+def _stragglers(rows: Sequence[dict[str, Any]]) -> list[dict[str, Any]]:
+    """Cells whose wall-clock exceeds :data:`STRAGGLER_FACTOR` × the
+    sweep's median, slowest last (none below 2 cells or at a zero
+    median); ``rows`` come in cell order, which breaks ties."""
+    timed = [r for r in rows if r["wall_s"] is not None]
+    if len(timed) < 2:
+        return []
+    walls = sorted(float(r["wall_s"]) for r in timed)
+    median = walls[len(walls) // 2]
+    if median <= 0:
+        return []
+    return [
+        {
+            "index": r["index"],
+            "system": r["system"],
+            "workload": r["workload"],
+            "mem_mb_per_node": r["mem_mb_per_node"],
+            "wall_s": r["wall_s"],
+            "x_median": round(float(r["wall_s"]) / median, 3),
+        }
+        for r in sorted(timed, key=lambda r: float(r["wall_s"]))
+        if float(r["wall_s"]) > STRAGGLER_FACTOR * median
+    ]
+
+
+def _cells_per_worker(rows: Sequence[dict[str, Any]]) -> dict[str, int]:
+    """How many cells each worker process ran."""
+    counts: dict[str, int] = {}
+    for row in rows:
+        worker = str(row["worker"])
+        counts[worker] = counts.get(worker, 0) + 1
+    return dict(sorted(counts.items()))
+
+
+def _cell_row(cell: dict[str, Any]) -> dict[str, Any]:
+    """One flattened per-cell row (ledger fields + summary + attribution)."""
     summary = cell.get("summary") or {}
+    attr = cell.get("attribution")
+    binding = (attr or {}).get("binding_resource") or {}
     row: dict[str, Any] = {
         "run_id": cell.get("run_id"),
         "index": cell.get("cell_index"),
@@ -206,30 +221,28 @@ def _cell_row(cell: dict[str, Any], base_dir: str) -> dict[str, Any]:
         "hit_rate_total": summary.get("hit_rate_total"),
         "p95_ms": summary.get("p95_ms"),
         "p99_ms": summary.get("p99_ms"),
-        "binding_resource": summary.get("binding_resource"),
+        "binding_resource": binding.get("resource"),
     }
-    attr = _load_attribution(cell, base_dir)
-    if attr is not None:
+    if attr:
         # internal join, stripped before the row enters the report
         row["_attribution"] = attr
-        binding = attr.get("binding_resource") or {}
-        if row["binding_resource"] is None and binding:
-            row["binding_resource"] = binding.get("resource")
     return row
 
 
-def fleet_report(
-    records: Iterable[dict[str, Any]],
-    *,
-    base_dir: str = ".",
-) -> dict[str, Any]:
+def fleet_report(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
     """Build the ``"fleet"`` report over the latest sweep's ledger slice.
 
-    ``base_dir`` resolves relative artifact paths (pass the ledger
-    file's directory).
+    Raises :class:`ValueError` when that sweep was recorded under
+    another :data:`~repro.obs.ledger.LEDGER_VERSION`.
     """
     sweep, cells = select_sweep(records)
-    rows = [_cell_row(c, base_dir) for c in cells]
+    version = sweep.get("ledger_version")
+    if version != LEDGER_VERSION:
+        raise ValueError(
+            f"sweep {sweep.get('run_id')} has ledger version {version!r}; "
+            f"this build reads version {LEDGER_VERSION} (re-run the sweep)"
+        )
+    rows = [_cell_row(c) for c in cells]
     rows.sort(key=lambda r: (r["index"] if r["index"] is not None else 0))
     ok_rows = [r for r in rows if r["status"] == "ok"]
     failed = [
@@ -238,12 +251,15 @@ def fleet_report(
           "error")}
         for r in rows if r["status"] != "ok"
     ]
+    elapsed = float(sweep.get("elapsed_s") or 0.0)
     payload: dict[str, Any] = {
         "sweep": {
             "run_id": sweep.get("run_id"),
             "git_sha": sweep.get("git_sha"),
             "workers": sweep.get("workers"),
-            "progress": sweep.get("progress"),
+            "elapsed_s": elapsed,
+            "cells_per_s": len(rows) / elapsed if elapsed > 0 else 0.0,
+            "cells_per_worker": _cells_per_worker(rows),
             "cells": len(rows),
             "cells_ok": len(ok_rows),
             "cells_failed": len(failed),
@@ -252,6 +268,7 @@ def fleet_report(
         "phase_totals_ms": _phase_totals(rows),
         "binding_resources": _binding_frequency(ok_rows),
         "matrix": _throughput_matrix(ok_rows) if ok_rows else None,
+        "stragglers": _stragglers(rows),
         "failed_cells": failed,
         "cells": [
             # simlint: ordered -- key filter preserves the row's ledger

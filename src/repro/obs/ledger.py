@@ -2,11 +2,12 @@
 
 ``sweep --ledger`` appends one JSONL *manifest record* for the sweep
 and one for each of its ``cell``s, describing what ran: git sha, seed,
-workload knobs and their digest, wall-clock, exit status, and the
-paths of the artifacts the run produced (BENCH record, progress
-stream, per-cell attribution summary).  ``python -m repro.obs.ledger
-list`` answers *what ran*, and :mod:`repro.obs.fleet` aggregates a
-sweep's slice of the ledger into cross-cell reports.
+workload knobs and their digest, wall-clock, exit status and the BENCH
+record the sweep wrote.  A cell's row is the only record of that cell:
+it also carries the cell's metric summary and its attribution report.
+``python -m repro.obs.ledger list`` answers *what ran*, and
+:mod:`repro.obs.fleet` aggregates a sweep's slice of the ledger into
+cross-cell reports.
 
 Design rules:
 
@@ -43,7 +44,11 @@ __all__ = [
 ]
 
 #: Version of the ledger row shape; bump on incompatible changes.
-LEDGER_VERSION = 1
+#: 1 — each cell's attribution in its own file, named by the cell row;
+#:     the sweep row carries a ``progress`` summary.
+#: 2 — each cell row carries its ``attribution`` inline; the sweep row
+#:     carries ``elapsed_s``.
+LEDGER_VERSION = 2
 
 #: Every record kind the harness appends.
 RECORD_KINDS = ("sweep", "cell")

@@ -9,11 +9,9 @@ All renderers are plain text (terminal / CI-log friendly):
   span trees pretty-printed (unfinished requests listed separately);
 * :func:`render_diff_report` — the "explain" report between two runs'
   attributions, with the conservation check;
-* :func:`render_fleet_report` — cross-cell sweep rollup: conservation
-  check, binding-resource frequency, (memory × system × trace)
-  throughput heatmaps, per-cell table;
-* :func:`render_progress_report` — a sweep progress JSONL replayed as
-  a completion timeline with rate/ETA/straggler summary.
+* :func:`render_fleet_report` — cross-cell sweep rollup: wall-clock
+  and stragglers, conservation check, binding-resource frequency,
+  (memory × system × trace) throughput heatmaps, per-cell table.
 """
 
 from __future__ import annotations
@@ -32,6 +30,7 @@ from .analyze import (
     decompose_request,
     request_roots,
 )
+from .fleet import STRAGGLER_FACTOR
 from .profile import PHASE_SPAN
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "render_top_requests",
     "render_diff_report",
     "render_fleet_report",
-    "render_progress_report",
     "format_span_tree",
 ]
 
@@ -342,23 +340,41 @@ def _fleet_heatmaps(matrix: dict[str, Any]) -> list[str]:
     return parts
 
 
+def _straggler_line(stragglers: list[dict[str, Any]], cells: int) -> str:
+    head = f"stragglers (> {STRAGGLER_FACTOR:g}x median wall-clock): "
+    if cells < 2:
+        return head + "n/a (need at least 2 cells)"
+    if not stragglers:
+        return head + "none"
+    return head + ", ".join(
+        f"#{s.get('index')} {s.get('system')}/{s.get('workload')}"
+        f"/{s.get('mem_mb_per_node')}MB {s.get('wall_s', 0.0):.2f}s "
+        f"({s.get('x_median', 0.0):.1f}x)"
+        for s in stragglers
+    )
+
+
 def render_fleet_report(report: dict[str, Any]) -> str:
     """The cross-cell rollup for an ``analyze fleet`` report."""
     sweep = report.get("sweep", {})
+    per_worker = ", ".join(
+        f"{name}={count}"
+        for name, count in sweep.get("cells_per_worker", {}).items()
+    )
+    if per_worker:
+        per_worker = f" ({per_worker})"
     parts = [
         f"fleet report — sweep {sweep.get('run_id', '?')} "
         f"(git {sweep.get('git_sha', '?')})",
         f"  cells: {sweep.get('cells', 0)} total, "
         f"{sweep.get('cells_ok', 0)} ok, "
         f"{sweep.get('cells_failed', 0)} failed; "
-        f"workers: {sweep.get('workers', '?')}",
+        f"workers: {sweep.get('workers', '?')}{per_worker}",
+        f"  wall-clock: {sweep.get('elapsed_s', 0.0):.1f}s at "
+        f"{sweep.get('cells_per_s', 0.0):.2f} cells/s",
+        "  " + _straggler_line(report.get("stragglers", []),
+                               sweep.get("cells", 0)),
     ]
-    progress = sweep.get("progress") or {}
-    if progress:
-        parts.append(
-            f"  wall-clock: {progress.get('elapsed_s', 0.0):.1f}s at "
-            f"{progress.get('cells_per_s', 0.0):.2f} cells/s"
-        )
 
     cons = report.get("conservation", {})
     parts.append("")
@@ -375,7 +391,7 @@ def render_fleet_report(report: dict[str, Any]) -> str:
         )
     else:
         parts.append("conservation check: n/a "
-                     "(no cells carry attribution artifacts)")
+                     "(no cells carry an attribution)")
 
     freq = report.get("binding_resources", {})
     if freq:
@@ -415,63 +431,4 @@ def render_fleet_report(report: dict[str, Any]) -> str:
                 f"  #{f.get('index')} {f.get('system')}/{f.get('workload')}"
                 f"/{f.get('mem_mb_per_node')}MB: {f.get('error')}"
             )
-    return "\n".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# sweep progress report (telemetry replay)
-# ---------------------------------------------------------------------------
-def render_progress_report(events: Iterable[dict[str, Any]]) -> str:
-    """Replay a sweep progress JSONL as a human-readable timeline.
-
-    Handles the degenerate shapes gracefully: an empty sweep (no cells
-    ran) and a single-cell sweep (no straggler statistics possible).
-    """
-    events = list(events)
-    cells = [e for e in events if e.get("event") == "cell"]
-    end = next((e for e in events if e.get("event") == "end"), None)
-    start = next((e for e in events if e.get("event") == "start"), None)
-    total = (start or end or {}).get("total", len(cells))
-    if not cells:
-        return f"sweep progress: no cells ran (of {total} planned)"
-    parts = [f"sweep progress: {len(cells)}/{total} cells completed"]
-    for e in cells:
-        status = "ok" if e.get("status") == "ok" else "FAILED"
-        parts.append(
-            f"  [{e.get('elapsed_s', 0.0):8.2f}s] "
-            f"#{e.get('index'):>4} {e.get('system')}/{e.get('workload')}"
-            f"/{e.get('mem_mb_per_node'):g}MB "
-            f"{status:<6} wall {e.get('wall_s', 0.0):7.2f}s "
-            f"worker {e.get('worker')} "
-            f"({e.get('cells_per_s', 0.0):.2f}/s, "
-            f"eta {e.get('eta_s', 0.0):.0f}s)"
-        )
-    summary = end or {}
-    done = summary.get("done", len(cells))
-    failed = summary.get("failed",
-                         sum(1 for e in cells if e.get("status") != "ok"))
-    parts.append(
-        f"  done: {done}/{total} cells, {failed} failed, "
-        f"{summary.get('elapsed_s', cells[-1].get('elapsed_s', 0.0)):.2f}s "
-        f"({summary.get('cells_per_s', 0.0):.2f} cells/s)"
-    )
-    stragglers = summary.get("stragglers", [])
-    if len(cells) < 2:
-        parts.append("  stragglers: n/a (need at least 2 cells)")
-    elif stragglers:
-        for s in stragglers:
-            parts.append(
-                f"  straggler: #{s.get('index')} {s.get('cell')} "
-                f"wall {s.get('wall_s', 0.0):.2f}s "
-                f"({s.get('x_median', 0.0):.1f}x median)"
-            )
-    else:
-        parts.append("  stragglers: none")
-    workers = summary.get("workers", {})
-    if workers:
-        parts.append(
-            "  workers: " + ", ".join(
-                f"{name}={count}" for name, count in sorted(workers.items())
-            )
-        )
     return "\n".join(parts)

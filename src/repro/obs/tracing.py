@@ -184,6 +184,16 @@ class Tracer:
             self._records.extend(_decode(entries))
         return self._records
 
+    def finished_count(self) -> int:
+        """``len(records)``, counted without decoding the log: each span
+        takes eight entries plus two per attr."""
+        log = self._log
+        count, i, size = len(self._records), 0, len(log)
+        while i < size:
+            count += 1
+            i += 8 + 2 * log[i + 7]
+        return count
+
     @property
     def open_spans(self) -> list[Span]:
         """Spans started but not yet finished, in start order."""

@@ -267,6 +267,43 @@ class TestTracer:
         assert t.open_spans == []
         assert t.to_jsonl() == ""
 
+    def test_finished_count_matches_records(self):
+        """``finished_count`` walks the undecoded log: it equals
+        ``len(records)`` mid-run, after the run, and after ``clear()``
+        followed by a span that was open across it."""
+        sim = Simulator()
+        t = Tracer()
+        t.attach(sim)
+        seen = []
+
+        def request(i):
+            root = t.start("request", node=i)
+            for k in range(i):
+                t.point("probe", parent=root, n=k)
+                yield sim.timeout(1.0)
+            root.finish(cls="local", **{f"a{j}": j for j in range(i)})
+
+        def observer():
+            for _ in range(2):
+                yield sim.timeout(1.25)
+                count = t.finished_count()  # before records decodes
+                seen.append((count, len(t.records)))
+
+        for i in range(5):
+            sim.process(request(i))
+        sim.process(observer())
+        sim.run()
+        count = t.finished_count()
+        seen.append((count, len(t.records)))
+        assert [c for c, _n in seen] == [9, 12, 15]
+        assert all(c == n for c, n in seen)
+        late = t.start("late")
+        t.clear()
+        assert t.finished_count() == 0
+        late.finish(q=1.0)
+        count = t.finished_count()
+        assert count == len(t.records) == 1
+
     def test_unfinished_spans_flagged_in_export(self):
         t = Tracer()
         a = t.start("outer")

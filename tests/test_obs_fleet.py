@@ -4,8 +4,8 @@ The load-bearing property is the conservation check: per-request phase
 sums telescope to root durations, so ``(Σ phase_means + residual) · n``
 summed across any subset of cells must reconcile exactly (to float
 tolerance) with the summed response-time totals — hypothesis drives
-random cell subsets through the identity, and a corrupted artifact must
-trip it.
+random cell subsets through the identity, and a corrupted attribution
+must trip it.
 """
 
 import itertools
@@ -15,13 +15,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.experiments import cli
 from repro.obs.fleet import (
     CONSERVATION_REL_TOL,
     conservation_check,
     fleet_report,
     select_sweep,
 )
-from repro.obs.ledger import Ledger, load_ledger
+from repro.obs.ledger import LEDGER_VERSION, Ledger, load_ledger
 from repro.obs.reports import render_fleet_report
 from repro.obs.schema import (
     OUTPUT_SCHEMA_VERSION,
@@ -37,7 +38,7 @@ def fake_clock():
 
 
 def attr_doc(requests, phases, residual, binding=None):
-    """A self-consistent attribution artifact (identity holds exactly)."""
+    """A self-consistent attribution report (identity holds exactly)."""
     mean = sum(phases.values()) + residual
     return as_report("attribution", {
         "requests": requests,
@@ -51,26 +52,24 @@ def attr_doc(requests, phases, residual, binding=None):
     })
 
 
-def build_sweep_ledger(tmp_path, cells):
-    """Write a sweep + cell ledger (artifact paths ledger-relative)."""
+def build_sweep_ledger(tmp_path, cells, elapsed_s=10.0):
+    """Write a sweep + cell ledger, each cell row carrying its
+    attribution; cell ``i`` takes ``wall`` seconds (default ``1 + i``)
+    on worker ``w{i % 2}``."""
     path = tmp_path / "ledger.jsonl"
     ledger = Ledger(str(path), clock=fake_clock())
     sweep = ledger.append(
         "sweep", figure="fig2", cells=len(cells), workers=2,
-        progress={"elapsed_s": 10.0, "cells_per_s": 0.4, "done": len(cells),
-                  "failed": sum(1 for c in cells if not c.get("ok", True))},
-        artifacts={},
+        elapsed_s=elapsed_s, artifacts={},
     )
     for i, c in enumerate(cells):
         ok = c.get("ok", True)
-        artifacts = {}
+        attribution = None
         if ok and "phases" in c:
-            rel = f"cell-{i:04d}-attr.json"
-            (tmp_path / rel).write_text(json.dumps(attr_doc(
+            attribution = attr_doc(
                 c.get("requests", 100), c["phases"],
                 c.get("residual", 1.0), c.get("binding"),
-            ), indent=2, sort_keys=True))
-            artifacts["attribution"] = rel
+            )
         summary = {}
         if ok:
             summary = {
@@ -79,14 +78,13 @@ def build_sweep_ledger(tmp_path, cells):
                 "hit_rate_total": 0.5,
                 "p95_ms": c.get("p95", 8.0),
                 "p99_ms": c.get("p99", 9.0),
-                "binding_resource": c.get("binding"),
             }
         fields = dict(
             cell_index=i, system=c["system"],
             workload=c.get("workload", "rutgers"), num_nodes=4,
             mem_mb_per_node=c.get("mem", 4), num_clients=8, seed=0,
-            params_digest="0" * 16, wall_s=1.0 + i, worker=f"w{i % 2}",
-            summary=summary, artifacts=artifacts,
+            params_digest="0" * 16, wall_s=c.get("wall", 1.0 + i),
+            worker=f"w{i % 2}", summary=summary, attribution=attribution,
         )
         if not ok:
             fields["error"] = c.get("error", "RuntimeError: boom")
@@ -147,18 +145,22 @@ class TestConservation:
             1.0, abs(check["total_ms"]))
 
     def test_stale_artifact_trips_the_check(self, tmp_path):
+        """A cell row whose inline attribution was edited after the run
+        no longer telescopes, and the fleet check says so."""
         path, _ = build_sweep_ledger(tmp_path, [
             {"system": "press", "phases": {"disk.queue": 4.0}},
             {"system": "cc-kmc", "phases": {"disk.queue": 3.0}},
         ])
-        # Corrupt one artifact: the recorded mean no longer telescopes.
-        art = tmp_path / "cell-0000-attr.json"
-        doc = json.loads(art.read_text())
-        doc["mean_response_ms"] += 1.0
-        art.write_text(json.dumps(doc))
-        report = fleet_report(load_ledger(str(path)),
-                              base_dir=str(tmp_path))
+        records = load_ledger(str(path))
+        assert fleet_report(records)["conservation"]["ok"]
+        lines = path.read_text().splitlines()
+        cell = json.loads(lines[1])
+        cell["attribution"]["mean_response_ms"] += 1.0
+        lines[1] = json.dumps(cell, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        report = fleet_report(load_ledger(str(path)))
         assert not report["conservation"]["ok"]
+        assert report["conservation"]["cells_checked"] == 2
         assert "VIOLATED" in render_fleet_report(report)
 
     def test_no_attributions_is_not_ok(self):
@@ -183,8 +185,7 @@ def _three_cell_fleet(tmp_path):
 class TestFleetReport:
     def test_schema_round_trip(self, tmp_path):
         path, sweep = _three_cell_fleet(tmp_path)
-        report = fleet_report(load_ledger(str(path)),
-                              base_dir=str(tmp_path))
+        report = fleet_report(load_ledger(str(path)))
         assert "fleet" in REPORT_KINDS
         text = json.dumps(report, sort_keys=True, default=float)
         doc = json.loads(text)
@@ -197,8 +198,7 @@ class TestFleetReport:
 
     def test_rollups(self, tmp_path):
         path, _ = _three_cell_fleet(tmp_path)
-        report = fleet_report(load_ledger(str(path)),
-                              base_dir=str(tmp_path))
+        report = fleet_report(load_ledger(str(path)))
         assert report["conservation"]["ok"]
         assert report["conservation"]["cells_checked"] == 3
         # most-frequent binder first, ties alphabetical
@@ -221,8 +221,7 @@ class TestFleetReport:
             {"system": "cc-kmc", "ok": False,
              "error": "ValueError: unknown system"},
         ])
-        report = fleet_report(load_ledger(str(path)),
-                              base_dir=str(tmp_path))
+        report = fleet_report(load_ledger(str(path)))
         assert report["sweep"]["cells"] == 2
         assert report["sweep"]["cells_ok"] == 1
         assert report["sweep"]["cells_failed"] == 1
@@ -235,12 +234,107 @@ class TestFleetReport:
 
     def test_render_smoke(self, tmp_path):
         path, _ = _three_cell_fleet(tmp_path)
-        report = fleet_report(load_ledger(str(path)),
-                              base_dir=str(tmp_path))
+        report = fleet_report(load_ledger(str(path)))
         rendered = render_fleet_report(report)
         assert "fleet report — sweep" in rendered
         assert "conservation check [OK]" in rendered
         assert "binding-resource frequency" in rendered
         assert "throughput heatmap — rutgers" in rendered
         assert "per-cell summary" in rendered
-        assert "wall-clock: 10.0s at 0.40 cells/s" in rendered
+        assert "  wall-clock: 10.0s at 0.30 cells/s\n" in rendered
+        assert "workers: 2 (w0=2, w1=1)\n" in rendered
+        assert ("  stragglers (> 3x median wall-clock): none\n"
+                in rendered)
+
+    def test_cells_per_worker_and_rate_from_the_rows(self, tmp_path):
+        path, _ = build_sweep_ledger(tmp_path, [
+            {"system": "press"}, {"system": "press"},
+            {"system": "cc-kmc"}, {"system": "cc-kmc", "ok": False},
+            {"system": "cc-basic"},
+        ], elapsed_s=2.5)
+        sweep = fleet_report(load_ledger(str(path)))["sweep"]
+        assert sweep["cells_per_worker"] == {"w0": 3, "w1": 2}
+        assert sweep["elapsed_s"] == 2.5
+        assert sweep["cells_per_s"] == 2.0
+        assert sweep["cells_failed"] == 1
+
+    def test_zero_elapsed_has_zero_rate(self, tmp_path):
+        path, _ = build_sweep_ledger(tmp_path, [{"system": "press"}],
+                                     elapsed_s=0.0)
+        sweep = fleet_report(load_ledger(str(path)))["sweep"]
+        assert sweep["cells_per_s"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# stragglers: cells slower than 3x the sweep's median wall-clock
+# ---------------------------------------------------------------------------
+class TestStragglers:
+    def _report(self, tmp_path, walls, **status):
+        cells = [{"system": "press", "mem": 2 ** i, "wall": w}
+                 for i, w in enumerate(walls)]
+        for i in status.get("failed", ()):
+            cells[i]["ok"] = False
+        path, _ = build_sweep_ledger(tmp_path, cells)
+        report = fleet_report(load_ledger(str(path)))
+        return report, render_fleet_report(report)
+
+    def test_slow_cell_is_flagged(self, tmp_path):
+        report, rendered = self._report(tmp_path, [1.0, 1.0, 10.0])
+        assert report["stragglers"] == [{
+            "index": 2, "system": "press", "workload": "rutgers",
+            "mem_mb_per_node": 4, "wall_s": 10.0, "x_median": 10.0,
+        }]
+        assert ("stragglers (> 3x median wall-clock): "
+                "#2 press/rutgers/4MB 10.00s (10.0x)") in rendered
+
+    def test_rule_is_strictly_above_three_medians_slowest_last(
+        self, tmp_path
+    ):
+        # median 1.0: cell 6 at exactly 3x is not a straggler
+        report, _ = self._report(tmp_path,
+                                 [7.0, 1.0, 1.0, 3.5, 1.0, 1.0, 3.0])
+        assert [s["index"] for s in report["stragglers"]] == [3, 0]
+        assert [s["x_median"] for s in report["stragglers"]] == [3.5, 7.0]
+
+    def test_median_of_an_even_count_is_the_upper_middle(self, tmp_path):
+        report, _ = self._report(tmp_path, [1.0, 7.0, 1.0, 2.0])
+        assert [(s["index"], s["x_median"])
+                for s in report["stragglers"]] == [(1, 3.5)]
+
+    def test_failed_cells_count_toward_the_median(self, tmp_path):
+        report, _ = self._report(tmp_path, [1.0, 1.0, 10.0], failed=[2])
+        assert [s["index"] for s in report["stragglers"]] == [2]
+
+    def test_single_cell_has_none(self, tmp_path):
+        report, rendered = self._report(tmp_path, [100.0])
+        assert report["stragglers"] == []
+        assert ("stragglers (> 3x median wall-clock): "
+                "n/a (need at least 2 cells)") in rendered
+
+    def test_zero_median_has_none(self, tmp_path):
+        report, rendered = self._report(tmp_path, [0.0, 0.0, 5.0])
+        assert report["stragglers"] == []
+        assert "stragglers (> 3x median wall-clock): none" in rendered
+
+
+# ---------------------------------------------------------------------------
+# ledger version
+# ---------------------------------------------------------------------------
+class TestLedgerVersion:
+    def test_version_1_ledger_is_a_one_line_error(self, tmp_path, capsys):
+        path, _ = build_sweep_ledger(tmp_path, [
+            {"system": "press", "phases": {"disk.queue": 4.0}},
+        ])
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        for row in rows:
+            row["ledger_version"] = 1
+        path.write_text("".join(json.dumps(r, sort_keys=True) + "\n"
+                                for r in rows))
+        with pytest.raises(ValueError, match="ledger version 1"):
+            fleet_report(load_ledger(str(path)))
+        assert cli.main(["analyze", "fleet", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("analyze fleet: sweep ")
+        assert f"reads version {LEDGER_VERSION}" in captured.err

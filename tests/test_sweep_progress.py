@@ -1,35 +1,34 @@
-"""Tests for live sweep telemetry and the observed sweep runner.
+"""Tests for the observed sweep runner and its live progress log.
 
-Three layers:
+Four layers:
 
-* :class:`SweepProgress` heartbeat events under an injected clock
-  (byte-stable streams, straggler statistics, degenerate shapes);
 * worker failure capture — a failing cell is named (system / trace /
   params digest) instead of surfacing a bare multiprocessing traceback;
-* the PR's acceptance path end-to-end: a fig2 smoke sweep with 4
-  workers, ledger, progress and per-cell artifacts emits a BENCH record
-  byte-identical to the plain serial sweep, and ``analyze fleet`` over
-  the resulting ledger passes the conservation check exactly.
+* a profiled cell walks its trace once, and its summary and attribution
+  match an independent walk of the same records;
+* the progress log: one INFO line per finished cell, serial or sharded;
+* the acceptance path end-to-end: a fig2 smoke sweep with 4 workers and
+  a ledger emits a BENCH record byte-identical to the plain serial
+  sweep, each ledger row carries its cell's attribution, and ``analyze
+  fleet`` over the ledger passes the conservation check exactly.
 """
 
-import itertools
 import json
+import math
 
 import pytest
 
-from repro.experiments import cli, defaults
+from repro.experiments import cli, defaults, parallel
 from repro.experiments.parallel import (
-    CellInfo,
-    CellOutcome,
     SweepCellError,
-    SweepProgress,
     cell_info,
     run_cells,
     run_cells_observed,
 )
 from repro.experiments.runner import ExperimentConfig
-from repro.obs.analyze import RESOURCE_CLASSES
-from repro.obs.reports import render_progress_report
+from repro.obs import analyze
+from repro.obs.analyze import RESOURCE_CLASSES, build_trees, request_roots
+from repro.obs.fleet import fleet_report
 from repro.traces import datasets
 
 _SCALE = 0.005
@@ -46,131 +45,6 @@ def smoke_defaults(monkeypatch):
     monkeypatch.setattr(defaults, "SCALE", _SCALE)
     monkeypatch.setattr(defaults, "NUM_REQUESTS", _REQUESTS)
     monkeypatch.setattr(defaults, "NUM_CLIENTS", _CLIENTS)
-
-
-def fake_clock(step=1.0):
-    counter = itertools.count()
-    return lambda: step * next(counter)
-
-
-def make_outcome(index, wall_s=1.0, ok=True, worker="w0"):
-    info = CellInfo(
-        index=index, system="press", workload="rutgers", num_nodes=4,
-        mem_mb_per_node=0.5, num_clients=8, seed=0,
-        params_digest="f" * 16,
-    )
-    return CellOutcome(info=info, ok=ok, wall_s=wall_s, worker=worker,
-                       error=None if ok else "RuntimeError: boom")
-
-
-# ---------------------------------------------------------------------------
-# heartbeat stream
-# ---------------------------------------------------------------------------
-class TestSweepProgress:
-    def test_event_stream_under_injected_clock(self, tmp_path):
-        path = tmp_path / "progress.jsonl"
-        progress = SweepProgress(total=2, path=str(path),
-                                 clock=fake_clock())
-        progress.start()                      # clock -> 0
-        progress.cell_done(make_outcome(1, wall_s=2.0))   # clock -> 1
-        progress.cell_done(make_outcome(0, wall_s=1.5, worker="w1"))
-        summary = progress.finish()
-        events = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [e["event"] for e in events] == ["start", "cell", "cell",
-                                               "end"]
-        assert events[0]["total"] == 2
-        first = events[1]
-        assert first["index"] == 1            # completion order, not cell
-        assert first["done"] == 1
-        assert first["elapsed_s"] == 1.0
-        assert first["cells_per_s"] == 1.0
-        assert first["eta_s"] == 1.0
-        assert first["wall_s"] == 2.0
-        second = events[2]
-        assert second["done"] == 2 and second["eta_s"] == 0.0
-        assert events[3]["done"] == 2 and events[3]["failed"] == 0
-        assert summary["workers"] == {"w0": 1, "w1": 1}
-        assert summary["elapsed_s"] == 3.0
-
-    def test_identical_runs_are_byte_identical(self, tmp_path):
-        paths = []
-        for tag in ("a", "b"):
-            path = tmp_path / f"{tag}.jsonl"
-            progress = SweepProgress(total=1, path=str(path),
-                                     clock=fake_clock())
-            progress.start()
-            progress.cell_done(make_outcome(0))
-            progress.finish()
-            paths.append(path)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-
-    def test_straggler_detection(self):
-        progress = SweepProgress(total=3, clock=fake_clock())
-        progress.start()
-        progress.cell_done(make_outcome(0, wall_s=1.0))
-        progress.cell_done(make_outcome(1, wall_s=1.0))
-        progress.cell_done(make_outcome(2, wall_s=10.0))
-        stragglers = progress.stragglers()
-        assert len(stragglers) == 1
-        assert stragglers[0]["index"] == 2
-        assert stragglers[0]["x_median"] == 10.0
-
-    def test_single_cell_has_no_straggler_statistics(self):
-        progress = SweepProgress(total=1, clock=fake_clock())
-        progress.start()
-        progress.cell_done(make_outcome(0, wall_s=100.0))
-        assert progress.stragglers() == []
-
-    def test_failed_cells_counted(self):
-        progress = SweepProgress(total=2, clock=fake_clock())
-        progress.start()
-        progress.cell_done(make_outcome(0))
-        progress.cell_done(make_outcome(1, ok=False))
-        assert progress.summary()["failed"] == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SweepProgress(total=-1)
-
-
-# ---------------------------------------------------------------------------
-# progress rendering (degenerate shapes included)
-# ---------------------------------------------------------------------------
-class TestRenderProgress:
-    def test_zero_cell_sweep(self):
-        out = render_progress_report([{"event": "start", "total": 4}])
-        assert out == "sweep progress: no cells ran (of 4 planned)"
-        assert render_progress_report([]) \
-            == "sweep progress: no cells ran (of 0 planned)"
-
-    def test_single_cell_sweep(self, tmp_path):
-        path = tmp_path / "p.jsonl"
-        progress = SweepProgress(total=1, path=str(path),
-                                 clock=fake_clock())
-        progress.start()
-        progress.cell_done(make_outcome(0, wall_s=1.25))
-        progress.finish()
-        events = [json.loads(line) for line in path.read_text().splitlines()]
-        out = render_progress_report(events)
-        assert "1/1 cells completed" in out
-        assert "press/rutgers/0.5MB" in out
-        assert "stragglers: n/a (need at least 2 cells)" in out
-        assert "workers: w0=1" in out
-
-    def test_multi_cell_timeline(self, tmp_path):
-        path = tmp_path / "p.jsonl"
-        progress = SweepProgress(total=2, path=str(path),
-                                 clock=fake_clock())
-        progress.start()
-        progress.cell_done(make_outcome(0))
-        progress.cell_done(make_outcome(1, ok=False))
-        progress.finish()
-        events = [json.loads(line) for line in path.read_text().splitlines()]
-        out = render_progress_report(events)
-        assert "2/2 cells completed" in out
-        assert "FAILED" in out
-        assert "1 failed" in out
-        assert "stragglers: none" in out
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +97,55 @@ class TestFailureCapture:
             assert a.hit_rates == b.hit_rates
         for out in outcomes:
             assert out.ok and out.summary["p95_ms"] > 0
-            assert out.summary["requests_measured"] > 0
+            assert out.attribution["requests"] > 0
+
+
+# ---------------------------------------------------------------------------
+# a profiled cell: one trace walk, checked against an independent one
+# ---------------------------------------------------------------------------
+def _nearest_rank(sorted_vals, q):
+    return sorted_vals[math.ceil(q * len(sorted_vals)) - 1]
+
+
+def test_profiled_cell_walks_its_trace_once(monkeypatch):
+    """A profiled cell builds its span trees once, and its p95, p99 and
+    request count equal an independent walk over the same records."""
+    seen = []
+
+    def spy_build_trees(records):
+        seen.append(records)
+        return build_trees(records)
+
+    monkeypatch.setattr(analyze, "build_trees", spy_build_trees)
+    cfg = ExperimentConfig(system="cc-kmc", trace=_smoke_trace(),
+                           num_nodes=4, mem_mb_per_node=0.25,
+                           num_clients=_CLIENTS)
+    _results, (outcome,) = run_cells_observed([cfg], workers=1,
+                                              profile=True)
+    assert len(seen) == 1
+    roots, _index = build_trees(seen[0])
+    durs = sorted(r.dur for r in request_roots(roots, measured_only=True))
+    assert len(durs) > 20
+    assert outcome.summary["p95_ms"] == _nearest_rank(durs, 0.95)
+    assert outcome.summary["p99_ms"] == _nearest_rank(durs, 0.99)
+    assert outcome.attribution["requests"] == len(durs)
+    assert outcome.attribution["kind"] == "attribution"
+    assert outcome.attribution["binding_resource"]["resource"] \
+        in RESOURCE_CLASSES
+    # The count and the binding resource live only in the attribution.
+    assert set(outcome.summary) == {
+        "throughput_rps", "mean_response_ms", "hit_rate_total",
+        "p95_ms", "p99_ms"}
+
+
+def test_unprofiled_outcome_has_no_attribution():
+    cfg = ExperimentConfig(system="press", trace=_smoke_trace(),
+                           num_nodes=2, mem_mb_per_node=0.25,
+                           num_clients=_CLIENTS)
+    _results, (outcome,) = run_cells_observed([cfg], workers=1)
+    assert outcome.attribution is None
+    assert set(outcome.summary) == {
+        "throughput_rps", "mean_response_ms", "hit_rate_total"}
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +159,37 @@ class TestObservedSweepEndToEnd:
         monkeypatch.setattr(defaults, "BENCH_MEMORY_MB", [20, 100])
         monkeypatch.setenv("REPRO_GIT_SHA", "cafebabe")
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_verbose_sweep_logs_one_line_per_cell(
+        self, sweep_defaults, workers, caplog, capsys
+    ):
+        caplog.set_level("INFO", logger=parallel.logger.name)
+        assert cli.main(["sweep", "-v", "--workload", "rutgers",
+                         "--nodes", "4", "--workers", str(workers)]) == 0
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == parallel.logger.name
+                 and r.getMessage().startswith("cell ")]
+        assert [line.split()[1] for line in lines] == [
+            f"{done}/8" for done in range(1, 9)]
+        coords = sorted(line.split()[2] for line in lines)
+        assert len(set(coords)) == 8
+        assert all(c.startswith("[") and c.endswith("]") for c in coords)
+        for line in lines:
+            assert " ok, " in line and " s wall, worker " in line
+        if workers == 2:
+            assert all("ForkPoolWorker" in line or "SpawnPoolWorker" in line
+                       for line in lines)
+        else:
+            assert all(line.endswith("worker MainProcess")
+                       for line in lines)
+        capsys.readouterr()
+
     def test_ledgered_sweep_is_passive_and_fleet_checks_out(
         self, sweep_defaults, tmp_path, capsys
     ):
         plain = tmp_path / "BENCH_plain.json"
         observed = tmp_path / "BENCH_observed.json"
         ledger = tmp_path / "ledger.jsonl"
-        progress = tmp_path / "progress.jsonl"
 
         assert cli.main([
             "sweep", "--workload", "rutgers", "--nodes", "4",
@@ -252,10 +198,10 @@ class TestObservedSweepEndToEnd:
         assert cli.main([
             "sweep", "--workload", "rutgers", "--nodes", "4",
             "--workers", "4", "--bench-out", str(observed),
-            "--ledger", str(ledger), "--progress", str(progress),
+            "--ledger", str(ledger),
         ]) == 0
         out = capsys.readouterr().out
-        assert "sweep progress" in out and "8/8 cells completed" in out
+        assert "(sweep run id " in out and ", 8 cell records)" in out
 
         # Telemetry is passive: byte-identical trajectory records.
         assert plain.read_bytes() == observed.read_bytes()
@@ -267,6 +213,10 @@ class TestObservedSweepEndToEnd:
         assert len(sweeps) == 1
         assert sweeps[0]["figure"] == "fig2"
         assert sweeps[0]["git_sha"] == "cafebabe"
+        assert sweeps[0]["ledger_version"] == 2
+        assert sweeps[0]["elapsed_s"] > 0
+        assert sweeps[0]["artifacts"] == {"bench": str(observed)}
+        assert "progress" not in sweeps[0]
         cells = [r for r in records if r["kind"] == "cell"
                  and r["parent"] == sweeps[0]["run_id"]]
         assert len(cells) == 8 == len(records) - 1
@@ -274,7 +224,11 @@ class TestObservedSweepEndToEnd:
             assert cell["status"] == "ok"
             assert len(cell["params_digest"]) == 16
             assert cell["summary"]["throughput_rps"] > 0
-            assert list(cell["artifacts"]) == ["attribution"]
+            assert cell["attribution"]["kind"] == "attribution"
+            assert "artifacts" not in cell
+        # The rows are the only record: no per-cell files beside them.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "BENCH_observed.json", "BENCH_plain.json", "ledger.jsonl"]
 
         # `analyze fleet` over the ledger: conservation passes exactly,
         # every binding resource is a real resource class.
@@ -287,6 +241,7 @@ class TestObservedSweepEndToEnd:
         assert report["conservation"]["ok"]
         assert report["conservation"]["cells_checked"] == 8
         assert report["sweep"]["cells_failed"] == 0
+        assert sum(report["sweep"]["cells_per_worker"].values()) == 8
         assert report["binding_resources"]
         for resource in report["binding_resources"]:
             assert resource in RESOURCE_CLASSES
@@ -295,3 +250,46 @@ class TestObservedSweepEndToEnd:
         assert len(matrix["memories_mb"]) == 2
         rendered = capsys.readouterr().out
         assert "conservation check [OK]" in rendered
+
+    def test_failed_cells_are_named_recorded_and_skip_the_bench(
+        self, sweep_defaults, tmp_path, monkeypatch, capsys
+    ):
+        """Ledgered or not, a sweep with failing cells names each one on
+        stderr, writes no BENCH record and exits 1; the ledger keeps a
+        failed row per cell, which the fleet report lists."""
+        real_run = parallel.run_experiment
+
+        def flaky(cfg, obs=None):
+            if cfg.system == "cc-sched":
+                raise RuntimeError("boom")
+            return real_run(cfg, obs=obs)
+
+        monkeypatch.setattr(parallel, "run_experiment", flaky)
+        bench = tmp_path / "BENCH.json"
+        ledger = tmp_path / "ledger.jsonl"
+        for extra in ([], ["--ledger", str(ledger)]):
+            assert cli.main([
+                "sweep", "--workload", "rutgers", "--nodes", "4",
+                "--workers", "1", "--bench-out", str(bench), *extra,
+            ]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert err[0] == "sweep: 2 cell(s) failed:"
+            assert all("cc-sched/rutgers" in line
+                       and line.endswith("RuntimeError: boom")
+                       for line in err[1:3])
+            assert err[3:] == [
+                "sweep: skipping BENCH record (incomplete matrix)"]
+            assert not bench.exists()
+        from repro.obs.ledger import load_ledger
+        records = load_ledger(str(ledger))
+        assert records[0]["status"] == "failed"
+        assert records[0]["artifacts"] == {}  # no BENCH record was written
+        failed = [r for r in records if r["status"] == "failed"][1:]
+        assert [r["system"] for r in failed] == ["cc-sched", "cc-sched"]
+        assert all(r["attribution"] is None and r["summary"] == {}
+                   for r in failed)
+        report = fleet_report(records)
+        assert report["sweep"]["cells_failed"] == 2
+        assert [f["error"] for f in report["failed_cells"]] == [
+            "RuntimeError: boom"] * 2
+        assert report["conservation"]["cells_checked"] == 6
