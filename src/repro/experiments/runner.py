@@ -188,7 +188,7 @@ def run_experiment(cfg: ExperimentConfig, obs=None) -> ExperimentResult:
             )
             obs.sampler.attach(sim)
 
-    logger.info(
+    logger.debug(
         "running %s / %s: %d nodes, %g MB/node, %d clients, seed %d",
         system_label(cfg.system), cfg.trace.spec.name, cfg.num_nodes,
         cfg.mem_mb_per_node, cfg.num_clients or 0, cfg.seed,
@@ -204,7 +204,7 @@ def run_experiment(cfg: ExperimentConfig, obs=None) -> ExperimentResult:
         faults=faults,
     )
     workload = driver.run()
-    logger.info(
+    logger.debug(
         "done in %.1f ms simulated: %.1f req/s, %.2f ms mean response",
         sim.now, workload.throughput_rps, workload.mean_response_ms,
     )

@@ -262,8 +262,8 @@ def attribute(
     """
     roots, _index = build_trees(records)
     reqs = request_roots(roots, measured_only=measured_only)
-    logger.info("attributing %d request roots (%d spans total)",
-                len(reqs), len(roots))
+    logger.debug("attributing %d request roots (%d spans total)",
+                 len(reqs), len(roots))
     return Attribution([decompose_request(root) for root in reqs])
 
 

@@ -109,8 +109,9 @@ class CacheScope:
         # -- forwarding-hop tracking --
         self._hops: dict[Any, int] = {}
         self._hop_hist: dict[int, int] = {}
-        # -- eviction provenance ring buffer --
-        self.ledger: deque = deque(maxlen=LEDGER_SIZE)
+        # -- eviction provenance ring buffer: raw hook arguments, made
+        # into entries only when read (see ``ledger``) --
+        self._ledger: deque[tuple[Any, ...]] = deque(maxlen=LEDGER_SIZE)
 
     # ------------------------------------------------------------------
     # wiring
@@ -257,17 +258,9 @@ class CacheScope:
             else:
                 self._count("nonmaster_evictions")
                 self._events["nonmaster_evictions"].add(now)
-        entry = {
-            "t_ms": now,
-            "node": node_id,
-            "key": _key_str(key),
-            "master": bool(master),
-            "nonmasters_held": nonmasters_held,
-            "reason": reason,
-        }
-        if dest is not None:
-            entry["dest"] = dest
-        self.ledger.append(entry)
+        self._ledger.append(
+            (now, node_id, key, master, nonmasters_held, reason, dest)
+        )
 
     def on_forward(self, key: Any, outcome: str) -> None:
         """An evicted master arrived at its forward destination.
@@ -307,6 +300,25 @@ class CacheScope:
     # ------------------------------------------------------------------
     # export
     # ------------------------------------------------------------------
+    @property
+    def ledger(self) -> list[dict[str, Any]]:
+        """The newest :data:`LEDGER_SIZE` evictions, oldest first, one
+        dict each (``dest`` only for evictions that named one)."""
+        entries: list[dict[str, Any]] = []
+        for now, node_id, key, master, held, reason, dest in self._ledger:
+            entry = {
+                "t_ms": now,
+                "node": node_id,
+                "key": _key_str(key),
+                "master": bool(master),
+                "nonmasters_held": held,
+                "reason": reason,
+            }
+            if dest is not None:
+                entry["dest"] = dest
+            entries.append(entry)
+        return entries
+
     @property
     def duplicate_share(self) -> float:
         """Instantaneous duplicate-byte fraction of resident bytes."""
@@ -389,7 +401,7 @@ class CacheScope:
                 str(h): c for h, c in sorted(self._hop_hist.items())
             },
             "windows": self._window_rows(),
-            "ledger": list(self.ledger),
+            "ledger": self.ledger,
         }
 
     def dump_jsonl(self, path) -> None:

@@ -14,16 +14,19 @@ off:
 * Call sites always read ``yield prof.wait(...)``: a wait is a plain
   call that returns the event to yield.  The :class:`NullProfiler`
   returns the event it is given, so the kernel sees the same event
-  sequence either way.  The :class:`Profiler` opens the phase span and
-  appends the callback that closes it to the event; the waiting process
-  appends its own resume callback right after, so the span closes at
-  the instant the process resumes, just before it.  An event that has
-  already fired gets a relay event in its place (see :func:`_closing`),
-  which takes the ``seq`` of the relay the kernel would push for it, so
-  event counts match too.
+  sequence either way.  The :class:`Profiler` builds the phase span, a
+  slotted :class:`~repro.obs.tracing.Span` that holds the event it waits
+  on, and appends the span's bound ``close`` to that event's callbacks.
+  The waiting process appends its own resume callback right after, so
+  the span closes at the instant the process resumes, just before it:
+  ``close`` reads the event's outcome and stamps and writes the record
+  straight into the tracer's log.  An event that has already fired gets
+  a relay event in its place (see :func:`_relay`), which takes the
+  ``seq`` of the relay the kernel would push for it, so event counts
+  match too.
 * Service centers stamp ``svc_start`` / ``svc_ms`` / ``svc_seek_ms``
   onto completion events as plain attribute stores — behaviour-neutral,
-  and read by the closing callback to split queueing from service.
+  and read by ``close`` to split queueing from service.
 
 A span whose event never fires stays open, and exports flag it
 ``"unfinished"``.
@@ -31,10 +34,10 @@ A span whose event never fires stays open, and exports flag it
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from typing import TYPE_CHECKING, Any
 
-from .tracing import Span, Tracer
+from .tracing import NULL_SPAN, Span, Tracer
 
 if TYPE_CHECKING:
     from ..sim.engine import Event
@@ -45,28 +48,87 @@ __all__ = ["PHASE_SPAN", "Profiler", "NullProfiler", "NULL_PROFILER"]
 PHASE_SPAN = "ph"
 
 
-def _closing(event: Event, close: Callable[[Event], None]) -> Event:
-    """The event a process yields to wait on ``event`` with ``close`` run
-    as it resumes.
+class _PhaseSpan(Span):
+    """A phase span open on the event it waits on.
 
-    A pending event takes ``close`` as its next callback, and the
-    waiting process's own resume callback goes right after it.  An event
-    that was already processed runs no more callbacks, so a relay stands
-    in: pushed at ``now`` with the event's value or failure.  It is the
-    one event ``Process._resume`` would have pushed to resume on an
-    already-processed event, so it takes the same ``seq``.  Either way
-    ``close`` reads the outcome and stamps of ``event`` itself.
+    Its bound :meth:`close` is that event's closing callback.  A ``disk``
+    span also holds the runs whose stamps it sums (``_runs``; None for
+    every other phase).
     """
-    if event.processed:
-        relay = event.sim.event()
-        relay.callbacks.append(close)
-        if event.ok:
-            relay.succeed(event.value)
+
+    __slots__ = ("_event", "_runs")
+
+    def __init__(self, tracer: Tracer, parent: Span | None, node: int | None,
+                 attrs: dict[str, Any], event: Event,
+                 runs: list[Event] | None = None):
+        tracer._next_id = span_id = tracer._next_id + 1
+        self._tracer = tracer
+        self.span_id = span_id
+        if parent is None or parent is NULL_SPAN:
+            self.trace_id = span_id
+            self.parent_id = None
         else:
-            relay.fail(event.value)
-        return relay
-    event.callbacks.append(close)
-    return event
+            self.trace_id = parent.trace_id
+            self.parent_id = parent.span_id
+        self.name = PHASE_SPAN
+        self.node = node
+        self.start = tracer._clock()
+        self.end = None
+        self.attrs = attrs
+        self._event = event
+        self._runs = runs
+        tracer._open[span_id] = self
+
+    def close(self, _fired: Event) -> None:
+        """Close at the current instant: with ``error=True`` if the event
+        failed; else a ``disk`` span with its runs' summed ``seek`` and
+        ``svc``, and any other with ``q``, the time queued before service
+        began, if a service center stamped the event.
+
+        The record goes straight into the tracer's log, in the layout
+        :meth:`Tracer._emit <repro.obs.tracing.Tracer._emit>` writes.
+        """
+        if self.end is not None:
+            raise RuntimeError(f"span {self.span_id} ({self.name}) finished twice")
+        event = self._event
+        attrs = self.attrs
+        start = self.start
+        if not event._ok:
+            attrs["error"] = True
+        elif self._runs is not None:
+            # Plain left-to-right float additions: from Python 3.12 on,
+            # builtin sum() compensates rounding over floats, and the
+            # stamps must not depend on the interpreter.
+            seek = svc = 0.0
+            for run in self._runs:
+                seek += getattr(run, "svc_seek_ms", 0.0)
+                svc += getattr(run, "svc_ms", 0.0)
+            attrs["seek"] = seek
+            attrs["svc"] = svc
+        else:
+            svc_start = getattr(event, "svc_start", None)
+            if svc_start is not None and svc_start >= start:
+                attrs["q"] = svc_start - start
+        tracer = self._tracer
+        self.end = end = tracer._clock()
+        span_id = self.span_id
+        tracer._open.pop(span_id, None)
+        log = tracer._log
+        log += (self.trace_id, span_id, self.parent_id, PHASE_SPAN,
+                self.node, start, end, len(attrs))
+        for item in attrs.items():
+            log += item
+
+
+def _relay(event: Event) -> Event:
+    """A stand-in for the already processed ``event``: pushed at ``now``
+    with its value or failure.  It is the one event ``Process._resume``
+    would have pushed to resume on ``event``, so it takes the same
+    ``seq``."""
+    relay = event.sim.event()
+    if event._ok:
+        return relay.succeed(event._value)
+    return relay.fail(event._value)
 
 
 class Profiler:
@@ -100,20 +162,11 @@ class Profiler:
         failed, and otherwise with ``q``, the time spent queued before
         service began, if a service center stamped the event.
         """
-        span = self.tracer.start(PHASE_SPAN, parent=parent, node=node,
-                                 p=phase, **attrs)
-
-        def close(_fired: Event) -> None:
-            if not event.ok:
-                span.finish(error=True)
-                return
-            svc_start = getattr(event, "svc_start", None)
-            if svc_start is not None and svc_start >= span.start:
-                span.finish(q=svc_start - span.start)
-            else:
-                span.finish()
-
-        return _closing(event, close)
+        span = _PhaseSpan(self.tracer, parent, node, {"p": phase, **attrs}, event)
+        if event._processed:
+            event = _relay(event)
+        event.callbacks.append(span.close)
+        return event
 
     def disk_wait(
         self,
@@ -133,30 +186,19 @@ class Profiler:
         analyzer can split the wait into queue / seek / transfer.
         """
         runs = list(runs)
-        span = self.tracer.start(PHASE_SPAN, parent=parent, node=node,
-                                 p="disk", n=len(runs), **attrs)
-
-        def close(_fired: Event) -> None:
-            if not event.ok:
-                span.finish(error=True)
-                return
-            # Plain left-to-right float additions: from Python 3.12 on,
-            # builtin sum() compensates rounding over floats, and the
-            # stamps must not depend on the interpreter.
-            seek = svc = 0.0
-            for run in runs:
-                seek += getattr(run, "svc_seek_ms", 0.0)
-                svc += getattr(run, "svc_ms", 0.0)
-            span.finish(seek=seek, svc=svc)
-
-        return _closing(event, close)
+        span = _PhaseSpan(self.tracer, parent, node,
+                          {"p": "disk", "n": len(runs), **attrs}, event, runs)
+        if event._processed:
+            event = _relay(event)
+        event.callbacks.append(span.close)
+        return event
 
 
 class NullProfiler:
     """Disabled profiler: waits return their event untouched, no spans.
 
     A profiled run creates the same events in the same ``(time, seq)``
-    order (see :func:`_closing`), so trace bytes and metrics are
+    order (see :func:`_relay`), so trace bytes and metrics are
     identical with profiling on or off.
     """
 

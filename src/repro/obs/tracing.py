@@ -110,7 +110,9 @@ class Tracer:
     def __init__(self, clock: Callable[[], float] | None = None):
         self._clock = clock or (lambda: 0.0)
         # Finished spans not yet decoded: per span its seven record
-        # fields, the attr count, then each attr key and value.
+        # fields, the attr count, then each attr key and value.  _emit,
+        # point and the profiler's phase spans (repro.obs.profile)
+        # write it; _decode and finished_count read it.
         self._log: list[Any] = []
         # Records decoded by earlier ``records`` reads, in emission order.
         self._records: list[dict[str, Any]] = []
@@ -162,9 +164,22 @@ class Tracer:
         node: int | None = None,
         **attrs: Any,
     ) -> Span:
-        """A zero-duration event (eviction, coalesce); emitted at once."""
-        span = self.start(name, parent=parent, node=node, **attrs)
-        span.finish()
+        """A zero-duration event (eviction, coalesce); emitted at once.
+
+        Returns the finished span; its record goes straight into the
+        log, as :meth:`_emit` writes it, without ever being open."""
+        self._next_id = span_id = self._next_id + 1
+        if parent is None or parent is NULL_SPAN:
+            trace_id, parent_id = span_id, None
+        else:
+            trace_id, parent_id = parent.trace_id, parent.span_id
+        now = self._clock()
+        span = Span(self, trace_id, span_id, parent_id, name, node, now, attrs)
+        span.end = now
+        log = self._log
+        log += (trace_id, span_id, parent_id, name, node, now, now, len(attrs))
+        for item in attrs.items():
+            log += item
         return span
 
     # -- export -------------------------------------------------------------

@@ -304,6 +304,39 @@ class TestTracer:
         count = t.finished_count()
         assert count == len(t.records) == 1
 
+    def test_point_matches_start_then_finish(self):
+        """``point`` leaves the log entries, records and span that
+        ``start`` followed by ``finish`` leave: the same ids, ``start ==
+        end``, the attrs in call order, and nothing left open."""
+        pointed, finished = Tracer(lambda: 2.5), Tracer(lambda: 2.5)
+
+        def start_then_finish(name, **kwargs):
+            span = finished.start(name, **kwargs)
+            span.finish()
+            return span
+
+        def emit(t, make):
+            root = t.start("request", node=1)
+            root.finish()
+            return [make("evict", parent=root, node=2, key="7:1", n=3),
+                    make("fault", node=0, kind="crash"),
+                    make("coalesce", parent=root)]
+
+        spans = (emit(pointed, pointed.point),
+                 emit(finished, start_then_finish))
+        assert pointed._log == finished._log
+        assert pointed.records == finished.records
+        for got, want in zip(*spans):
+            assert got.to_record() == want.to_record()
+            assert got.finished and got.start == got.end == 2.5
+            assert list(got.attrs.items()) == list(want.attrs.items())
+        assert [list(r.get("attrs", {})) for r in pointed.records] == [
+            [], ["key", "n"], ["kind"], []]
+        assert [(r["trace"], r["span"], r["parent"])
+                for r in pointed.records] == [
+            (1, 1, None), (1, 2, 1), (3, 3, None), (1, 4, 1)]
+        assert pointed.open_spans == []
+
     def test_unfinished_spans_flagged_in_export(self):
         t = Tracer()
         a = t.start("outer")

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cache.block import BlockId
 from repro.cache.blockcache import BlockCache
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.obs import Observability
@@ -163,6 +164,41 @@ class TestEvictions:
             scope.on_evict(0, f"b{i}", False, 0, "drop")
         keys = [e["key"] for e in scope.ledger]
         assert keys == [f"b{i}" for i in range(2, LEDGER_SIZE + 2)]
+
+    def test_ledger_keeps_the_newest_entries_as_dicts(self, tmp_path):
+        """Past the ring's size the ledger holds the newest LEDGER_SIZE
+        evictions, each the same dict the scope has always exported:
+        ``dest`` only when given, ``master`` a bool, ``key`` printable;
+        the snapshot and the JSONL dump carry them unchanged."""
+        sim = FakeSim()
+        scope = CacheScope()
+        scope.attach(sim)
+        want = []
+        for i in range(LEDGER_SIZE + 50):
+            sim.now = i * 0.5
+            key, text = (BlockId(i, i % 3), f"{i}:{i % 3}") if i % 2 \
+                else (i, str(i))
+            dest = i % 4 if i % 5 == 0 else None
+            reason = ("drop", "forward", "crash")[i % 3]
+            scope.on_evict(i % 4, key, i % 3, i % 7, reason, dest=dest)
+            entry = {"t_ms": i * 0.5, "node": i % 4, "key": text,
+                     "master": i % 3 != 0, "nonmasters_held": i % 7,
+                     "reason": reason}
+            if dest is not None:
+                entry["dest"] = dest
+            want.append(entry)
+        want = want[-LEDGER_SIZE:]
+        assert list(scope.ledger) == want
+        assert [list(e) for e in scope.ledger] == [list(e) for e in want]
+        assert all(type(e["master"]) is bool for e in scope.ledger)
+        assert scope.snapshot()["ledger"] == want
+        path = tmp_path / "cs.jsonl"
+        scope.dump_jsonl(path)
+        lines = path.read_text().splitlines()
+        assert lines[-LEDGER_SIZE:] == [
+            json.dumps(dict(e, kind="evict"), sort_keys=True, default=float)
+            for e in want]
+        assert not any('"evict"' in line for line in lines[:-LEDGER_SIZE])
 
     def test_ledger_records_destination(self):
         scope = CacheScope()

@@ -1,12 +1,16 @@
 """The phase-span profiler's edge paths.
 
-``prof.wait`` returns the event a process yields; the profiler closes
-the phase span from a callback on that event, just before the waiting
-process resumes.  These pin the span each path records, the instant it
-closes and the kernel events it costs: a queued service-center job, a
-failed event, an event that had already fired, and a multi-run disk
-wait.
+``prof.wait`` returns the event a process yields; the phase span closes
+itself from a callback on that event, just before the waiting process
+resumes.  These pin the span each path records, the instant it closes
+and the kernel events it costs: a queued service-center job, a failed
+event, an event that had already fired, and a multi-run disk wait.
+They also pin the spans that never close normally: one whose event
+never fires, one closed after ``tracer.clear()`` and one finished
+before its event fires.
 """
+
+import json
 
 import pytest
 
@@ -134,3 +138,76 @@ def test_disk_wait_records_summed_seek_and_service():
         "svc": svc[0] + svc[1] + svc[2],
     })]
     assert sim.event_count == 12
+
+
+def _phase_wait(prof, disk, parent, node, event):
+    """``prof.wait`` or ``prof.disk_wait`` on ``event``, with one attr."""
+    if disk:
+        return prof.disk_wait(parent, node, event, (event,), blocks=4)
+    return prof.wait(parent, node, "fetch", event, d=2)
+
+
+@pytest.mark.parametrize("disk", [False, True])
+def test_wait_on_event_that_never_fires_is_exported_unfinished(disk):
+    sim, tracer, prof = _profiled()
+    root = tracer.start("request", node=3)
+    never = sim.event()
+
+    def waiter():
+        yield sim.timeout(2.0)
+        yield prof.wait(root, 3, "cpu", sim.timeout(1.0))
+        yield _phase_wait(prof, disk, root, 3, never)
+
+    sim.process(waiter())
+    sim.run()
+    assert [(s.name, s.start, s.end) for s in tracer.open_spans] == [
+        ("request", 0.0, None), ("ph", 3.0, None)]
+    lines = [json.loads(line) for line in tracer.to_jsonl().splitlines()]
+    assert [(r["name"], r.get("unfinished")) for r in lines] == [
+        ("ph", None), ("request", True), ("ph", True)]
+    attrs = {"p": "disk", "n": 1, "blocks": 4} if disk else {"p": "fetch", "d": 2}
+    assert lines[-1] == {
+        "trace": root.trace_id, "span": root.span_id + 2,
+        "parent": root.span_id, "name": "ph", "node": 3,
+        "start": 3.0, "end": None, "attrs": attrs, "unfinished": True,
+    }
+    assert list(tracer.open_spans[-1].attrs) == list(attrs)
+
+
+@pytest.mark.parametrize("disk", [False, True])
+def test_span_closed_after_clear_emits_without_raising(disk):
+    sim, tracer, prof = _profiled()
+    ev = sim.event()
+
+    def waiter():
+        yield _phase_wait(prof, disk, None, 1, ev)
+
+    sim.process(waiter())
+    sim.run()
+    assert len(tracer.open_spans) == 1
+    tracer.clear()
+    assert tracer.open_spans == []
+    ev.succeed()
+    sim.run()
+    assert tracer.open_spans == []
+    attrs = ({"p": "disk", "n": 1, "blocks": 4, "seek": 0.0, "svc": 0.0}
+             if disk else {"p": "fetch", "d": 2})
+    assert _spans(tracer) == [("ph", 1, 0.0, 0.0, attrs)]
+
+
+@pytest.mark.parametrize("disk", [False, True])
+def test_phase_span_finished_before_its_event_fires_raises(disk):
+    sim, tracer, prof = _profiled()
+    ev = sim.event()
+
+    def waiter():
+        yield _phase_wait(prof, disk, None, 0, ev)
+
+    sim.process(waiter())
+    sim.run()
+    (span,) = tracer.open_spans
+    span.finish()
+    ev.succeed()
+    with pytest.raises(RuntimeError, match=r"span 1 \(ph\) finished twice"):
+        sim.run()
+    assert len(tracer.records) == 1

@@ -148,6 +148,33 @@ def test_unprofiled_outcome_has_no_attribution():
         "throughput_rps", "mean_response_ms", "hit_rate_total"}
 
 
+@pytest.mark.parametrize("level", ["INFO", "DEBUG"])
+def test_profiled_cells_log_one_info_line_each(level, caplog):
+    """At INFO (``sweep -v``) a profiled 2-cell run logs one progress
+    line per cell and nothing else from ``repro.*``; at DEBUG (``-vv``)
+    each cell adds the runner's start and end lines and the attribution
+    line."""
+    trace = _smoke_trace()
+    cells = [
+        ExperimentConfig(system="cc-kmc", trace=trace, num_nodes=2,
+                         mem_mb_per_node=m, num_clients=_CLIENTS)
+        for m in (0.1, 0.5)
+    ]
+    caplog.set_level(level, logger="repro")
+    run_cells_observed(cells, workers=1, profile=True)
+    lines = [(r.levelname, r.name, " ".join(r.getMessage().split()[:2]))
+             for r in caplog.records if r.name.startswith("repro")]
+    progress = [("INFO", parallel.logger.name, f"cell {done}/2")
+                for done in (1, 2)]
+    if level == "INFO":
+        assert lines == progress
+        return
+    per_cell = [("DEBUG", "repro.experiments.runner", "running cc-kmc"),
+                ("DEBUG", "repro.experiments.runner", "done in"),
+                ("DEBUG", "repro.obs.analyze", "attributing 225")]
+    assert lines == per_cell + progress[:1] + per_cell + progress[1:]
+
+
 # ---------------------------------------------------------------------------
 # the acceptance path, end to end through the CLI
 # ---------------------------------------------------------------------------
