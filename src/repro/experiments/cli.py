@@ -116,11 +116,15 @@ def _positive(convert):
     return parse
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
+def _non_negative(convert):
+    def parse(text: str):
+        value = convert(text)
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be >= 0 and finite, got {text}")
+        return value
+
+    return parse
 
 
 def _run_parser() -> argparse.ArgumentParser:
@@ -146,7 +150,7 @@ def _run_parser() -> argparse.ArgumentParser:
                    help="write per-request span trace as JSONL to FILE")
     p.add_argument("--metrics-out", metavar="FILE", default=None,
                    help="write the metrics-registry snapshot (JSON) to FILE")
-    p.add_argument("--invariant-every", type=_non_negative_int, default=0,
+    p.add_argument("--invariant-every", type=_non_negative(int), default=0,
                    metavar="N",
                    help="sample check_invariants every N kernel events "
                         "(middleware systems; 0 = off)")
@@ -411,11 +415,11 @@ def _chaos_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="root RNG seed")
     p.add_argument("--plan-seed", type=int, default=1,
                    help="fault-plan RNG seed (independent of --seed)")
-    p.add_argument("--crashes-per-node", type=float, default=1.0,
+    p.add_argument("--crashes-per-node", type=_non_negative(float), default=1.0,
                    help="expected crashes per node over the run")
-    p.add_argument("--link-drops", type=_non_negative_int, default=0,
+    p.add_argument("--link-drops", type=_non_negative(int), default=0,
                    help="number of transient link failures")
-    p.add_argument("--disk-stalls", type=_non_negative_int, default=0,
+    p.add_argument("--disk-stalls", type=_non_negative(int), default=0,
                    help="number of disk stalls")
     p.add_argument("--plan", metavar="FILE", default=None,
                    help="replay this fault plan JSON instead of generating "
@@ -456,6 +460,7 @@ def chaos_command(argv) -> int:
     if opts.plan:
         try:
             plan = FaultPlan.load(opts.plan)
+            plan.check_nodes(opts.nodes)
         except (OSError, json.JSONDecodeError, KeyError, TypeError,
                 ValueError) as exc:
             print(f"chaos: cannot load plan: {exc}", file=sys.stderr)
@@ -544,7 +549,7 @@ def _analyze_parser() -> argparse.ArgumentParser:
                    help="write the windowed time series as JSON to FILE")
     p.add_argument("--window-ms", type=_positive(float), default=None,
                    help="time-series window width (default: run length / 60)")
-    p.add_argument("--top", type=_non_negative_int, default=0, metavar="K",
+    p.add_argument("--top", type=_non_negative(int), default=0, metavar="K",
                    help="print the K slowest requests with span trees")
     p.add_argument("--all-requests", action="store_true",
                    help="include warm-up requests, not just measured ones")

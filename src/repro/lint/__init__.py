@@ -13,36 +13,25 @@ Each file is parsed once and walked once by every rule in scope:
 
 A full run ends with one whole-run pass:
 
-* **SL08** — stale suppressions: pragmas and allow entries must still
-  suppress something, so the suppression inventory can only shrink
+* **SL08** — stale suppressions: pragmas must still suppress something,
+  so the suppression inventory can only shrink
 
-Run it with ``python -m repro.lint [paths...]``; configuration lives in
-``[tool.simlint]`` in ``pyproject.toml``.  ``--explain SLxx`` prints a
-rule's rationale and examples.  See DESIGN.md §16.
+Run it with ``python -m repro.lint [paths...] [--json-out FILE]``.  Each
+rule's path scope is the ``RULE_PATHS`` table in
+:mod:`repro.lint.config`; the rationale is the rule's class docstring
+and DESIGN.md §16.
 """
 
-from .config import LintConfig, load_config
-from .docs import RULE_DOCS, RuleDoc, render_explain, rule_doc
 from .engine import Finding, lint_paths, lint_source
-from .report import (
-    JSON_SCHEMA_VERSION, findings_from_json, render_text, to_json_dict,
-)
-from .rules import all_rules, rule_catalog
+from .report import JSON_SCHEMA_VERSION, render_text, to_json_dict
+from .rules import all_rules
 
 __all__ = [
-    "LintConfig",
-    "load_config",
     "Finding",
     "lint_paths",
     "lint_source",
     "render_text",
     "to_json_dict",
-    "findings_from_json",
     "JSON_SCHEMA_VERSION",
     "all_rules",
-    "rule_catalog",
-    "RuleDoc",
-    "RULE_DOCS",
-    "rule_doc",
-    "render_explain",
 ]

@@ -3,8 +3,9 @@
 The engine parses each file once (AST + token stream), builds a single
 node-type -> handlers dispatch table from the registered rules, and
 walks the tree once regardless of how many rules are active.  Rules
-never see files outside their configured path scope.  On full runs a
-final pass (SL08) reports the suppressions that suppressed nothing.
+never see files outside their path scope
+(:data:`~repro.lint.config.RULE_PATHS`).  On full runs a final pass
+(SL08) reports the pragmas that suppressed nothing.
 
 Suppression contract (enforced — see :class:`~repro.lint.rules.SL00`):
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Iterable, Mapping, Sequence
 
-from .config import LintConfig
+from .config import rule_in_scope
 
 __all__ = ["Finding", "FilePragmas", "LintContext", "Rule", "lint_source",
            "lint_paths"]
@@ -165,11 +166,10 @@ class LintContext:
     """Everything a rule needs about the file being checked."""
 
     def __init__(self, path: str, source: str, tree: ast.Module,
-                 config: LintConfig, pragmas: FilePragmas):
+                 pragmas: FilePragmas):
         self.path = path
         self.source = source
         self.tree = tree
-        self.config = config
         self.pragmas = pragmas
         self.findings: list[Finding] = []
         #: local alias -> imported module name ("np" -> "numpy")
@@ -210,7 +210,7 @@ class Rule:
     """Base class for simlint rules.
 
     Subclasses set ``id``, write the rationale in the class docstring
-    (surfaced by ``--list-rules``), and implement handlers named
+    (mirrored in DESIGN.md §16), and implement handlers named
     ``visit_<NodeType>``; the engine dispatches on AST node type.
     """
 
@@ -226,21 +226,11 @@ class Rule:
                 out.setdefault(node_type, []).append(getattr(self, name))
         return out
 
-    def begin_file(self, ctx: LintContext) -> None:
-        """Hook called once per file before the walk (optional)."""
 
-
-def _lint_file(path: str, source: str, config: LintConfig,
-               rules: Sequence[Rule],
-               credits: "set[tuple[str, str]] | None" = None,
-               ) -> tuple[list[Finding], FilePragmas | None]:
-    """Lint one file; returns (findings, pragmas).
-
-    Rules run on every file *in scope*; allowlist entries are applied to
-    the resulting findings instead of skipping the file up front, so an
-    entry that suppresses something earns a credit in ``credits`` (the
-    signal SL08 uses to flag stale entries).
-    """
+def _lint_file(path: str, source: str,
+               rules: Sequence[Rule]) -> tuple[list[Finding], FilePragmas | None]:
+    """Lint one file with the ``rules`` in scope for ``path``; returns
+    (findings, pragmas)."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
@@ -251,12 +241,12 @@ def _lint_file(path: str, source: str, config: LintConfig,
         return ([Finding(path, 1, 1, "SL00",
                          f"file does not parse: {exc}")], None)
     pragmas = FilePragmas(_parse_pragmas(source))
-    ctx = LintContext(path, source, tree, config, pragmas)
+    ctx = LintContext(path, source, tree, pragmas)
 
-    active = [r for r in rules if config.rule_in_scope(r.id, path)]
     dispatch: dict[type[ast.AST], list[object]] = {}
-    for rule in active:
-        rule.begin_file(ctx)
+    for rule in rules:
+        if not rule_in_scope(rule.id, path):
+            continue
         for node_type, fns in rule.handlers().items():
             dispatch.setdefault(node_type, []).extend(fns)
 
@@ -274,22 +264,12 @@ def _lint_file(path: str, source: str, config: LintConfig,
             ctx.findings.append(Finding(
                 path, p.src_line, 1, "SL00",
                 "suppression lacks a justification: append `-- <reason>`"))
-
-    kept: list[Finding] = []
-    for f in ctx.findings:
-        entry = config.allow_entry_for(f.rule, f.path)
-        if entry is not None:
-            if credits is not None:
-                credits.add((f.rule, entry))
-            continue
-        kept.append(f)
-    return sorted(kept, key=Finding.sort_key), pragmas
+    return sorted(ctx.findings, key=Finding.sort_key), pragmas
 
 
-def lint_source(path: str, source: str, config: LintConfig,
-                rules: Sequence[Rule]) -> list[Finding]:
+def lint_source(path: str, source: str, rules: Sequence[Rule]) -> list[Finding]:
     """Lint one file's source text; returns sorted findings."""
-    findings, _pragmas = _lint_file(path, source, config, rules)
+    findings, _pragmas = _lint_file(path, source, rules)
     return findings
 
 
@@ -306,13 +286,11 @@ def iter_python_files(paths: Iterable[str]) -> list[Path]:
     return sorted(seen)
 
 
-def _stale_suppressions(linted: Sequence[tuple[str, FilePragmas]],
-                        config: LintConfig,
-                        credits: "set[tuple[str, str]]") -> list[Finding]:
-    """SL08: pragmas and allow entries that suppressed nothing this run."""
+def _stale_suppressions(linted: Sequence[tuple[str, FilePragmas]]) -> list[Finding]:
+    """SL08: pragmas that suppressed nothing this run."""
     out: list[Finding] = []
     for path, prag in linted:
-        if not config.rule_in_scope("SL08", path):
+        if not rule_in_scope("SL08", path):
             continue
         for idx, p in enumerate(prag.raw):
             if p.malformed or not p.justified or idx in prag.used:
@@ -323,38 +301,27 @@ def _stale_suppressions(linted: Sequence[tuple[str, FilePragmas]],
                 path, p.src_line, 1, "SL08",
                 f"stale suppression: `# simlint: {what}` no longer "
                 f"suppresses any finding — remove it"))
-    for rule_id in sorted(config.allow_paths):
-        for prefix in config.allow_paths[rule_id]:
-            if (rule_id, prefix) not in credits:
-                out.append(Finding(
-                    "pyproject.toml", 1, 1, "SL08",
-                    f"stale allow entry: [tool.simlint.allow] {rule_id} "
-                    f'lists "{prefix}" but it suppresses nothing — '
-                    f"remove it"))
     return out
 
 
-def lint_paths(paths: Iterable[str], config: LintConfig,
-               rules: Sequence[Rule],
+def lint_paths(paths: Iterable[str], rules: Sequence[Rule],
                full_run: bool = False) -> tuple[list[Finding], int]:
     """Lint every ``*.py`` under ``paths``; returns (findings, files_checked).
 
     ``full_run`` adds the suppression-staleness audit (SL08), which is
-    only meaningful when every rule ran over the full configured file
-    set: it reports each justified pragma and allow entry that
-    suppressed nothing during this run.
+    only meaningful when every rule ran over the full default file set:
+    it reports each justified pragma that suppressed nothing during this
+    run.
     """
     files = iter_python_files(paths)
     findings: list[Finding] = []
-    credits: set[tuple[str, str]] = set()
     linted: list[tuple[str, FilePragmas]] = []
     for f in files:
         rel = f.as_posix()
-        fnd, pragmas = _lint_file(rel, f.read_text(encoding="utf-8"),
-                                  config, rules, credits)
+        fnd, pragmas = _lint_file(rel, f.read_text(encoding="utf-8"), rules)
         findings.extend(fnd)
         if pragmas is not None:
             linted.append((rel, pragmas))
     if full_run:
-        findings.extend(_stale_suppressions(linted, config, credits))
+        findings.extend(_stale_suppressions(linted))
     return sorted(findings, key=Finding.sort_key), len(files)

@@ -7,9 +7,7 @@ pick the locations up.
 
 Schema 3 findings are flat ``{path, line, col, rule, message}``
 objects (schema 2 also carried a per-finding ``trace`` array for the
-retired whole-program rules).  ``findings_from_json`` round-trips the
-document back into :class:`~repro.lint.engine.Finding` objects for
-tooling and tests.
+retired whole-program rules).
 """
 
 from __future__ import annotations
@@ -19,8 +17,7 @@ from typing import Any
 
 from .engine import Finding
 
-__all__ = ["render_text", "to_json_dict", "findings_from_json",
-           "JSON_SCHEMA_VERSION"]
+__all__ = ["render_text", "to_json_dict", "JSON_SCHEMA_VERSION"]
 
 JSON_SCHEMA_VERSION = 3
 
@@ -71,17 +68,3 @@ def to_json_dict(findings: Sequence[Finding], files_checked: int) -> dict[str, A
         },
     }
 
-
-def findings_from_json(doc: dict[str, Any]) -> list[Finding]:
-    """Rehydrate findings from a schema-3 JSON document (round-trip)."""
-    schema = doc.get("schema")
-    if schema != JSON_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported simlint report schema {schema!r}; "
-            f"expected {JSON_SCHEMA_VERSION}")
-    return [
-        Finding(path=str(item["path"]), line=int(item["line"]),
-                col=int(item["col"]), rule=str(item["rule"]),
-                message=str(item["message"]))
-        for item in doc.get("findings", [])
-    ]

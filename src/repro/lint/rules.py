@@ -1,17 +1,16 @@
 """simlint rules SL01–SL05.
 
 Each rule protects one leg of the simulator's determinism contract; the
-class docstring is the rationale shown by ``python -m repro.lint
---list-rules`` and mirrored in DESIGN.md §16.  Findings are resolved by
-*fixing* the code, by wrapping the iteration in ``sorted()``, by an
-``# simlint: ordered -- reason`` proof comment (SL01), or — last resort
-— by ``# simlint: disable=RULE -- reason``.
+class docstring is the rationale, mirrored in DESIGN.md §16.  Findings
+are resolved by *fixing* the code, by wrapping the iteration in
+``sorted()``, by an ``# simlint: ordered -- reason`` proof comment
+(SL01), or — last resort — by ``# simlint: disable=RULE -- reason``.
 """
 
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterable
+import re
 
 from .engine import LintContext, Rule
 
@@ -181,6 +180,16 @@ class SL02(Rule):
                        "unseeded generator (no SeedSequence argument)")
 
 
+# Identifier regexes that mark an operand as a simulated-time or byte
+# quantity for SL03 (float == / != is the census-drift bug class).
+_QUANTITY_RE = re.compile("|".join(f"(?:{p})" for p in (
+    r"(^|_)(time|now|age|ages|when|deadline|latency|elapsed|duration)($|_)",
+    r"(^|_)(kb|ms|bytes|size_kb|sizes_kb)($|s?_|s?$)",
+    r"_kb$",
+    r"_ms$",
+)))
+
+
 class SL03(Rule):
     """No float ``==``/``!=`` on simulated time or byte quantities.
 
@@ -193,9 +202,6 @@ class SL03(Rule):
     """
 
     id = "SL03"
-
-    def begin_file(self, ctx: LintContext) -> None:
-        self._regex = ctx.config.quantity_regex()
 
     def _identifier(self, node: ast.expr) -> str | None:
         if isinstance(node, ast.Name):
@@ -210,7 +216,7 @@ class SL03(Rule):
 
     def _is_quantity(self, node: ast.expr) -> str | None:
         ident = self._identifier(node)
-        if ident is not None and self._regex.search(ident.lower()):
+        if ident is not None and _QUANTITY_RE.search(ident.lower()):
             return ident
         return None
 
@@ -229,6 +235,21 @@ class SL03(Rule):
                        "math.isclose, an epsilon, or integral units")
 
 
+# Protected cache internals (SL04): attribute name -> file suffixes that
+# own it.  A non-``self`` access to one of these attributes anywhere
+# else is a reach-in that bypasses the single census code path.
+_PROTECTED_ATTRS: dict[str, tuple[str, ...]] = {
+    "_masters": ("repro/cache/blockcache.py", "repro/cache/directory.py",
+                 "repro/core/wholefile.py"),
+    "_nonmasters": ("repro/cache/blockcache.py",),
+    "_replicas": ("repro/core/wholefile.py",),
+    "_dirty": ("repro/cache/blockcache.py",),
+    "_ages": ("repro/cache/lru.py",),
+    "_where": ("repro/press/filecache.py",),
+    "_lru": ("repro/press/filecache.py",),
+}
+
+
 class SL04(Rule):
     """Cache-state mutations only through the census code path.
 
@@ -245,7 +266,7 @@ class SL04(Rule):
     id = "SL04"
 
     def visit_Attribute(self, node: ast.Attribute, ctx: LintContext) -> None:
-        owners = ctx.config.protected_attrs.get(node.attr)
+        owners = _PROTECTED_ATTRS.get(node.attr)
         if owners is None:
             return
         if any(ctx.path.endswith(owner.lstrip("/")) or ctx.path == owner
@@ -314,15 +335,3 @@ class SL05(Rule):
 def all_rules() -> tuple[Rule, ...]:
     """Fresh instances of every registered per-file rule, in id order."""
     return (SL01(), SL02(), SL03(), SL04(), SL05())
-
-
-def rule_catalog() -> Iterable[tuple[str, str]]:
-    """(id, summary) pairs for ``--list-rules`` and the docs.
-
-    Sourced from the shared rule-doc table (:mod:`repro.lint.docs`) so
-    the CLI, DESIGN.md, and ``--explain`` cannot drift apart; covers the
-    per-file rules (SL00–SL05) and the stale-suppression audit (SL08).
-    """
-    from .docs import RULE_DOCS
-    for doc in RULE_DOCS:
-        yield (doc.id, f"{doc.title}\n{doc.rationale}")

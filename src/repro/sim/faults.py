@@ -31,6 +31,7 @@ stream untouched.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from collections.abc import Callable
 from typing import TYPE_CHECKING
@@ -95,14 +96,19 @@ class FaultEvent:
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind: {self.kind!r}")
-        if self.at_ms < 0:
-            raise ValueError("fault time must be >= 0")
+        if not 0 <= self.at_ms < math.inf:
+            raise ValueError(f"fault time must be >= 0 and finite, got {self.at_ms}")
+        if not math.isfinite(self.extra_ms):
+            raise ValueError(f"fault duration must be finite, got {self.extra_ms}")
         if self.kind in ("crash", "restart", "disk_stall") and self.node is None:
             raise ValueError(f"{self.kind} requires a node")
         if self.kind in ("link_down", "link_up") and (
             self.node is None or self.peer is None
         ):
             raise ValueError(f"{self.kind} requires both link endpoints")
+        for end in (self.node, self.peer):
+            if end is not None and end < 0:
+                raise ValueError(f"{self.kind} names node {end}; node ids are >= 0")
         if self.kind == "disk_stall" and self.extra_ms <= 0:
             raise ValueError("disk_stall requires a positive duration")
 
@@ -131,6 +137,16 @@ class FaultPlan:
     def horizon_ms(self) -> float:
         """Time of the last scheduled event (0 for an empty plan)."""
         return self.events[-1].at_ms if self.events else 0.0
+
+    def check_nodes(self, num_nodes: int) -> None:
+        """Raise ``ValueError`` unless every node and peer the plan names
+        exists in a cluster of ``num_nodes`` nodes."""
+        for ev in self.events:
+            for end in (ev.node, ev.peer):
+                if end is not None and end >= num_nodes:
+                    raise ValueError(
+                        f"{ev.kind} at {ev.at_ms:g} ms names node {end}, "
+                        f"but the cluster has {num_nodes} nodes")
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -161,6 +177,9 @@ class FaultPlan:
             raise ValueError("horizon_ms must be positive")
         if num_nodes < 1:
             raise ValueError("need at least one node")
+        if not 0 <= crashes_per_node < math.inf:
+            raise ValueError(
+                f"crashes_per_node must be >= 0 and finite, got {crashes_per_node}")
         rng = stream(seed, "faults", "plan")
         events: list[FaultEvent] = []
 
@@ -274,7 +293,11 @@ class FaultInjector:
         self._lost_links: set = set()
 
     def install(self, sim: Simulator, cluster: Cluster) -> None:
-        """Schedule the plan's events against ``cluster``."""
+        """Schedule the plan's events against ``cluster``.
+
+        Raises ``ValueError`` if the plan names a node ``cluster`` lacks.
+        """
+        self.plan.check_nodes(len(cluster.nodes))
         self.sim = sim
         self.cluster = cluster
         for ev in self.plan.events:

@@ -48,19 +48,26 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Figure 6a" in out
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    @pytest.mark.parametrize("argv", [
-        ["run", "--system", "press", "--nodes", "2", "--mem-mb"],
-        ["run", "--system", "cc-kmc", "--mem-mb"],
-        ["chaos", "--system", "press", "--mem-mb"],
-        ["analyze", "trace.jsonl", "--timeseries-out", "ts.json",
-         "--window-ms"],
-    ], ids=["run-press", "run-cc-kmc", "chaos", "analyze"])
-    def test_non_finite_value_is_a_usage_error(self, argv, value, capsys):
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--system", "press", "--nodes", "2", "--mem-mb"],
+         "must be positive and finite"),
+        (["run", "--system", "cc-kmc", "--mem-mb"],
+         "must be positive and finite"),
+        (["chaos", "--system", "press", "--mem-mb"],
+         "must be positive and finite"),
+        (["analyze", "trace.jsonl", "--timeseries-out", "ts.json",
+          "--window-ms"], "must be positive and finite"),
+        (["chaos", "--crashes-per-node"], "must be >= 0 and finite"),
+    ], ids=["run-press", "run-cc-kmc", "chaos", "analyze", "chaos-crashes"])
+    def test_non_finite_value_is_a_usage_error(self, argv, message, value,
+                                               capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv + [value])
         assert exc.value.code == 2
-        assert "must be positive and finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{message}, got {value}" in err
+        assert "Traceback" not in err
 
     def test_artifact_registry_complete(self):
         expected = {
@@ -351,6 +358,36 @@ class TestChaosCli:
             "chaos", "--plan", "/nonexistent/plan.json",
         ]) == 2
         assert "plan" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize("event, nodes", [
+        ({"kind": "crash", "at_ms": 5.0, "node": 3}, 2),
+        ({"kind": "link_down", "at_ms": 5.0, "node": 0, "peer": 4}, 4),
+        ({"kind": "crash", "at_ms": 5.0, "node": -1}, 4),
+        ({"kind": "crash", "at_ms": float("nan"), "node": 0}, 4),
+        ({"kind": "disk_stall", "at_ms": 5.0, "node": 0,
+          "extra_ms": float("nan")}, 4),
+    ], ids=["node-beyond-cluster", "peer-beyond-cluster", "negative-node",
+            "nan-time", "nan-stall"])
+    def test_chaos_bad_plan_is_rejected_before_any_run(
+        self, capsys, tiny_defaults, tmp_path, monkeypatch, event, nodes
+    ):
+        import json
+
+        from repro.experiments import runner
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a bad plan must not reach a run")
+
+        monkeypatch.setattr(runner, "run_experiment", no_run)
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"events": [event]}))
+        assert cli.main([
+            "chaos", "--nodes", str(nodes), "--plan", str(plan),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("chaos: cannot load plan: ")
+        assert len(captured.err.splitlines()) == 1
 
     def test_chaos_profile_attributes_fault_time(
         self, capsys, tiny_defaults, tmp_path

@@ -54,6 +54,26 @@ class TestFaultEvent:
         with pytest.raises(ValueError):
             FaultEvent("disk_stall", 1.0, node=0, extra_ms=0.0)
 
+    @pytest.mark.parametrize("at_ms", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, at_ms):
+        with pytest.raises(ValueError, match="fault time"):
+            FaultEvent("crash", at_ms, node=0)
+
+    @pytest.mark.parametrize("kind, extra_ms", [
+        ("disk_stall", float("nan")),
+        ("disk_stall", float("inf")),
+        ("crash", float("nan")),
+    ])
+    def test_non_finite_duration_rejected(self, kind, extra_ms):
+        with pytest.raises(ValueError, match="duration"):
+            FaultEvent(kind, 1.0, node=0, extra_ms=extra_ms)
+
+    @pytest.mark.parametrize("node, peer", [(-1, None), (0, -1)])
+    def test_negative_node_rejected(self, node, peer):
+        kind = "crash" if peer is None else "link_down"
+        with pytest.raises(ValueError, match="node ids are >= 0"):
+            FaultEvent(kind, 1.0, node=node, peer=peer)
+
 
 class TestFaultPlan:
     def test_events_sorted_by_time(self):
@@ -125,6 +145,27 @@ class TestFaultPlan:
             FaultPlan.random(0, 0.0, 4)
         with pytest.raises(ValueError):
             FaultPlan.random(0, 100.0, 0)
+
+    @pytest.mark.parametrize("rate", [-1.0, float("nan"), float("inf")])
+    def test_random_rejects_bad_crash_rate(self, rate):
+        with pytest.raises(ValueError, match="crashes_per_node"):
+            FaultPlan.random(0, 100.0, 4, crashes_per_node=rate)
+
+    def test_check_nodes_bounds_every_endpoint(self):
+        plan = FaultPlan((
+            FaultEvent("crash", 10.0, node=1),
+            FaultEvent("link_down", 20.0, node=0, peer=3),
+        ))
+        plan.check_nodes(4)
+        with pytest.raises(ValueError, match="names node 3"):
+            plan.check_nodes(3)
+        with pytest.raises(ValueError, match="names node 1"):
+            plan.check_nodes(1)
+
+    def test_install_rejects_plan_for_a_bigger_cluster(self):
+        plan = FaultPlan((FaultEvent("crash", 10.0, node=3),))
+        with pytest.raises(ValueError, match="cluster has 2 nodes"):
+            make_faulted(plan, num_nodes=2)
 
 
 class TestInjectorStateMachine:

@@ -11,8 +11,8 @@ Three properties, over two corpora:
   instances each time, so rule state cannot leak between runs);
 * arbitrary text — including non-parsing garbage and null bytes — is
   reported as SL00, never an exception;
-* the real repository corpus (every file under the configured lint
-  paths) is linted twice per file with identical results.
+* the real repository corpus (every file under the default lint paths)
+  is linted twice per file with identical results.
 
 Full runs get the same treatment: synthetic two-module projects are
 linted twice through ``lint_paths`` with every rule and the SL08
@@ -28,12 +28,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
-from repro.lint import (  # noqa: E402
-    LintConfig,
-    all_rules,
-    lint_paths,
-    lint_source,
-)
+from repro.lint import all_rules, lint_paths, lint_source  # noqa: E402
 from repro.lint.engine import iter_python_files  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -95,9 +90,8 @@ _MODULES = st.lists(_statement(), min_size=1, max_size=8).map(_module)
 @settings(max_examples=60, deadline=None)
 @given(_MODULES)
 def test_generated_modules_never_crash_and_lint_idempotently(src):
-    cfg = LintConfig()
-    first = lint_source("src/repro/core/fuzz.py", src, cfg, all_rules())
-    second = lint_source("src/repro/core/fuzz.py", src, cfg, all_rules())
+    first = lint_source("src/repro/core/fuzz.py", src, all_rules())
+    second = lint_source("src/repro/core/fuzz.py", src, all_rules())
     assert first == second
     for f in first:
         assert f.rule.startswith("SL") and f.line >= 1
@@ -106,8 +100,7 @@ def test_generated_modules_never_crash_and_lint_idempotently(src):
 @settings(max_examples=60, deadline=None)
 @given(st.text(max_size=200))
 def test_arbitrary_text_never_crashes(src):
-    findings = lint_source("src/repro/core/fuzz.py", src, LintConfig(),
-                           all_rules())
+    findings = lint_source("src/repro/core/fuzz.py", src, all_rules())
     # Unparsable input is a finding (SL00), never an exception.
     for f in findings:
         assert f.rule.startswith("SL")
@@ -122,7 +115,6 @@ def test_arbitrary_text_never_crashes(src):
 @given(st.lists(_statement(), min_size=1, max_size=5),
        st.lists(_statement(), min_size=1, max_size=5))
 def test_full_run_never_crashes_and_is_idempotent(stmts_a, stmts_b):
-    cfg = LintConfig()
     with tempfile.TemporaryDirectory() as td:
         root = Path(td)
         for rel, stmts in (("src/repro/experiments/fa.py", stmts_a),
@@ -133,7 +125,7 @@ def test_full_run_never_crashes_and_is_idempotent(stmts_a, stmts_b):
         old = os.getcwd()
         os.chdir(td)
         try:
-            runs = [lint_paths(["src/repro"], cfg, all_rules(), full_run=True)
+            runs = [lint_paths(["src/repro"], all_rules(), full_run=True)
                     for _ in range(2)]
         finally:
             os.chdir(old)
@@ -154,7 +146,6 @@ _CORPUS = iter_python_files([str(REPO_ROOT / "src" / "repro"),
 def test_repo_corpus_lints_deterministically(path):
     rel = path.relative_to(REPO_ROOT).as_posix()
     src = path.read_text(encoding="utf-8")
-    cfg = LintConfig()
-    first = lint_source(rel, src, cfg, all_rules())
-    second = lint_source(rel, src, cfg, all_rules())
+    first = lint_source(rel, src, all_rules())
+    second = lint_source(rel, src, all_rules())
     assert first == second
