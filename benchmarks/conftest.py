@@ -3,11 +3,11 @@
 Every benchmark regenerates one paper table/figure (``bench_ablations.py``
 runs the A1-A9 ablation studies, one parametrized case each), prints the
 same rows/series the paper reports, and archives the rendered output
-under ``benchmarks/results/``.  The trajectory benchmarks (fig2, a10 and
-ring) also write a top-level ``BENCH_<name>.json`` record (sorted keys,
+under ``benchmarks/results/``.  A result's data is written once, as the
+trajectory record ``benchmarks/results/<name>.json`` (sorted keys,
 schema version, git sha, seed, params digest; see
-:mod:`repro.bench.schema`) that ``python -m repro.bench compare`` gates
-against committed baselines.
+:mod:`repro.bench.schema`).  ``python -m repro.bench compare`` gates the
+fig2 and a10 records on the committed ``benchmarks/baselines/``.
 
 Workload scale is controlled by the environment (see
 ``repro.experiments.defaults``): default is SCALE=0.02 with 10k-request
@@ -21,16 +21,9 @@ import pytest
 from repro.experiments.defaults import BENCH_MEMORY_MB  # shared with `sweep` CLI
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Every experiment runner defaults to this seed (ExperimentConfig.seed).
 BENCH_SEED = 0
-
-#: Artifacts whose record also lands at the repo root as the
-#: ``BENCH_<name>.json`` trajectory record that bench-trajectory.yml
-#: gates and uploads (``bench_fig_ring.py`` writes ``BENCH_ring.json``
-#: itself).
-TRAJECTORY = ("fig2", "a10_faults")
 
 
 def bench_params():
@@ -52,9 +45,7 @@ def artifact(request, capsys):
             artifact("fig4", render_fig4(data), data)
 
     With ``data``, the JSON lands wrapped in the shared artifact schema
-    under ``benchmarks/results/<name>.json`` and, for the
-    :data:`TRAJECTORY` artifacts, as the top-level trajectory record
-    ``BENCH_<name>.json``.
+    as ``benchmarks/results/<name>.json``, the artifact's one record.
     """
 
     def save(name: str, text: str, data=None) -> None:
@@ -68,8 +59,6 @@ def artifact(request, capsys):
                 name, data, seed=BENCH_SEED, params=bench_params()
             )
             dump_record(record, RESULTS_DIR / f"{name}.json")
-            if name in TRAJECTORY:
-                dump_record(record, REPO_ROOT / f"BENCH_{name}.json")
         # Emit through pytest's terminal (shown with -s or on failure).
         with capsys.disabled():
             print(f"\n{text}\n[saved to {path}]")

@@ -1,22 +1,23 @@
-"""Benchmark trajectory records and regression gating.
+"""Benchmark trajectory records and their regression gate.
 
-Every ``bench_*`` result is wrapped in a shared artifact schema
-(:mod:`repro.bench.schema`): git sha, seed, a digest of the run
-parameters and a schema version, emitted as top-level ``BENCH_<name>.json``
-trajectory records.  :mod:`repro.bench.compare` diffs a run against
-committed baselines (``benchmarks/baselines/``) and exits nonzero on a
->10% throughput regression — the CI gate.
+Every benchmark result is wrapped in a shared record schema
+(:mod:`repro.bench.schema`: git sha, seed, a digest of the run
+parameters and a schema version) and written once, as
+``benchmarks/results/<name>.json``.  :mod:`repro.bench.compare` is the
+CI gate: the simulator is deterministic, so a record must equal its
+committed baseline ``benchmarks/baselines/<name>.json`` value for value
+(floats within 1e-9).  Any change of simulated output fails the gate
+until the baseline is re-blessed on purpose.
 
 CLI::
 
-    python -m repro.bench compare BENCH_fig2.json --baselines benchmarks/baselines
+    python -m repro.bench compare benchmarks/results/fig2.json
 """
 
-from .compare import CompareResult, compare_records, render_compare
+from .compare import compare_records, mismatches
 from .schema import (
     SCHEMA_VERSION,
     dump_record,
-    extract_throughput_metrics,
     git_sha,
     load_record,
     params_digest,
@@ -30,8 +31,6 @@ __all__ = [
     "load_record",
     "git_sha",
     "params_digest",
-    "extract_throughput_metrics",
-    "CompareResult",
     "compare_records",
-    "render_compare",
+    "mismatches",
 ]

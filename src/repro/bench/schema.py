@@ -3,16 +3,15 @@
 A *trajectory record* wraps one benchmark's result ``data`` with enough
 provenance to compare runs across commits:
 
-* ``schema_version`` — bump on incompatible shape changes;
+* ``schema_version`` — bump on incompatible shape changes (2 dropped
+  the extracted ``metrics``: the gate reads ``data`` itself);
 * ``git_sha`` — the commit the run was built from (``REPRO_GIT_SHA``
   override for CI, ``git rev-parse`` fallback, ``"unknown"`` outside a
   checkout);
 * ``seed`` — the experiment seed (runs are deterministic given it);
 * ``params`` + ``params_digest`` — the knobs that shaped the workload
   (scale, request count, clients, memory points) and a short digest of
-  them, so a comparison can refuse to diff apples against oranges;
-* ``metrics`` — flat ``dotted.path -> scalar`` throughput numbers
-  extracted from ``data``, the quantities the regression gate checks.
+  them, so a comparison can refuse to diff apples against oranges.
 
 Records are always serialized with sorted keys so diffs are stable.
 """
@@ -29,13 +28,12 @@ __all__ = [
     "SCHEMA_VERSION",
     "git_sha",
     "params_digest",
-    "extract_throughput_metrics",
     "wrap_result",
     "dump_record",
     "load_record",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def git_sha() -> str:
@@ -68,62 +66,12 @@ def params_digest(params: dict[str, Any]) -> str:
     return hashlib.sha256(_canonical(params).encode()).hexdigest()[:16]
 
 
-def _label(item: Any, index: int) -> str:
-    """Path label for a list element: its self-describing name if any."""
-    if isinstance(item, dict):
-        for key in ("system", "name", "trace"):
-            val = item.get(key)
-            if isinstance(val, str):
-                return val
-    return str(index)
-
-
-def _collect(obj: Any, path: str, in_throughput: bool,
-             out: dict[str, float]) -> None:
-    if isinstance(obj, dict):
-        for key in sorted(obj):
-            sub = f"{path}.{key}" if path else str(key)
-            _collect(obj[key], sub,
-                     in_throughput or key == "throughput_rps", out)
-        return
-    if isinstance(obj, (list, tuple)):
-        if in_throughput and obj and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in obj
-        ):
-            out[path] = sum(float(v) for v in obj) / len(obj)
-            return
-        for i, item in enumerate(obj):
-            _collect(item, f"{path}.{_label(item, i)}" if path
-                     else _label(item, i), in_throughput, out)
-        return
-    if in_throughput and isinstance(obj, (int, float)) \
-            and not isinstance(obj, bool):
-        out[path] = float(obj)
-
-
-def extract_throughput_metrics(data: Any) -> dict[str, float]:
-    """Flatten every ``throughput_rps`` value in ``data`` to
-    ``dotted.path -> scalar`` (lists of numbers collapse to their mean).
-
-    Works unchanged over the fig2 shape
-    (``trace -> throughput_rps -> system -> [per-memory]``) and the a10
-    shape (``systems[] -> points[] -> throughput_rps``): list elements
-    that carry a ``system`` / ``name`` / ``trace`` field contribute it
-    to the path instead of a bare index, so paths survive reordering.
-    """
-    out: dict[str, float] = {}
-    _collect(data, "", False, out)
-    return out
-
-
 def wrap_result(
     name: str,
     data: Any,
     *,
     seed: int = 0,
     params: dict[str, Any] | None = None,
-    metrics: dict[str, float] | None = None,
 ) -> dict[str, Any]:
     """Build one trajectory record around a benchmark result."""
     params = dict(params or {})
@@ -134,10 +82,6 @@ def wrap_result(
         "seed": seed,
         "params": params,
         "params_digest": params_digest(params),
-        "metrics": (
-            metrics if metrics is not None
-            else extract_throughput_metrics(data)
-        ),
         "data": data,
     }
 

@@ -113,6 +113,7 @@ def _positive(convert):
                 f"must be positive and finite, got {text}")
         return value
 
+    parse.__name__ = convert.__name__  # argparse: "invalid int value"
     return parse
 
 
@@ -124,6 +125,7 @@ def _non_negative(convert):
                 f"must be >= 0 and finite, got {text}")
         return value
 
+    parse.__name__ = convert.__name__  # argparse: "invalid int value"
     return parse
 
 
@@ -648,7 +650,7 @@ def analyze_command(argv) -> int:
         if opts.metrics:
             with open(opts.metrics, "r", encoding="utf-8") as fp:
                 metrics = json.load(fp)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"analyze: cannot read input: {exc}", file=sys.stderr)
         return 2
 

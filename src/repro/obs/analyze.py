@@ -113,14 +113,28 @@ class SpanNode:
             yield from child.walk()
 
 
+#: The fields every span record carries, whatever the tracer mode.
+_SPAN_FIELDS = frozenset(("span", "trace", "name", "start"))
+
+
 def load_jsonl(path) -> list[dict[str, Any]]:
-    """Read a tracer JSONL file into a list of span records."""
+    """Read a tracer JSONL file into a list of span records.
+
+    Raises ``ValueError`` naming the file and line of any row that is
+    not an object carrying ``span``, ``trace``, ``name`` and ``start``.
+    """
     records = []
     with open(path, "r", encoding="utf-8") as fp:
-        for line in fp:
+        for lineno, line in enumerate(fp, 1):
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            rec = json.loads(line)
+            if not (isinstance(rec, dict) and _SPAN_FIELDS <= rec.keys()):
+                raise ValueError(
+                    f"{path}:{lineno}: not a span record (an object with "
+                    f"span, trace, name and start): {line[:80]}")
+            records.append(rec)
     return records
 
 
@@ -321,8 +335,9 @@ def attribution_to_dict(
     """Machine-readable attribution/bottleneck summary (``analyze --json``).
 
     The same quantities :func:`repro.obs.reports.render_profile_report`
-    prints, as one JSON-ready dict CI and ``repro.bench.compare`` can
-    consume without scraping tables.
+    prints, as one JSON-ready dict that ``analyze diff`` and the ATTR
+    baseline check (:func:`repro.bench.compare.mismatches`, the bench
+    gate's rule) read without scraping tables.
     """
     out: dict[str, Any] = {
         "requests": attr.count,

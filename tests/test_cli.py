@@ -69,6 +69,20 @@ class TestCli:
         assert f"{message}, got {value}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--nodes", "2.5"],
+         "argument --nodes: invalid int value: '2.5'"),
+        (["chaos", "--link-drops", "x"],
+         "argument --link-drops: invalid int value: 'x'"),
+        (["analyze", "trace.jsonl", "--window-ms", "abc"],
+         "argument --window-ms: invalid float value: 'abc'"),
+    ], ids=["run-nodes", "chaos-link-drops", "analyze-window-ms"])
+    def test_unparsable_value_names_its_type(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_artifact_registry_complete(self):
         expected = {
             "table1", "table2",
@@ -313,6 +327,19 @@ class TestRunAndAnalyzeCli:
         bad.write_text("not json at all {")
         assert cli.main(["analyze", "diff", str(bad), str(bad)]) == 2
         assert "cannot read input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ['{"a": 1}', "[3]"],
+                             ids=["no-span-fields", "not-an-object"])
+    def test_analyze_malformed_row_is_a_usage_error(self, capsys, tmp_path,
+                                                    row):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text('{"span": 1, "trace": 1, "name": "client", '
+                         '"start": 0.0}\n' + row + "\n")
+        assert cli.main(["analyze", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert f"analyze: cannot read input: {trace}:2: not a span " \
+               f"record" in err
+        assert "Traceback" not in err
 
 
 class TestChaosCli:

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from repro.bench import mismatches
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.obs import Observability
 from repro.obs.analyze import attribute, attribution_to_dict
@@ -160,33 +161,15 @@ class TestLoadAttribution:
             load_attribution(path)
 
 
-def _assert_same_report(got, want, path="$"):
-    """Equal up to float rounding: the same keys, list lengths, strings
-    and integers, and floats within 1e-9 (ms, or a utilization share).
-    Bytes would over-pin the file: ``sum()`` over floats rounds
-    differently from Python 3.12 on, so the last bits of a mean depend
-    on the interpreter."""
-    if isinstance(want, float) or isinstance(got, float):
-        assert isinstance(got, (int, float)), path
-        assert abs(got - want) <= 1e-9, (path, got, want)
-    elif isinstance(want, dict):
-        assert isinstance(got, dict) and got.keys() == want.keys(), path
-        for key, value in want.items():
-            _assert_same_report(got[key], value, f"{path}.{key}")
-    elif isinstance(want, list):
-        assert isinstance(got, list) and len(got) == len(want), path
-        for i, (g, w) in enumerate(zip(got, want)):
-            _assert_same_report(g, w, f"{path}[{i}]")
-    else:
-        assert got == want, (path, got, want)
-
-
 class TestAttrBaseline:
     def test_explain_recipe_reproduces_committed_baseline(self, tmp_path):
         """The nightly explain step diffs against the committed ATTR
         baseline, so the recipe must reproduce it: the same request
-        counts, classes and binding resource, every value within 1e-9.
-        Re-bless it on purpose (README "Explaining a regression") when
+        counts, classes and binding resource, every float within 1e-9,
+        by the rule the bench gate applies to its records.  Bytes would
+        over-pin the file: float ``sum()`` rounds differently from
+        Python 3.12 on, so the last bits of a mean depend on the
+        interpreter.  Re-bless it on purpose (README "Explaining a regression") when
         attribution changes.  Workload knobs from the environment must
         not leak into the recipe."""
         env = {k: v for k, v in os.environ.items()
@@ -207,10 +190,10 @@ class TestAttrBaseline:
                                   capture_output=True, text=True,
                                   timeout=300)
             assert proc.returncode == 0, proc.stderr
-        _assert_same_report(
+        assert mismatches(
             json.loads((tmp_path / "attr.json").read_text()),
             json.loads(ATTR_BASELINE.read_text()),
-        )
+        ) == []
 
 
 class TestRenderDiff:
