@@ -5,10 +5,11 @@ the same ``name``, ``schema_version`` and ``params_digest`` (a run with
 other workload knobs says nothing about the code) and the same ``data``,
 value for value.  :func:`mismatches` is the rule: the same dict keys,
 the same list lengths, equal strings, booleans and integers, and floats
-within :data:`FLOAT_TOL` of the baseline's.  The tolerance leaves room
-for interpreter rounding (float ``sum()`` rounds differently from
-Python 3.12 on), far below any simulated change.  A NaN or infinite
-float matches nothing, not even itself.
+within :data:`FLOAT_TOL` of the baseline's.  The tolerance is a margin
+far below any simulated change; no known interpreter difference needs
+it, because the simulator and the analysis add floats left to right
+(builtin ``sum()`` compensates rounding from Python 3.12 on).  A NaN or
+infinite float matches nothing, not even itself.
 """
 
 from __future__ import annotations

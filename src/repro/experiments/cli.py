@@ -129,14 +129,11 @@ def _non_negative(convert):
     return parse
 
 
-def _run_parser() -> argparse.ArgumentParser:
+def _add_cell_flags(p: argparse.ArgumentParser) -> None:
+    """The six flags ``run`` and ``chaos`` share: one cell's coordinates."""
     from ..traces.datasets import TRACE_NAMES
     from .runner import SYSTEMS
 
-    p = argparse.ArgumentParser(
-        prog="repro-experiments run",
-        description="Run one observable experiment point.",
-    )
     p.add_argument("--system", default="cc-kmc",
                    choices=list(SYSTEMS), help="server variant")
     p.add_argument("--workload", default="rutgers", choices=list(TRACE_NAMES),
@@ -148,6 +145,30 @@ def _run_parser() -> argparse.ArgumentParser:
     p.add_argument("--clients", type=_positive(int), default=None,
                    help="closed-loop clients (default: REPRO_CLIENTS)")
     p.add_argument("--seed", type=int, default=0, help="root RNG seed")
+
+
+def _cell_config(opts):
+    """The experiment the :func:`_add_cell_flags` flags name."""
+    from .runner import ExperimentConfig
+
+    return ExperimentConfig(
+        system=opts.system,
+        trace=defaults.workload(opts.workload),
+        num_nodes=opts.nodes,
+        mem_mb_per_node=(
+            opts.mem_mb if opts.mem_mb is not None else 32.0 * defaults.SCALE
+        ),
+        num_clients=opts.clients or defaults.NUM_CLIENTS,
+        seed=opts.seed,
+    )
+
+
+def _run_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="repro-experiments run",
+        description="Run one observable experiment point.",
+    )
+    _add_cell_flags(p)
     p.add_argument("--trace", metavar="FILE", default=None,
                    help="write per-request span trace as JSONL to FILE")
     p.add_argument("--metrics-out", metavar="FILE", default=None,
@@ -169,20 +190,10 @@ def _run_parser() -> argparse.ArgumentParser:
 def run_command(argv) -> int:
     """``run`` subcommand: one experiment with observability attached."""
     from ..obs import Observability
-    from .runner import ExperimentConfig, run_experiment, system_label
+    from .runner import run_experiment, system_label
 
     opts = _run_parser().parse_args(argv)
-    trace = defaults.workload(opts.workload)
-    cfg = ExperimentConfig(
-        system=opts.system,
-        trace=trace,
-        num_nodes=opts.nodes,
-        mem_mb_per_node=(
-            opts.mem_mb if opts.mem_mb is not None else 32.0 * defaults.SCALE
-        ),
-        num_clients=opts.clients or defaults.NUM_CLIENTS,
-        seed=opts.seed,
-    )
+    cfg = _cell_config(opts)
     obs = Observability(
         trace=opts.trace is not None,
         invariant_every=opts.invariant_every,
@@ -286,7 +297,7 @@ def _sweep_parser() -> argparse.ArgumentParser:
 
 def _ledger_sweep_records(ledger, opts, outcomes, elapsed,
                           workers, n_cells) -> None:
-    """Append the sweep manifest + one cell record per outcome."""
+    """Append the sweep manifest + each outcome's cell row, unchanged."""
     failed = any(not o.ok for o in outcomes)
     sweep_rec = ledger.append(
         "sweep",
@@ -300,28 +311,8 @@ def _ledger_sweep_records(ledger, opts, outcomes, elapsed,
                    if opts.bench_out and not failed else {}),
     )
     for out in outcomes:
-        fields = dict(
-            cell_index=out.info.index,
-            system=out.info.system,
-            workload=out.info.workload,
-            num_nodes=out.info.num_nodes,
-            mem_mb_per_node=out.info.mem_mb_per_node,
-            num_clients=out.info.num_clients,
-            seed=out.info.seed,
-            params_digest=out.info.params_digest,
-            wall_s=round(out.wall_s, 6),
-            worker=out.worker,
-            summary=out.summary,
-            attribution=out.attribution,
-        )
-        if out.error is not None:
-            fields["error"] = out.error
-        ledger.append(
-            "cell",
-            status="ok" if out.ok else "failed",
-            parent=sweep_rec["run_id"],
-            **fields,
-        )
+        ledger.append("cell", status="ok" if out.ok else "failed",
+                      parent=sweep_rec["run_id"], **out.row)
     print(f"ledger            -> {ledger.path} "
           f"(sweep run id {sweep_rec['run_id']}, {len(outcomes)} cell "
           f"records)")
@@ -342,7 +333,7 @@ def sweep_command(argv) -> int:
     from ..bench.schema import dump_record, wrap_result
     from ..obs.ledger import Ledger
     from ..traces.datasets import TRACE_NAMES
-    from .parallel import default_workers, run_cells_observed
+    from .parallel import default_workers, failure_line, run_cells_observed
 
     opts = _sweep_parser().parse_args(argv)
     workers = opts.workers if opts.workers is not None else default_workers()
@@ -378,9 +369,7 @@ def sweep_command(argv) -> int:
     if failures:
         print(f"sweep: {len(failures)} cell(s) failed:", file=sys.stderr)
         for out in failures:
-            print(f"  cell {out.info.index} [{out.info.coords()}] "
-                  f"params {out.info.params_digest}: {out.error}",
-                  file=sys.stderr)
+            print("  " + failure_line(out.row), file=sys.stderr)
         print("sweep: skipping BENCH record (incomplete matrix)",
               file=sys.stderr)
         return 1
@@ -396,25 +385,12 @@ def sweep_command(argv) -> int:
 
 
 def _chaos_parser() -> argparse.ArgumentParser:
-    from ..traces.datasets import TRACE_NAMES
-    from .runner import SYSTEMS
-
     p = argparse.ArgumentParser(
         prog="repro-experiments chaos",
         description="Run a workload under a deterministic fault plan and "
                     "compare it with the fault-free baseline.",
     )
-    p.add_argument("--system", default="cc-kmc",
-                   choices=list(SYSTEMS), help="server variant")
-    p.add_argument("--workload", default="rutgers", choices=list(TRACE_NAMES),
-                   help="trace name (scaled per REPRO_SCALE)")
-    p.add_argument("--mem-mb", type=_positive(float), default=None,
-                   help="per-node memory MB (default: 32 x scale)")
-    p.add_argument("--nodes", type=_positive(int), default=8,
-                   help="cluster size")
-    p.add_argument("--clients", type=_positive(int), default=None,
-                   help="closed-loop clients (default: REPRO_CLIENTS)")
-    p.add_argument("--seed", type=int, default=0, help="root RNG seed")
+    _add_cell_flags(p)
     p.add_argument("--plan-seed", type=int, default=1,
                    help="fault-plan RNG seed (independent of --seed)")
     p.add_argument("--crashes-per-node", type=_non_negative(float), default=1.0,
@@ -444,20 +420,10 @@ def chaos_command(argv) -> int:
 
     from ..obs import Observability
     from ..sim.faults import FaultPlan
-    from .runner import ExperimentConfig, run_experiment, system_label
+    from .runner import run_experiment, system_label
 
     opts = _chaos_parser().parse_args(argv)
-    trace = defaults.workload(opts.workload)
-    base_cfg = ExperimentConfig(
-        system=opts.system,
-        trace=trace,
-        num_nodes=opts.nodes,
-        mem_mb_per_node=(
-            opts.mem_mb if opts.mem_mb is not None else 32.0 * defaults.SCALE
-        ),
-        num_clients=opts.clients or defaults.NUM_CLIENTS,
-        seed=opts.seed,
-    )
+    base_cfg = _cell_config(opts)
     baseline = None
     if opts.plan:
         try:

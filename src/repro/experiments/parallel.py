@@ -31,18 +31,23 @@ passive — wall-clock readings land only in outcomes and log lines, never
 in simulation state):
 
 * :func:`run_cells_observed` returns, alongside the ordered results, one
-  :class:`CellOutcome` per cell: wall-clock, worker identity, exit
-  status, a metrics summary (throughput, mean response, hit rate and,
-  for a profiled cell, p95/p99 response) and a profiled cell's
-  attribution report.  ``sweep --ledger`` writes each outcome as one
-  run-ledger row (:mod:`repro.obs.ledger`), the only record of the
-  cell, which :mod:`repro.obs.fleet` rolls up.
+  :class:`CellOutcome` per cell.  Its ``row`` is the cell's ledger row
+  (:mod:`repro.obs.ledger`, version 3), built once in the worker as one
+  flat dict with the keys of :data:`~repro.obs.ledger.CELL_KEYS`, in
+  that order: the cell's index, its six coordinates and their params
+  digest, wall-clock and worker, throughput, mean response and hit
+  rate; for a profiled cell the p95/p99 response, binding resource and
+  attribution report; for a failed cell its error.  A value the cell
+  did not produce is null.  ``sweep --ledger`` appends each row
+  unchanged, the only record of the cell, and :mod:`repro.obs.fleet`
+  reads it as written.
 * The merge logs one INFO line per finished cell, in completion order:
   live progress (``-v`` on the CLI) without touching the merged results.
 * A worker exception no longer surfaces as a bare multiprocessing
-  traceback: the failing cell's system/trace/params digest is captured
-  in its outcome and either collected (``failures=[]``) or raised as one
-  :class:`SweepCellError` naming every failed cell.
+  traceback: the failing cell's row carries the error next to its
+  coordinates, and the outcome is either collected (``failures=[]``) or
+  raised as one :class:`SweepCellError` naming every failed cell
+  (:func:`failure_line`).
 """
 
 from __future__ import annotations
@@ -53,23 +58,21 @@ import multiprocessing
 import time
 import traceback as traceback_mod
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+from dataclasses import dataclass
+from typing import Any, Optional
 
+from ..bench.schema import params_digest
+from ..obs.ledger import CELL_KEYS
 from .defaults import env_knob
 from .runner import (
     ExperimentConfig, ExperimentResult, run_experiment, system_label,
 )
 
-if TYPE_CHECKING:
-    from ..obs.analyze import Attribution
-
 __all__ = [
     "default_workers",
     "run_cells",
     "run_cells_observed",
-    "cell_info",
-    "CellInfo",
+    "failure_line",
     "CellOutcome",
     "SweepCellError",
 ]
@@ -86,69 +89,33 @@ def default_workers() -> int:
 
 
 # ---------------------------------------------------------------------------
-# cell identity & outcomes
+# cell outcomes
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class CellInfo:
-    """Stable identity of one sweep cell (for ledgers and error reports)."""
-
-    index: int
-    system: str
-    workload: str
-    num_nodes: int
-    mem_mb_per_node: float
-    num_clients: int
-    seed: int
-    #: Digest over the cell coordinates (same construction as BENCH
-    #: records), so a ledger row names *which* point ran.
-    params_digest: str
-
-    def coords(self) -> str:
-        """Human-readable cell coordinates."""
-        return (f"{self.system}/{self.workload}/"
-                f"{self.mem_mb_per_node:g}MB/seed{self.seed}")
-
-
-def cell_info(index: int, cfg: ExperimentConfig) -> CellInfo:
-    """Build the ledger-facing identity of cell ``index``."""
-    from ..bench.schema import params_digest
-
-    coords = {
-        "system": system_label(cfg.system),
-        "workload": cfg.trace.spec.name,
-        "num_nodes": cfg.num_nodes,
-        "mem_mb_per_node": cfg.mem_mb_per_node,
-        "num_clients": cfg.num_clients,
-        "seed": cfg.seed,
-    }
-    return CellInfo(
-        index=index,
-        system=system_label(cfg.system),
-        workload=cfg.trace.spec.name,
-        num_nodes=cfg.num_nodes,
-        mem_mb_per_node=cfg.mem_mb_per_node,
-        num_clients=cfg.num_clients,
-        seed=cfg.seed,
-        params_digest=params_digest(coords),
-    )
-
-
 @dataclass
 class CellOutcome:
-    """Everything the fleet layer knows about one executed cell."""
+    """One executed cell: its ledger row, and its result or the
+    traceback of its failure."""
 
-    info: CellInfo
-    ok: bool
+    #: The cell's ledger row: every key of ``CELL_KEYS``, in order.
+    row: dict[str, Any]
     result: Optional[ExperimentResult] = None
-    error: Optional[str] = None
     traceback: Optional[str] = None
-    #: Wall-clock seconds the cell took (worker-measured, ledger-only).
-    wall_s: float = 0.0
-    worker: str = "main"
-    #: Ledger-ready metric summary (empty for failed cells).
-    summary: dict[str, Any] = field(default_factory=dict)
-    #: The cell's attribution report (profiled cells only).
-    attribution: Optional[dict[str, Any]] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.row["error"] is None
+
+
+def _coords(row: dict[str, Any]) -> str:
+    """Human-readable coordinates of a cell row."""
+    return (f"{row['system']}/{row['workload']}/"
+            f"{row['mem_mb_per_node']:g}MB/seed{row['seed']}")
+
+
+def failure_line(row: dict[str, Any]) -> str:
+    """One line naming a failed cell's row and its error."""
+    return (f"cell {row['index']} [{_coords(row)}] "
+            f"params {row['params_digest']}: {row['error']}")
 
 
 class SweepCellError(RuntimeError):
@@ -157,11 +124,7 @@ class SweepCellError(RuntimeError):
     def __init__(self, outcomes: Sequence[CellOutcome]) -> None:
         self.outcomes = list(outcomes)
         lines = [f"{len(self.outcomes)} sweep cell(s) failed:"]
-        for out in self.outcomes:
-            lines.append(
-                f"  cell {out.info.index} [{out.info.coords()}] "
-                f"params {out.info.params_digest}: {out.error}"
-            )
+        lines.extend("  " + failure_line(out.row) for out in self.outcomes)
         super().__init__("\n".join(lines))
 
 
@@ -182,28 +145,22 @@ class _CellJob:
     profile: bool = False
 
 
-def _cell_summary(
-    result: ExperimentResult, attr: Optional[Attribution],
-) -> dict[str, Any]:
-    """Ledger-facing metric summary of one finished cell; a profiled
-    cell's response percentiles come from its attribution ``attr``."""
-    summary: dict[str, Any] = {
-        "throughput_rps": result.throughput_rps,
-        "mean_response_ms": result.mean_response_ms,
-        "hit_rate_total": result.hit_rates.get("total", 0.0),
-    }
-    if attr is not None:
-        durs = sorted(r.dur for r in attr.requests)
-        summary["p95_ms"] = _percentile(durs, 0.95)
-        summary["p99_ms"] = _percentile(durs, 0.99)
-    return summary
-
-
 def _run_cell_job(job: _CellJob) -> CellOutcome:
-    """Worker entry point for observed sweeps.  Never raises: failures
-    come back as ``ok=False`` outcomes carrying the cell's identity."""
-    info = cell_info(job.index, job.cfg)
-    worker = multiprocessing.current_process().name
+    """Worker entry point for observed sweeps: runs the cell and builds
+    its ledger row.  Never raises: a failed cell's row carries its
+    error, and its outcome the traceback."""
+    cfg = job.cfg
+    coords = {
+        "system": system_label(cfg.system),
+        "workload": cfg.trace.spec.name,
+        "num_nodes": cfg.num_nodes,
+        "mem_mb_per_node": cfg.mem_mb_per_node,
+        "num_clients": cfg.num_clients,
+        "seed": cfg.seed,
+    }
+    row: dict[str, Any] = dict.fromkeys(CELL_KEYS)
+    row.update(index=job.index, **coords, params_digest=params_digest(coords),
+               worker=multiprocessing.current_process().name)
     t0 = time.perf_counter()  # simlint: disable=SL02 -- per-cell wall-clock is ledger telemetry, never sim state
     try:
         obs = None
@@ -211,27 +168,33 @@ def _run_cell_job(job: _CellJob) -> CellOutcome:
             from ..obs import Observability
 
             obs = Observability(profile=True)
-        result = run_experiment(job.cfg, obs=obs)
+        result = run_experiment(cfg, obs=obs)
         wall_s = time.perf_counter() - t0  # simlint: disable=SL02 -- per-cell wall-clock is ledger telemetry, never sim state
-        attr: Optional[Attribution] = None
-        attribution: Optional[dict[str, Any]] = None
+        metrics: dict[str, Any] = {
+            "throughput_rps": result.throughput_rps,
+            "mean_response_ms": result.mean_response_ms,
+            "hit_rate_total": result.hit_rates.get("total", 0.0),
+        }
         if obs is not None:
             from ..obs.analyze import attribute, attribution_to_dict
 
             attr = attribute(obs.tracer.records, measured_only=True)
+            durs = sorted(r.dur for r in attr.requests)
             attribution = attribution_to_dict(attr, obs.registry.snapshot())
-        return CellOutcome(
-            info=info, ok=True, result=result, wall_s=wall_s, worker=worker,
-            summary=_cell_summary(result, attr), attribution=attribution,
-        )
+            binding = attribution["binding_resource"] or {}
+            metrics.update(
+                p95_ms=_percentile(durs, 0.95),
+                p99_ms=_percentile(durs, 0.99),
+                binding_resource=binding.get("resource"),
+                attribution=attribution,
+            )
     except Exception as exc:  # noqa: BLE001 - worker boundary, reported upward
         wall_s = time.perf_counter() - t0  # simlint: disable=SL02 -- per-cell wall-clock is ledger telemetry, never sim state
-        return CellOutcome(
-            info=info, ok=False,
-            error=f"{type(exc).__name__}: {exc}",
-            traceback=traceback_mod.format_exc(),
-            wall_s=wall_s, worker=worker,
-        )
+        row.update(wall_s=round(wall_s, 6),
+                   error=f"{type(exc).__name__}: {exc}")
+        return CellOutcome(row, traceback=traceback_mod.format_exc())
+    row.update(wall_s=round(wall_s, 6), **metrics)
+    return CellOutcome(row, result)
 
 
 def _run_pooled_cell_job(job: _CellJob) -> CellOutcome:
@@ -264,15 +227,16 @@ def _merge(
     logging one INFO line per finished cell as it arrives."""
     slots: list[Optional[CellOutcome]] = [None] * len(cells)
     for done, outcome in enumerate(finished, 1):
+        row = outcome.row
         if outcome.result is not None:
             # Pooled results travel without their config (see
             # _run_pooled_cell_job); serially this re-sets the same one.
-            outcome.result.config = cells[outcome.info.index]
-        slots[outcome.info.index] = outcome
+            outcome.result.config = cells[row["index"]]
+        slots[row["index"]] = outcome
         logger.info(
             "cell %d/%d [%s] %s, %.2f s wall, worker %s",
-            done, len(cells), outcome.info.coords(),
-            "ok" if outcome.ok else "FAILED", outcome.wall_s, outcome.worker,
+            done, len(cells), _coords(row),
+            "ok" if outcome.ok else "FAILED", row["wall_s"], row["worker"],
         )
     merged = [out for out in slots if out is not None]
     assert len(merged) == len(cells)
@@ -289,12 +253,12 @@ def run_cells_observed(
     """Run every cell with fleet telemetry; returns ``(results, outcomes)``.
 
     ``results`` is in cell order and identical to :func:`run_cells` —
-    telemetry is passive.  ``outcomes`` (also cell order) carries
-    per-cell wall-clock, worker identity, status and metric summaries.
+    telemetry is passive.  ``outcomes`` (also cell order) carries each
+    cell's ledger row: wall-clock, worker identity, error and metrics.
     ``profile=True`` runs each cell under ``Observability(profile=True)``
     (verified passive: simulated results are unchanged) and attributes
-    its trace once, so each outcome also carries the cell's attribution
-    report and its summary the p95/p99 response.
+    its trace once, so each row also carries the cell's p95/p99
+    response, binding resource and attribution report.
 
     Failures: by default any failed cell raises :class:`SweepCellError`
     (after *all* cells ran — the merge is never aborted mid-flight).

@@ -186,6 +186,16 @@ def request_roots(
 # ---------------------------------------------------------------------------
 # attribution
 # ---------------------------------------------------------------------------
+def ordered_sum(values: Iterable[float]) -> float:
+    """Plain left-to-right float additions: from Python 3.12 on, builtin
+    ``sum()`` compensates rounding over floats, and attribution numbers
+    must not depend on the interpreter."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 @dataclass
 class RequestProfile:
     """One request's phase decomposition."""
@@ -201,7 +211,7 @@ class RequestProfile:
     @property
     def residual(self) -> float:
         """Unattributed time (should be float noise only)."""
-        return self.dur - sum(self.phases.values())
+        return self.dur - ordered_sum(self.phases.values())
 
 
 def decompose_request(root: SpanNode) -> RequestProfile:
@@ -238,7 +248,7 @@ class Attribution:
         """Mean span-tree root duration = mean response time."""
         if not self.requests:
             return 0.0
-        return sum(r.dur for r in self.requests) / len(self.requests)
+        return ordered_sum(r.dur for r in self.requests) / len(self.requests)
 
     def phase_means(self) -> dict[str, float]:
         """Mean per-request contribution of each phase (ms)."""
@@ -256,7 +266,8 @@ class Attribution:
         """Mean unattributed time per request (float noise)."""
         if not self.requests:
             return 0.0
-        return sum(r.residual for r in self.requests) / len(self.requests)
+        return (ordered_sum(r.residual for r in self.requests)
+                / len(self.requests))
 
     def by_class(self) -> dict[str, "Attribution"]:
         """Per-service-class sub-attributions ("local"/"remote"/...)."""
@@ -314,7 +325,7 @@ def binding_resource(metrics: dict[str, Any]) -> dict[str, Any] | None:
     for resource, samples in per.items():
         max_node, max_util = max(samples, key=lambda s: (s[1], s[0]))
         per_resource[resource] = {
-            "mean": sum(u for _n, u in samples) / len(samples),
+            "mean": ordered_sum(u for _n, u in samples) / len(samples),
             "max": max_util,
             "max_node": max_node,
         }

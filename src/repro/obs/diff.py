@@ -21,7 +21,7 @@ import json
 import logging
 from typing import Any
 
-from .analyze import attribute, attribution_to_dict, load_jsonl
+from .analyze import attribute, attribution_to_dict, load_jsonl, ordered_sum
 from .schema import as_report, check_report
 
 __all__ = ["load_attribution", "diff_attributions"]
@@ -96,7 +96,8 @@ def diff_attributions(
              - base.get("mean_response_ms", 0.0))
     residual_delta = (current.get("mean_residual_ms", 0.0)
                       - base.get("mean_residual_ms", 0.0))
-    conservation = delta - (sum(phase_delta.values()) + residual_delta)
+    conservation = delta - (ordered_sum(phase_delta.values())
+                            + residual_delta)
 
     regressions = sorted(
         ((p, d) for p, d in phase_delta.items() if d > _NAME_FLOOR_MS),

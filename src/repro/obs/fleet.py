@@ -1,8 +1,11 @@
 """Cross-cell fleet aggregation over a sweep's run-ledger slice.
 
 Input is a list of ledger records (:func:`repro.obs.ledger.load_ledger`)
-containing one ``sweep`` record and its ``cell`` children.  The output
-— report kind ``"fleet"`` under the shared
+containing one ``sweep`` record and its ``cell`` children.  The cell
+rows are read as the sweep worker wrote them; a ledger is input from
+outside the program, so each row is checked once before it is read, and
+a malformed one is a :class:`ValueError` naming its ``run_id``.  The
+output — report kind ``"fleet"`` under the shared
 :data:`~repro.obs.schema.OUTPUT_SCHEMA_VERSION` envelope — rolls the
 cell rows up into fleet-level answers:
 
@@ -28,10 +31,12 @@ touches simulation state.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+import math
+import reprlib
+from collections.abc import Callable, Iterable, Sequence
 from typing import Any, Optional
 
-from .ledger import LEDGER_VERSION, latest_sweep
+from .ledger import CELL_KEYS, LEDGER_VERSION
 from .schema import as_report
 
 __all__ = [
@@ -48,6 +53,15 @@ CONSERVATION_REL_TOL = 1e-6
 #: is a straggler.
 STRAGGLER_FACTOR = 3.0
 
+#: The keys of each entry of the report's ``cells`` list: the cell row
+#: cut down to what the per-cell summary shows.
+_REPORT_KEYS = (
+    "run_id", "index", "system", "workload", "mem_mb_per_node", "seed",
+    "status", "wall_s", "worker", "error", "throughput_rps",
+    "mean_response_ms", "hit_rate_total", "p95_ms", "p99_ms",
+    "binding_resource",
+)
+
 
 def select_sweep(
     records: Iterable[dict[str, Any]],
@@ -55,14 +69,73 @@ def select_sweep(
     """The ledger's latest sweep record and its cells (matched by
     ``parent``)."""
     records = list(records)
-    sweep = latest_sweep(records)
-    if sweep is None:
+    sweeps = [r for r in records if r.get("kind") == "sweep"]
+    if not sweeps:
         raise ValueError("ledger contains no sweep records")
+    sweep = sweeps[-1]
     cells = [
         r for r in records
-        if r.get("kind") == "cell" and r.get("parent") == sweep["run_id"]
+        if r.get("kind") == "cell" and r.get("parent") == sweep.get("run_id")
     ]
     return sweep, cells
+
+
+def _number(value: Any) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _number_or_null(value: Any) -> bool:
+    return value is None or _number(value)
+
+
+def _attribution_or_null(value: Any) -> bool:
+    """Null, or an attribution report with the numbers the fleet sums."""
+    if value is None:
+        return True
+    if not isinstance(value, dict):
+        return False
+    phases = value.get("phase_means_ms")
+    return (all(_number(value.get(k)) for k in
+                ("requests", "mean_response_ms", "mean_residual_ms"))
+            and isinstance(phases, dict)
+            # simlint: ordered -- all() is the same in any order.
+            and all(_number(ms) for ms in phases.values()))
+
+
+def _integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _string(value: Any) -> bool:
+    return isinstance(value, str)
+
+
+#: What the fleet reads of a cell row's values: (key, rule, test).
+_CELL_RULES: tuple[tuple[str, str, Callable[[Any], bool]], ...] = (
+    ("index", "an integer", _integer),
+    ("system", "a string", _string),
+    ("workload", "a string", _string),
+    ("mem_mb_per_node", "a finite number", _number),
+    *((key, "a finite number or null", _number_or_null) for key in (
+        "wall_s", "throughput_rps", "mean_response_ms", "hit_rate_total",
+        "p95_ms", "p99_ms")),
+    ("attribution", "an attribution report or null", _attribution_or_null),
+)
+
+
+def _check_row(row: dict[str, Any]) -> None:
+    """Raise :class:`ValueError`, naming the row's ``run_id``, unless
+    the cell row has every key of a ledger row and values the fleet
+    can read."""
+    missing = [k for k in ("run_id", "status", *CELL_KEYS) if k not in row]
+    if missing:
+        raise ValueError(f"cell row {row.get('run_id', '?')} lacks "
+                         f"{', '.join(missing)}")
+    for key, rule, test in _CELL_RULES:
+        if not test(row[key]):
+            raise ValueError(f"cell row {row['run_id']}: {key} must be "
+                             f"{rule}, got {reprlib.repr(row[key])}")
 
 
 def conservation_check(
@@ -82,7 +155,7 @@ def conservation_check(
     total = 0.0
     checked = 0
     for row in cell_rows:
-        attr = row.get("_attribution")
+        attr = row.get("attribution")
         if not attr:
             continue
         n = float(attr.get("requests", 0))
@@ -113,7 +186,7 @@ def _phase_totals(cell_rows: Sequence[dict[str, Any]]) -> dict[str, float]:
     """Fleet-wide per-phase milliseconds (phase mean × requests, summed)."""
     totals: dict[str, float] = {}
     for row in cell_rows:
-        attr = row.get("_attribution")
+        attr = row["attribution"]
         if not attr:
             continue
         n = float(attr.get("requests", 0))
@@ -131,7 +204,7 @@ def _binding_frequency(
     """How many cells each resource class binds across the matrix."""
     freq: dict[str, int] = {}
     for row in cell_rows:
-        res = row.get("binding_resource")
+        res = row["binding_resource"]
         if res:
             freq[str(res)] = freq.get(str(res), 0) + 1
     return dict(sorted(freq.items(), key=lambda kv: (-kv[1], kv[0])))
@@ -157,7 +230,7 @@ def _throughput_matrix(
     }
     for row in cell_rows:
         m = memories.index(row["mem_mb_per_node"])
-        grid[row["workload"]][row["system"]][m] = row.get("throughput_rps")
+        grid[row["workload"]][row["system"]][m] = row["throughput_rps"]
     return {
         "traces": traces,
         "systems": systems,
@@ -200,50 +273,23 @@ def _cells_per_worker(rows: Sequence[dict[str, Any]]) -> dict[str, int]:
     return dict(sorted(counts.items()))
 
 
-def _cell_row(cell: dict[str, Any]) -> dict[str, Any]:
-    """One flattened per-cell row (ledger fields + summary + attribution)."""
-    summary = cell.get("summary") or {}
-    attr = cell.get("attribution")
-    binding = (attr or {}).get("binding_resource") or {}
-    row: dict[str, Any] = {
-        "run_id": cell.get("run_id"),
-        "index": cell.get("cell_index"),
-        "system": cell.get("system"),
-        "workload": cell.get("workload"),
-        "mem_mb_per_node": cell.get("mem_mb_per_node"),
-        "seed": cell.get("seed"),
-        "status": cell.get("status"),
-        "wall_s": cell.get("wall_s"),
-        "worker": cell.get("worker"),
-        "error": cell.get("error"),
-        "throughput_rps": summary.get("throughput_rps"),
-        "mean_response_ms": summary.get("mean_response_ms"),
-        "hit_rate_total": summary.get("hit_rate_total"),
-        "p95_ms": summary.get("p95_ms"),
-        "p99_ms": summary.get("p99_ms"),
-        "binding_resource": binding.get("resource"),
-    }
-    if attr:
-        # internal join, stripped before the row enters the report
-        row["_attribution"] = attr
-    return row
-
-
 def fleet_report(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
     """Build the ``"fleet"`` report over the latest sweep's ledger slice.
 
     Raises :class:`ValueError` when that sweep was recorded under
-    another :data:`~repro.obs.ledger.LEDGER_VERSION`.
+    another :data:`~repro.obs.ledger.LEDGER_VERSION`, or when one of its
+    cell rows lacks a key or holds a value the report cannot read.
     """
-    sweep, cells = select_sweep(records)
+    sweep, rows = select_sweep(records)
     version = sweep.get("ledger_version")
     if version != LEDGER_VERSION:
         raise ValueError(
             f"sweep {sweep.get('run_id')} has ledger version {version!r}; "
             f"this build reads version {LEDGER_VERSION} (re-run the sweep)"
         )
-    rows = [_cell_row(c) for c in cells]
-    rows.sort(key=lambda r: (r["index"] if r["index"] is not None else 0))
+    for row in rows:
+        _check_row(row)
+    rows.sort(key=lambda r: r["index"])
     ok_rows = [r for r in rows if r["status"] == "ok"]
     failed = [
         {k: r[k] for k in
@@ -270,11 +316,6 @@ def fleet_report(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
         "matrix": _throughput_matrix(ok_rows) if ok_rows else None,
         "stragglers": _stragglers(rows),
         "failed_cells": failed,
-        "cells": [
-            # simlint: ordered -- key filter preserves the row's ledger
-            # insertion order; serialization re-sorts keys anyway.
-            {k: v for k, v in r.items() if not k.startswith("_")}
-            for r in rows
-        ],
+        "cells": [{k: r[k] for k in _REPORT_KEYS} for r in rows],
     }
     return as_report("fleet", payload)

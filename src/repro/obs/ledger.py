@@ -1,13 +1,16 @@
 """Append-only, provenance-stamped run registry (the *run ledger*).
 
 ``sweep --ledger`` appends one JSONL *manifest record* for the sweep
-and one for each of its ``cell``s, describing what ran: git sha, seed,
-workload knobs and their digest, wall-clock, exit status and the BENCH
-record the sweep wrote.  A cell's row is the only record of that cell:
-it also carries the cell's metric summary and its attribution report.
-``python -m repro.obs.ledger list`` answers *what ran*, and
-:mod:`repro.obs.fleet` aggregates a sweep's slice of the ledger into
-cross-cell reports.
+(git sha, worker count, wall-clock and the BENCH record it wrote) and
+one for each of its ``cell``s.  A cell's row is the only record of that
+cell.  It is the envelope every record has (``ledger_version``,
+``kind``, ``status``, ``git_sha``, ``recorded_at``, ``parent``,
+``run_id``) plus the flat row the sweep worker built
+(:mod:`repro.experiments.parallel`), appended unchanged: the keys of
+:data:`CELL_KEYS`, every one present and null where the cell produced
+no value.  ``python -m repro.obs.ledger list`` answers *what ran*, and
+:mod:`repro.obs.fleet` reads the rows as written into cross-cell
+reports.
 
 Design rules:
 
@@ -25,21 +28,22 @@ Design rules:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from typing import Any, Optional
+
+from ..bench.schema import git_sha, params_digest
 
 __all__ = [
     "LEDGER_VERSION",
+    "CELL_KEYS",
     "RECORD_KINDS",
     "Ledger",
     "run_id",
     "load_ledger",
-    "latest_sweep",
     "main",
 ]
 
@@ -48,7 +52,22 @@ __all__ = [
 #:     the sweep row carries a ``progress`` summary.
 #: 2 — each cell row carries its ``attribution`` inline; the sweep row
 #:     carries ``elapsed_s``.
-LEDGER_VERSION = 2
+#: 3 — a cell row is flat: every key of :data:`CELL_KEYS`, null where
+#:     the cell produced no value (``cell_index`` became ``index``, and
+#:     the nested ``summary`` went).
+LEDGER_VERSION = 3
+
+#: The keys of a ``cell`` row beside the envelope, in the order the
+#: sweep worker builds them: the cell's index, coordinates and their
+#: params digest; its wall-clock and worker; its metrics (p95/p99,
+#: binding resource and attribution from a profiled cell); a failed
+#: cell's error.
+CELL_KEYS = (
+    "index", "system", "workload", "num_nodes", "mem_mb_per_node",
+    "num_clients", "seed", "params_digest", "wall_s", "worker",
+    "throughput_rps", "mean_response_ms", "hit_rate_total", "p95_ms",
+    "p99_ms", "binding_resource", "attribution", "error",
+)
 
 #: Every record kind the harness appends.
 RECORD_KINDS = ("sweep", "cell")
@@ -56,17 +75,11 @@ RECORD_KINDS = ("sweep", "cell")
 Clock = Callable[[], float]
 
 
-def _canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      default=float)
-
-
 def run_id(record: dict[str, Any]) -> str:
     """Deterministic 16-hex identity of a record (sans any ``run_id``)."""
-    # simlint: ordered -- key filter only; _canonical() sorts keys, so
-    # the digest is independent of this iteration order.
-    stripped = {k: v for k, v in record.items() if k != "run_id"}
-    return hashlib.sha256(_canonical(stripped).encode()).hexdigest()[:16]
+    # simlint: ordered -- key filter only; params_digest() sorts keys,
+    # so the digest is independent of this iteration order.
+    return params_digest({k: v for k, v in record.items() if k != "run_id"})
 
 
 class Ledger:
@@ -95,8 +108,6 @@ class Ledger:
         if kind not in RECORD_KINDS:
             raise ValueError(f"unknown ledger record kind {kind!r}; "
                              f"choose from {RECORD_KINDS}")
-        from ..bench.schema import git_sha
-
         record: dict[str, Any] = {
             "ledger_version": LEDGER_VERSION,
             "kind": kind,
@@ -109,12 +120,8 @@ class Ledger:
         record.update(fields)
         record["run_id"] = run_id(record)
         with open(self.path, "a", encoding="utf-8") as fp:
-            fp.write(_canonical_line(record))
+            fp.write(json.dumps(record, sort_keys=True, default=float) + "\n")
         return record
-
-
-def _canonical_line(record: dict[str, Any]) -> str:
-    return json.dumps(record, sort_keys=True, default=float) + "\n"
 
 
 def load_ledger(path: str) -> list[dict[str, Any]]:
@@ -130,15 +137,6 @@ def load_ledger(path: str) -> list[dict[str, Any]]:
                 raise ValueError("ledger rows must be JSON objects")
             records.append(doc)
     return records
-
-
-def latest_sweep(records: Iterable[dict[str, Any]]) -> Optional[dict[str, Any]]:
-    """The last ``sweep`` record appended, or None."""
-    sweep = None
-    for rec in records:
-        if rec.get("kind") == "sweep":
-            sweep = rec
-    return sweep
 
 
 # ---------------------------------------------------------------------------

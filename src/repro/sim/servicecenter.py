@@ -4,9 +4,10 @@ The paper: "our simulator ... is event driven and models hardware
 components as service centers with finite queues."  A
 :class:`ServiceCenter` has ``capacity`` parallel servers and a bounded
 FIFO queue; jobs carry a fixed service demand in milliseconds.  CPUs,
-NICs, buses and the router are plain service centers; the disk (which
-needs state-dependent service times and a reorderable queue) subclasses
-the queue-management core in :mod:`repro.cluster.disk`.
+NICs, buses and the router are plain service centers.  The disk needs
+state-dependent service times and a reorderable queue, so
+:class:`repro.cluster.disk.Disk` is a standalone class that shares no
+code with :class:`ServiceCenter`.
 
 A job is one :class:`Event`, pushed once when service starts.  When it
 pops, the centre's bookkeeping runs (free the server, start the next

@@ -14,6 +14,8 @@ from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.obs import Observability
 from repro.obs.analyze import (
     PHASE_ORDER,
+    Attribution,
+    RequestProfile,
     attribute,
     binding_resource,
     build_trees,
@@ -214,6 +216,39 @@ class TestPhaseRules:
         profile = decompose_request(roots[0])
         assert {k: v for k, v in profile.phases.items() if v} == expected
         assert profile.residual == 0.0
+
+
+class TestLeftToRightSums:
+    """From Python 3.12 on, builtin ``sum()`` compensates float rounding
+    (over these three values it gives 0.3333333333333334, not 1/3); the
+    analysis adds left to right, so its numbers do not depend on the
+    interpreter."""
+
+    VALUES = (1.0, 1e-16, 1e-16)
+
+    def test_means_over_three_requests(self):
+        attr = Attribution([
+            RequestProfile(trace_id=i, root_name="client", node=0,
+                           cls="local", start=0.0, dur=dur)
+            for i, dur in enumerate(self.VALUES)
+        ])
+        assert attr.mean_response_ms == 1.0 / 3
+        # No phases: each residual is the whole duration.
+        assert attr.mean_residual_ms == 1.0 / 3
+
+    def test_residual_of_one_request(self):
+        profile = RequestProfile(
+            trace_id=0, root_name="client", node=0, cls="local", start=0.0,
+            dur=1.0, phases=dict(zip("abc", self.VALUES)),
+        )
+        assert profile.residual == 0.0
+
+    def test_binding_resource_mean(self):
+        info = binding_resource({"collected": {
+            f"node{i}.disk": {"utilization": u}
+            for i, u in enumerate(self.VALUES)
+        }})
+        assert info["mean"] == 1.0 / 3
 
 
 class TestBindingResource:

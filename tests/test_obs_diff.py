@@ -131,6 +131,13 @@ class TestDiffAttributions:
         assert all(r["share"] > 0.0 for r in diff["top_regressions"])
 
 
+    def test_conservation_adds_phase_deltas_left_to_right(self):
+        """Python 3.12+'s compensated ``sum()`` would leave -2.2e-16 here."""
+        base = _attr(0.0, {})
+        cur = _attr(1.0, {"a": 1.0, "b": 1e-16, "c": 1e-16})
+        assert diff_attributions(base, cur)["conservation_residual_ms"] == 0.0
+
+
 class TestLoadAttribution:
     def test_loads_pretty_printed_json(self, tmp_path):
         doc = _attr(6.0, {"disk.queue": 6.0})
@@ -166,10 +173,12 @@ class TestAttrBaseline:
         """The nightly explain step diffs against the committed ATTR
         baseline, so the recipe must reproduce it: the same request
         counts, classes and binding resource, every float within 1e-9,
-        by the rule the bench gate applies to its records.  Bytes would
-        over-pin the file: float ``sum()`` rounds differently from
-        Python 3.12 on, so the last bits of a mean depend on the
-        interpreter.  Re-bless it on purpose (README "Explaining a regression") when
+        by the rule the bench gate applies to its records.  The
+        analysis adds floats left to right (builtin ``sum()``
+        compensates rounding from Python 3.12 on), so the attribution
+        of one trace is byte-identical on every interpreter; the 1e-9
+        is the gate's margin, not a known rounding difference.
+        Re-bless it on purpose (README "Explaining a regression") when
         attribution changes.  Workload knobs from the environment must
         not leak into the recipe."""
         env = {k: v for k, v in os.environ.items()

@@ -5,7 +5,8 @@ sums telescope to root durations, so ``(Σ phase_means + residual) · n``
 summed across any subset of cells must reconcile exactly (to float
 tolerance) with the summed response-time totals — hypothesis drives
 random cell subsets through the identity, and a corrupted attribution
-must trip it.
+must trip it.  A ledger is input from outside the program: a malformed
+cell row is a one-line usage error, never a traceback.
 """
 
 import itertools
@@ -22,7 +23,7 @@ from repro.obs.fleet import (
     fleet_report,
     select_sweep,
 )
-from repro.obs.ledger import LEDGER_VERSION, Ledger, load_ledger
+from repro.obs.ledger import CELL_KEYS, LEDGER_VERSION, Ledger, load_ledger
 from repro.obs.reports import render_fleet_report
 from repro.obs.schema import (
     OUTPUT_SCHEMA_VERSION,
@@ -52,10 +53,36 @@ def attr_doc(requests, phases, residual, binding=None):
     })
 
 
+def cell_row(i, c):
+    """The version-3 ledger row a sweep worker builds for cell ``i`` of
+    spec ``c``: every key of ``CELL_KEYS``, null where the cell produced
+    no value; cell ``i`` takes ``wall`` seconds (default ``1 + i``) on
+    worker ``w{i % 2}``."""
+    row = dict.fromkeys(CELL_KEYS)
+    row.update(
+        index=i, system=c["system"], workload=c.get("workload", "rutgers"),
+        num_nodes=4, mem_mb_per_node=c.get("mem", 4), num_clients=8, seed=0,
+        params_digest="0" * 16, wall_s=c.get("wall", 1.0 + i),
+        worker=f"w{i % 2}",
+    )
+    if not c.get("ok", True):
+        row["error"] = c.get("error", "RuntimeError: boom")
+        return row
+    row.update(
+        throughput_rps=c.get("rps", 100.0), mean_response_ms=5.0,
+        hit_rate_total=0.5, p95_ms=c.get("p95", 8.0), p99_ms=c.get("p99", 9.0),
+    )
+    if "phases" in c:
+        row["binding_resource"] = c.get("binding")
+        row["attribution"] = attr_doc(
+            c.get("requests", 100), c["phases"],
+            c.get("residual", 1.0), c.get("binding"),
+        )
+    return row
+
+
 def build_sweep_ledger(tmp_path, cells, elapsed_s=10.0):
-    """Write a sweep + cell ledger, each cell row carrying its
-    attribution; cell ``i`` takes ``wall`` seconds (default ``1 + i``)
-    on worker ``w{i % 2}``."""
+    """Write a sweep + cell ledger of version-3 rows (:func:`cell_row`)."""
     path = tmp_path / "ledger.jsonl"
     ledger = Ledger(str(path), clock=fake_clock())
     sweep = ledger.append(
@@ -63,33 +90,8 @@ def build_sweep_ledger(tmp_path, cells, elapsed_s=10.0):
         elapsed_s=elapsed_s, artifacts={},
     )
     for i, c in enumerate(cells):
-        ok = c.get("ok", True)
-        attribution = None
-        if ok and "phases" in c:
-            attribution = attr_doc(
-                c.get("requests", 100), c["phases"],
-                c.get("residual", 1.0), c.get("binding"),
-            )
-        summary = {}
-        if ok:
-            summary = {
-                "throughput_rps": c.get("rps", 100.0),
-                "mean_response_ms": 5.0,
-                "hit_rate_total": 0.5,
-                "p95_ms": c.get("p95", 8.0),
-                "p99_ms": c.get("p99", 9.0),
-            }
-        fields = dict(
-            cell_index=i, system=c["system"],
-            workload=c.get("workload", "rutgers"), num_nodes=4,
-            mem_mb_per_node=c.get("mem", 4), num_clients=8, seed=0,
-            params_digest="0" * 16, wall_s=c.get("wall", 1.0 + i),
-            worker=f"w{i % 2}", summary=summary, attribution=attribution,
-        )
-        if not ok:
-            fields["error"] = c.get("error", "RuntimeError: boom")
-        ledger.append("cell", status="ok" if ok else "failed",
-                      parent=sweep["run_id"], **fields)
+        ledger.append("cell", status="ok" if c.get("ok", True) else "failed",
+                      parent=sweep["run_id"], **cell_row(i, c))
     return path, sweep
 
 
@@ -106,8 +108,9 @@ class TestSelectSweep:
         assert cells == []
 
     def test_errors(self, tmp_path):
-        with pytest.raises(ValueError, match="no sweep records"):
-            select_sweep([{"kind": "cell"}])
+        for records in ([], [{"kind": "cell"}]):
+            with pytest.raises(ValueError, match="no sweep records"):
+                select_sweep(records)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +134,7 @@ class TestConservation:
         rows = []
         for n, phases, residual in specs:
             means = {f"phase{j}": v for j, v in enumerate(phases)}
-            rows.append({"_attribution": {
+            rows.append({"attribution": {
                 "requests": n,
                 "mean_response_ms": sum(means.values()) + residual,
                 "mean_residual_ms": residual,
@@ -164,7 +167,7 @@ class TestConservation:
         assert "VIOLATED" in render_fleet_report(report)
 
     def test_no_attributions_is_not_ok(self):
-        check = conservation_check([{"_attribution": None}, {}])
+        check = conservation_check([{"attribution": None}, {}])
         assert not check["ok"] and check["cells_checked"] == 0
 
 
@@ -192,9 +195,12 @@ class TestFleetReport:
         assert check_report(doc, "fleet") == "fleet"
         assert doc["schema_version"] == OUTPUT_SCHEMA_VERSION
         assert doc["sweep"]["run_id"] == sweep["run_id"]
-        # the internal _attribution join never leaks into the report
-        assert all(not k.startswith("_")
-                   for cell in doc["cells"] for k in cell)
+        # each entry is the cell row cut down to the per-cell summary
+        assert [set(cell) for cell in doc["cells"]] == [{
+            "run_id", "index", "system", "workload", "mem_mb_per_node",
+            "seed", "status", "wall_s", "worker", "error",
+            "throughput_rps", "mean_response_ms", "hit_rate_total",
+            "p95_ms", "p99_ms", "binding_resource"}] * 3
 
     def test_rollups(self, tmp_path):
         path, _ = _three_cell_fleet(tmp_path)
@@ -320,6 +326,22 @@ class TestStragglers:
 # ---------------------------------------------------------------------------
 # ledger version
 # ---------------------------------------------------------------------------
+def _assert_usage_error(path, capsys, prefix):
+    """``analyze fleet`` on ``path`` exits 2 with one stderr line that
+    starts with ``prefix`` (an uncaught error would raise here)."""
+    assert cli.main(["analyze", "fleet", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(prefix)
+    return captured.err
+
+
+def _rewrite(path, rows):
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n"
+                            for r in rows))
+
+
 class TestLedgerVersion:
     def test_version_1_ledger_is_a_one_line_error(self, tmp_path, capsys):
         path, _ = build_sweep_ledger(tmp_path, [
@@ -328,13 +350,81 @@ class TestLedgerVersion:
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         for row in rows:
             row["ledger_version"] = 1
-        path.write_text("".join(json.dumps(r, sort_keys=True) + "\n"
-                                for r in rows))
+        _rewrite(path, rows)
         with pytest.raises(ValueError, match="ledger version 1"):
             fleet_report(load_ledger(str(path)))
-        assert cli.main(["analyze", "fleet", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert captured.err.startswith("analyze fleet: sweep ")
-        assert f"reads version {LEDGER_VERSION}" in captured.err
+        err = _assert_usage_error(path, capsys, "analyze fleet: sweep ")
+        assert f"reads version {LEDGER_VERSION}" in err
+
+    def test_version_2_ledger_is_a_one_line_error(self, tmp_path, capsys):
+        """A version-2 cell row nests its metrics under ``summary`` and
+        names its index ``cell_index``; the version says so before any
+        row is read."""
+        path, _ = build_sweep_ledger(tmp_path, [
+            {"system": "press", "phases": {"disk.queue": 4.0}},
+        ])
+        sweep, cell = [json.loads(line)
+                       for line in path.read_text().splitlines()]
+        sweep["ledger_version"] = cell["ledger_version"] = 2
+        cell["cell_index"] = cell.pop("index")
+        cell["summary"] = {k: cell.pop(k) for k in (
+            "throughput_rps", "mean_response_ms", "hit_rate_total",
+            "p95_ms", "p99_ms")}
+        del cell["binding_resource"], cell["error"]
+        _rewrite(path, [sweep, cell])
+        err = _assert_usage_error(path, capsys, "analyze fleet: sweep ")
+        assert "has ledger version 2; this build reads version 3" in err
+
+
+# ---------------------------------------------------------------------------
+# a malformed cell row is a usage error naming the row
+# ---------------------------------------------------------------------------
+class TestMalformedCellRow:
+    def _ledger(self, tmp_path, cell):
+        path = tmp_path / "ledger.jsonl"
+        sweep = {"kind": "sweep", "run_id": "s",
+                 "ledger_version": LEDGER_VERSION}
+        _rewrite(path, [sweep, {"kind": "cell", "parent": "s",
+                                "status": "ok", "run_id": "c", **cell}])
+        return path
+
+    def test_bare_row_names_every_missing_key(self, tmp_path, capsys):
+        path = tmp_path / "ledger.jsonl"
+        _rewrite(path, [
+            {"kind": "sweep", "run_id": "s", "ledger_version": LEDGER_VERSION},
+            {"kind": "cell", "parent": "s", "status": "ok"},
+        ])
+        err = _assert_usage_error(path, capsys,
+                                  "analyze fleet: cell row ? lacks run_id, ")
+        assert err.rstrip().endswith(", ".join(CELL_KEYS))
+
+    def test_one_missing_key(self, tmp_path, capsys):
+        row = cell_row(0, {"system": "press"})
+        del row["p99_ms"]
+        path = self._ledger(tmp_path, row)
+        with pytest.raises(ValueError, match="^cell row c lacks p99_ms$"):
+            fleet_report(load_ledger(str(path)))
+        _assert_usage_error(path, capsys, "analyze fleet: cell row c lacks")
+
+    @pytest.mark.parametrize("key, value", [
+        ("throughput_rps", "fast"),
+        ("p95_ms", float("nan")),
+        ("wall_s", [1.0]),
+        ("mem_mb_per_node", None),
+        ("index", "0"),
+        ("index", True),
+        ("system", 7),
+        ("attribution", [1]),
+        ("attribution", {"requests": 100, "phase_means_ms": {}}),
+    ])
+    def test_bad_value(self, tmp_path, capsys, key, value):
+        row = cell_row(0, {"system": "press", "phases": {"disk.queue": 4.0}})
+        row[key] = value
+        path = self._ledger(tmp_path, row)
+        _assert_usage_error(path, capsys,
+                            f"analyze fleet: cell row c: {key} must be ")
+
+    def test_the_good_row_passes(self, tmp_path):
+        row = cell_row(0, {"system": "press", "phases": {"disk.queue": 4.0}})
+        report = fleet_report(load_ledger(str(self._ledger(tmp_path, row))))
+        assert report["conservation"]["ok"]

@@ -10,11 +10,11 @@ import itertools
 
 import pytest
 
+from repro.bench.schema import params_digest
 from repro.obs.ledger import (
     LEDGER_VERSION,
     RECORD_KINDS,
     Ledger,
-    latest_sweep,
     load_ledger,
     run_id,
 )
@@ -36,11 +36,11 @@ def _populate(path, clock=None):
     """A small representative ledger: a sweep and its two cells."""
     ledger = Ledger(str(path), clock=clock or fake_clock())
     sweep = ledger.append("sweep", figure="fig2", cells=2, workers=4)
-    ledger.append("cell", parent=sweep["run_id"], cell_index=0,
+    ledger.append("cell", parent=sweep["run_id"], index=0,
                   system="press", workload="rutgers", mem_mb_per_node=0.1,
                   seed=0, wall_s=0.5)
     ledger.append("cell", status="failed", parent=sweep["run_id"],
-                  cell_index=1, system="cc-gms", workload="berkeley",
+                  index=1, system="cc-gms", workload="berkeley",
                   mem_mb_per_node=0.5, seed=0, wall_s=0.2,
                   error="RuntimeError: boom")
     return ledger, sweep
@@ -91,6 +91,14 @@ class TestLedger:
         assert first["run_id"] == same["run_id"]
         assert first["run_id"] != other["run_id"]
 
+    def test_run_id_is_the_params_digest_of_the_record(self, tmp_path,
+                                                       pinned_env):
+        """One digest construction for ledger ids and BENCH records."""
+        rec = Ledger(str(tmp_path / "l.jsonl"), clock=lambda: 1.0).append(
+            "cell", seed=0, mem_mb_per_node=0.5)
+        assert rec["run_id"] == params_digest(
+            {k: v for k, v in rec.items() if k != "run_id"})
+
     def test_append_only_across_reopens(self, tmp_path, pinned_env):
         path = tmp_path / "l.jsonl"
         Ledger(str(path), clock=fake_clock()).append("cell", seed=0)
@@ -98,15 +106,6 @@ class TestLedger:
         records = load_ledger(str(path))
         assert [r["seed"] for r in records] == [0, 1]
 
-
-class TestQueries:
-    def test_latest_sweep(self, tmp_path, pinned_env):
-        path = tmp_path / "l.jsonl"
-        ledger, first = _populate(path)
-        second = ledger.append("sweep", figure="fig2", cells=0, workers=1)
-        records = load_ledger(str(path))
-        assert latest_sweep(records)["run_id"] == second["run_id"]
-        assert latest_sweep([]) is None
 
 class TestCli:
     def test_list_table(self, tmp_path, pinned_env, capsys):

@@ -4,8 +4,9 @@ Four layers:
 
 * worker failure capture — a failing cell is named (system / trace /
   params digest) instead of surfacing a bare multiprocessing traceback;
-* a profiled cell walks its trace once, and its summary and attribution
-  match an independent walk of the same records;
+* a profiled cell walks its trace once, and its ledger row (every key
+  of ``CELL_KEYS``, in order) matches an independent walk of the same
+  records;
 * the progress log: one INFO line per finished cell, serial or sharded;
 * the acceptance path end-to-end: a fig2 smoke sweep with 4 workers and
   a ledger emits a BENCH record byte-identical to the plain serial
@@ -18,10 +19,10 @@ import math
 
 import pytest
 
+from repro.bench.schema import params_digest
 from repro.experiments import cli, defaults, parallel
 from repro.experiments.parallel import (
     SweepCellError,
-    cell_info,
     run_cells,
     run_cells_observed,
 )
@@ -29,11 +30,18 @@ from repro.experiments.runner import ExperimentConfig
 from repro.obs import analyze
 from repro.obs.analyze import RESOURCE_CLASSES, build_trees, request_roots
 from repro.obs.fleet import fleet_report
+from repro.obs.ledger import CELL_KEYS, LEDGER_VERSION
 from repro.traces import datasets
 
 _SCALE = 0.005
 _REQUESTS = 300
 _CLIENTS = 8
+
+#: The keys every ledger record carries besides its kind's own.
+_ENVELOPE = {"ledger_version", "kind", "status", "git_sha", "recorded_at",
+             "parent", "run_id"}
+#: The row keys a cell fills only when it ran and was profiled.
+_PROFILED_KEYS = ("p95_ms", "p99_ms", "binding_resource", "attribution")
 
 
 def _smoke_trace():
@@ -66,7 +74,14 @@ class TestFailureCapture:
         message = str(exc.value)
         assert "cell 1" in message
         assert "bogus/rutgers@0.005/0.25MB/seed0" in message
-        assert cell_info(1, cells[1]).params_digest in message
+        # The row's digest is the BENCH records' digest of the cell's
+        # six coordinates.
+        digest = params_digest({
+            "system": "bogus", "workload": "rutgers@0.005", "num_nodes": 2,
+            "mem_mb_per_node": 0.25, "num_clients": _CLIENTS, "seed": 0,
+        })
+        assert exc.value.outcomes[0].row["params_digest"] == digest
+        assert digest in message
         assert "unknown system" in message
 
     def test_failures_collector_keeps_the_merge_alive(self):
@@ -76,10 +91,16 @@ class TestFailureCapture:
         assert results[0] is not None and results[1] is None
         assert [o.ok for o in outcomes] == [True, False]
         assert len(failures) == 1
-        assert failures[0].info.index == 1
-        assert "unknown system" in failures[0].error
+        row = failures[0].row
+        assert list(row) == list(CELL_KEYS)
+        assert row["index"] == 1
+        assert "unknown system" in row["error"]
         assert "ValueError" in failures[0].traceback
-        assert failures[0].wall_s >= 0.0
+        assert row["wall_s"] >= 0.0
+        # A failed cell produced no metric: each one is null.
+        assert all(row[k] is None for k in (
+            "throughput_rps", "mean_response_ms", "hit_rate_total",
+            *_PROFILED_KEYS))
 
     def test_observed_serial_results_match_plain(self):
         trace = _smoke_trace()
@@ -96,8 +117,8 @@ class TestFailureCapture:
             assert a.mean_response_ms == b.mean_response_ms
             assert a.hit_rates == b.hit_rates
         for out in outcomes:
-            assert out.ok and out.summary["p95_ms"] > 0
-            assert out.attribution["requests"] > 0
+            assert out.ok and out.row["p95_ms"] > 0
+            assert out.row["attribution"]["requests"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +147,17 @@ def test_profiled_cell_walks_its_trace_once(monkeypatch):
     roots, _index = build_trees(seen[0])
     durs = sorted(r.dur for r in request_roots(roots, measured_only=True))
     assert len(durs) > 20
-    assert outcome.summary["p95_ms"] == _nearest_rank(durs, 0.95)
-    assert outcome.summary["p99_ms"] == _nearest_rank(durs, 0.99)
-    assert outcome.attribution["requests"] == len(durs)
-    assert outcome.attribution["kind"] == "attribution"
-    assert outcome.attribution["binding_resource"]["resource"] \
-        in RESOURCE_CLASSES
-    # The count and the binding resource live only in the attribution.
-    assert set(outcome.summary) == {
-        "throughput_rps", "mean_response_ms", "hit_rate_total",
-        "p95_ms", "p99_ms"}
+    row = outcome.row
+    assert list(row) == list(CELL_KEYS)
+    assert row["p95_ms"] == _nearest_rank(durs, 0.95)
+    assert row["p99_ms"] == _nearest_rank(durs, 0.99)
+    assert row["attribution"]["requests"] == len(durs)
+    assert row["attribution"]["kind"] == "attribution"
+    assert row["binding_resource"] in RESOURCE_CLASSES
+    assert row["binding_resource"] \
+        == row["attribution"]["binding_resource"]["resource"]
+    assert row["throughput_rps"] == outcome.result.throughput_rps
+    assert row["error"] is None and outcome.traceback is None
 
 
 def test_unprofiled_outcome_has_no_attribution():
@@ -143,9 +165,10 @@ def test_unprofiled_outcome_has_no_attribution():
                            num_nodes=2, mem_mb_per_node=0.25,
                            num_clients=_CLIENTS)
     _results, (outcome,) = run_cells_observed([cfg], workers=1)
-    assert outcome.attribution is None
-    assert set(outcome.summary) == {
-        "throughput_rps", "mean_response_ms", "hit_rate_total"}
+    assert list(outcome.row) == list(CELL_KEYS)
+    assert all(outcome.row[k] is None for k in _PROFILED_KEYS)
+    assert outcome.row["hit_rate_total"] \
+        == outcome.result.hit_rates["total"]
 
 
 @pytest.mark.parametrize("level", ["INFO", "DEBUG"])
@@ -240,7 +263,7 @@ class TestObservedSweepEndToEnd:
         assert len(sweeps) == 1
         assert sweeps[0]["figure"] == "fig2"
         assert sweeps[0]["git_sha"] == "cafebabe"
-        assert sweeps[0]["ledger_version"] == 2
+        assert sweeps[0]["ledger_version"] == LEDGER_VERSION == 3
         assert sweeps[0]["elapsed_s"] > 0
         assert sweeps[0]["artifacts"] == {"bench": str(observed)}
         assert "progress" not in sweeps[0]
@@ -248,11 +271,13 @@ class TestObservedSweepEndToEnd:
                  and r["parent"] == sweeps[0]["run_id"]]
         assert len(cells) == 8 == len(records) - 1
         for cell in cells:
-            assert cell["status"] == "ok"
+            # The worker's row, appended unchanged inside the envelope.
+            assert set(cell) == set(CELL_KEYS) | _ENVELOPE
+            assert cell["status"] == "ok" and cell["error"] is None
             assert len(cell["params_digest"]) == 16
-            assert cell["summary"]["throughput_rps"] > 0
+            assert cell["throughput_rps"] > 0
             assert cell["attribution"]["kind"] == "attribution"
-            assert "artifacts" not in cell
+        assert sorted(cell["index"] for cell in cells) == list(range(8))
         # The rows are the only record: no per-cell files beside them.
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "BENCH_observed.json", "BENCH_plain.json", "ledger.jsonl"]
@@ -272,6 +297,12 @@ class TestObservedSweepEndToEnd:
         assert report["binding_resources"]
         for resource in report["binding_resources"]:
             assert resource in RESOURCE_CLASSES
+        for entry in report["cells"]:
+            assert set(entry) == {
+                "run_id", "index", "system", "workload", "mem_mb_per_node",
+                "seed", "status", "wall_s", "worker", "error",
+                "throughput_rps", "mean_response_ms", "hit_rate_total",
+                "p95_ms", "p99_ms", "binding_resource"}
         matrix = report["matrix"]
         assert matrix["traces"] == ["rutgers@0.005"]  # scaled trace name
         assert len(matrix["memories_mb"]) == 2
@@ -313,7 +344,8 @@ class TestObservedSweepEndToEnd:
         assert records[0]["artifacts"] == {}  # no BENCH record was written
         failed = [r for r in records if r["status"] == "failed"][1:]
         assert [r["system"] for r in failed] == ["cc-sched", "cc-sched"]
-        assert all(r["attribution"] is None and r["summary"] == {}
+        assert all(set(r) == set(CELL_KEYS) | _ENVELOPE for r in failed)
+        assert all(r["throughput_rps"] is None and r["attribution"] is None
                    for r in failed)
         report = fleet_report(records)
         assert report["sweep"]["cells_failed"] == 2
