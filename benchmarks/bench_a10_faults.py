@@ -12,8 +12,8 @@ crashes per node.
 from repro.experiments.ablations import a10_faults, render_a10
 
 
-def test_bench_a10(benchmark, artifact):
-    data = benchmark.pedantic(a10_faults, rounds=1, iterations=1)
+def test_bench_a10(artifact):
+    data = a10_faults()
     for sys_data in data["systems"]:
         baseline = sys_data["points"][0]
         assert baseline["crashes_per_node"] == 0.0

@@ -149,9 +149,7 @@ def a9_policies(rows):
      a6_replacement, a7_writes, a8_temporal, a9_policies],
     ids=lambda claims: claims.__name__,
 )
-def test_bench_ablation(benchmark, artifact, claims):
-    name = claims.__name__.split("_")[0]
-    record = benchmark.pedantic(run_ablation, args=(name,), rounds=1,
-                                iterations=1)
+def test_bench_ablation(artifact, claims):
+    record = run_ablation(claims.__name__.split("_")[0])
     claims(record["rows"])
     artifact(claims.__name__, render_ablation(record), record)

@@ -8,8 +8,8 @@ of a 789 MB file set.  At the benchmark's scale the same *fraction*
 from repro.experiments.figures import fig1, render_fig1
 
 
-def test_bench_fig1(benchmark, artifact):
-    data = benchmark.pedantic(fig1, rounds=1, iterations=1)
+def test_bench_fig1(artifact):
+    data = fig1()
     assert data["cum_request_fraction"][-1] == 1.0
     frac = data["mb_for_99pct"] / data["file_set_mb"]
     # Paper: 494/789 = 0.626.  Scaled traces drift a little because the

@@ -1,20 +1,14 @@
 """Table 1: the simulation modeling constants.
 
-Static configuration — the benchmark times parameter-set construction
-and table rendering (trivially fast; included for completeness so every
-paper artifact has a bench target).
+Static configuration: the bench renders the table from the default
+parameter set, so every paper artifact has a bench target.
 """
 
 from repro.experiments.tables import render_table1, table1
-from repro.params import DEFAULT_PARAMS, SimParams
+from repro.params import DEFAULT_PARAMS
 
 
-def test_bench_table1(benchmark, artifact):
-    rows = benchmark(table1, DEFAULT_PARAMS)
+def test_bench_table1(artifact):
+    rows = table1(DEFAULT_PARAMS)
     assert any("Parsing" in r[0] for r in rows)
     artifact("table1", render_table1())
-
-
-def test_bench_params_construction(benchmark):
-    params = benchmark(SimParams)
-    assert params.blocks_of(21.0) == 3

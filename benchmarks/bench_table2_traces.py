@@ -9,8 +9,8 @@ from repro.experiments.tables import render_table2, table2
 from repro.traces.datasets import TRACE_NAMES
 
 
-def test_bench_table2(benchmark, artifact):
-    data = benchmark.pedantic(table2, rounds=1, iterations=1)
+def test_bench_table2(artifact):
+    data = table2()
     assert set(data) == set(TRACE_NAMES)
     for row in data.values():
         assert row["num_files"] > 0

@@ -1,19 +1,21 @@
 """The shared benchmark-artifact schema.
 
-A *trajectory record* wraps one benchmark's result ``data`` with enough
-provenance to compare runs across commits:
+A *trajectory record* wraps one benchmark's result ``data`` with what
+shaped it, and nothing else, so a record's bytes depend only on the
+code, the seed and the knobs:
 
 * ``schema_version`` — bump on incompatible shape changes (2 dropped
-  the extracted ``metrics``: the gate reads ``data`` itself);
-* ``git_sha`` — the commit the run was built from (``REPRO_GIT_SHA``
-  override for CI, ``git rev-parse`` fallback, ``"unknown"`` outside a
-  checkout);
+  the extracted ``metrics``; 3 dropped ``git_sha``, the one field that
+  changed on every commit);
 * ``seed`` — the experiment seed (runs are deterministic given it);
 * ``params`` + ``params_digest`` — the knobs that shaped the workload
   (scale, request count, clients, memory points) and a short digest of
-  them, so a comparison can refuse to diff apples against oranges.
+  them.
 
-Records are always serialized with sorted keys so diffs are stable.
+Records are always serialized with sorted keys, so the committed
+``benchmarks/results/<name>.json`` is its own regression gate: rerun
+the bench and ``git diff`` the file.  :func:`git_sha` stamps run-ledger
+rows (:mod:`repro.obs.ledger`), not records.
 """
 
 from __future__ import annotations
@@ -30,16 +32,15 @@ __all__ = [
     "params_digest",
     "wrap_result",
     "dump_record",
-    "load_record",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def git_sha() -> str:
     """Commit sha of the working tree, or ``"unknown"``.
 
-    ``REPRO_GIT_SHA`` wins when set (CI exports it so records stay
+    ``REPRO_GIT_SHA`` wins when set (CI exports it so ledger rows stay
     correct even when the checkout is shallow or detached).
     """
     env = os.environ.get("REPRO_GIT_SHA")
@@ -78,7 +79,6 @@ def wrap_result(
     return {
         "schema_version": SCHEMA_VERSION,
         "name": name,
-        "git_sha": git_sha(),
         "seed": seed,
         "params": params,
         "params_digest": params_digest(params),
@@ -91,9 +91,3 @@ def dump_record(record: dict[str, Any], path) -> None:
     with open(path, "w", encoding="utf-8") as fp:
         json.dump(record, fp, indent=2, sort_keys=True, default=float)
         fp.write("\n")
-
-
-def load_record(path) -> dict[str, Any]:
-    """Read a record back."""
-    with open(path, "r", encoding="utf-8") as fp:
-        return json.load(fp)

@@ -98,15 +98,6 @@ class FileLayout:
             remaining -= chunk
         return runs
 
-    def total_blocks(self) -> int:
-        """Blocks needed to cache the entire file set (the theoretical
-        aggregate-memory requirement Figure 1 discusses)."""
-        return sum(map(len, self._blocks))
-
-    def total_size_kb(self) -> float:
-        """File-set size in KB (paper Table 2 last column)."""
-        return sum(self._sizes_kb)
-
     # -- block-level queries ----------------------------------------------------
     def blocks(self, file_id: int) -> tuple[BlockId, ...]:
         """All blocks of ``file_id`` in order (the same tuple every call)."""

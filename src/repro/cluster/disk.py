@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from ..params import SimParams
 from ..sim.engine import Event, Simulator
-from ..sim.stats import RunningStats, UtilizationTracker
+from ..sim.stats import UtilizationTracker
 
 if TYPE_CHECKING:
     from ..obs.metrics import MetricsRegistry
@@ -121,14 +121,14 @@ class Disk:
     """A single disk with one head, a bounded queue and a discipline.
 
     ``submit(request)`` returns an event firing when the run has been read.
-    Statistics: seek counts (total and avoided), busy-time utilization, and
-    per-run service-time moments — the seek counters make the FIFO-vs-SCAN
+    Statistics: seek counts (total and avoided), completed runs, KB read
+    and busy-time utilization — the seek counters make the FIFO-vs-SCAN
     ablation (A4) directly observable.
     """
 
     __slots__ = (
         "sim", "name", "params", "discipline", "queue_limit", "utilization",
-        "service_stats", "seeks", "contiguous_hits", "completed", "reads_kb",
+        "seeks", "contiguous_hits", "completed", "reads_kb",
         "_queue", "_busy", "_head", "stall_until",
     )
 
@@ -148,8 +148,6 @@ class Disk:
         self.discipline = discipline
         self.queue_limit = queue_limit
         self.utilization = UtilizationTracker(1, sim.now)
-        #: Per-run service time moments.
-        self.service_stats = RunningStats()
         #: Runs that paid the seek + metadata-seek penalty.
         self.seeks = 0
         #: Runs served with the head already positioned (no seek).
@@ -205,7 +203,6 @@ class Disk:
     def reset_stats(self) -> None:
         """Start a fresh measurement window (end of warm-up)."""
         self.utilization.reset(self.sim.now)
-        self.service_stats.reset()
         self.seeks = 0
         self.contiguous_hits = 0
         self.reads_kb = 0.0
@@ -275,7 +272,6 @@ class Disk:
         self._busy = True
         self.utilization.on_start(now)
         self._head = (request.file_id, request.extent, request.end_block)
-        self.service_stats.record(service_ms)
         # Stamp service entry + seek/transfer split on the run; the
         # profiler reads these to decompose disk waits.
         run.svc_start = now

@@ -27,7 +27,7 @@ from .figures import (
     render_fig6b,
     run_figures,
 )
-from .report import banner, format_kv, format_table
+from .report import banner, format_table
 from .runner import (
     SYSTEMS,
     ExperimentConfig,
@@ -52,6 +52,6 @@ __all__ = [
     "FIGURES", "run_figures", "fig1",
     "render_fig1", "render_fig2", "render_fig3", "render_fig4",
     "render_fig5", "render_fig6a", "render_fig6b",
-    "format_table", "format_kv", "banner",
+    "format_table", "banner",
     "PAPER_MEMORY_MB", "workload",
 ]

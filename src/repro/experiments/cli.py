@@ -37,10 +37,12 @@ Usage::
         --cachestats cachescope.jsonl
 
     # Sharded figure sweep: run the fig2 (trace x system x memory) cell
-    # matrix across 4 worker processes and emit the provenance-wrapped
-    # trajectory record — byte-identical to a serial (--workers 1) run.
+    # matrix across 4 worker processes and emit the trajectory record —
+    # byte-identical to a serial (--workers 1) run, and at the default
+    # knobs to the committed benchmarks/results/fig2.json.
     python -m repro.experiments.cli sweep --workers 4 \\
         --bench-out BENCH_fig2.json
+    cmp BENCH_fig2.json benchmarks/results/fig2.json
 
     # Fleet observability: the same sweep with a run ledger (one row per
     # cell, carrying its attribution) and one progress log line per
@@ -266,8 +268,8 @@ def _sweep_parser() -> argparse.ArgumentParser:
         prog="repro-experiments sweep",
         description="Run the fig2 (trace x system x memory) cell matrix, "
                     "optionally sharded across worker processes, and emit "
-                    "a provenance-wrapped BENCH trajectory record.  Output "
-                    "is byte-identical at any worker count.",
+                    "a BENCH trajectory record.  Output is byte-identical "
+                    "at any worker count.",
     )
     p.add_argument("--workload", action="append", dest="workloads",
                    choices=list(TRACE_NAMES), default=None,
@@ -279,12 +281,13 @@ def _sweep_parser() -> argparse.ArgumentParser:
                         "(default: REPRO_WORKERS or 1 = serial)")
     p.add_argument("--memory-axis", default="bench",
                    choices=["bench", "paper"],
-                   help="memory points: the 4-point benchmark axis "
-                        "(baseline-compatible) or the paper's full 8-point "
-                        "axis")
+                   help="memory points: the 4-point benchmark axis (the "
+                        "fig2 bench's) or the paper's full 8-point axis")
     p.add_argument("--bench-out", metavar="FILE", default=None,
-                   help="write the provenance-wrapped trajectory record "
-                        "(JSON, repro.bench schema) to FILE")
+                   help="write the trajectory record (JSON, repro.bench "
+                        "schema; params.memory_mb names the axis) to FILE; "
+                        "with every flag and knob at its default it is "
+                        "benchmarks/results/fig2.json byte for byte")
     p.add_argument("--ledger", metavar="FILE", default=None,
                    help="profile every cell and append a provenance-stamped "
                         "manifest record per sweep and per cell (git sha, "
@@ -337,9 +340,9 @@ def sweep_command(argv) -> int:
 
     opts = _sweep_parser().parse_args(argv)
     workers = opts.workers if opts.workers is not None else default_workers()
-    memories = defaults.memory_points_mb(
-        defaults.BENCH_MEMORY_MB if opts.memory_axis == "bench" else None
-    )
+    axis = (defaults.BENCH_MEMORY_MB if opts.memory_axis == "bench"
+            else defaults.PAPER_MEMORY_MB)
+    memories = defaults.memory_points_mb(axis)
     trace_names = list(dict.fromkeys(opts.workloads or TRACE_NAMES))
     spec = figures.FIGURES[_SWEEP_FIGURE](
         memories, [(name, opts.nodes) for name in trace_names]
@@ -376,7 +379,7 @@ def sweep_command(argv) -> int:
     if opts.bench_out:
         record = wrap_result(
             _SWEEP_FIGURE, spec.view(dict(zip(spec.cells, results))), seed=0,
-            params=defaults.bench_params(),
+            params=dict(defaults.bench_params(), memory_mb=list(axis)),
         )
         dump_record(record, opts.bench_out)
         print(f"trajectory record -> {opts.bench_out} "

@@ -49,9 +49,9 @@ PAPER_MEMORY_MB: list[float] = [4, 8, 16, 32, 64, 128, 256, 512]
 
 #: The trimmed axis the benchmark harness and the ``sweep`` CLI share
 #: (every other point of the paper's 8-point 4-512 MB axis, starting at
-#: the 4 MB endpoint).  Both sides must use the same list — it feeds the
-#: params digest that the regression gate refuses to compare across, so
-#: it cannot change without re-seeding the baselines.
+#: the 4 MB endpoint).  Both sides must use the same list, so that
+#: ``sweep --bench-out`` reproduces the committed fig2 record; changing
+#: it changes every figure record in ``benchmarks/results/``.
 BENCH_MEMORY_MB: list[float] = [4, 16, 64, 256]
 
 
@@ -117,9 +117,10 @@ def memory_points_mb(points=None) -> list[float]:
 def bench_params() -> dict:
     """The workload knobs that shape a benchmark run.
 
-    Recorded in every trajectory record (see :mod:`repro.bench.schema`)
-    so comparisons refuse mismatched workloads; the pytest benchmark
-    harness and the ``sweep`` CLI both record exactly this dict.
+    Recorded as the ``params`` of every trajectory record (see
+    :mod:`repro.bench.schema`), so a record names the workload it
+    measured.  The pytest benchmark harness records exactly this dict;
+    ``sweep`` records it with ``memory_mb`` set to the axis it ran.
     """
     return {
         "scale": _knob("SCALE"),

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from typing import Union
 
-__all__ = ["format_table", "format_kv", "banner"]
+__all__ = ["format_table", "banner"]
 
 Cell = Union[str, int, float, None]
 
@@ -76,19 +76,6 @@ def format_table(
     lines.append(head)
     lines.append(sep)
     lines.extend(body)
-    return "\n".join(lines)
-
-
-def format_kv(pairs, title: str | None = None, ndigits: int = 3) -> str:
-    """Render ``name: value`` pairs, aligned."""
-    items = list(pairs.items() if hasattr(pairs, "items") else pairs)
-    width = max((len(str(k)) for k, _ in items), default=0)
-    lines = []
-    if title:
-        lines.append(title)
-        lines.append("=" * len(title))
-    for k, v in items:
-        lines.append(f"{str(k).ljust(width)} : {_fmt(v, ndigits)}")
     return "\n".join(lines)
 
 

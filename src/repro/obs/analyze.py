@@ -346,9 +346,9 @@ def attribution_to_dict(
     """Machine-readable attribution/bottleneck summary (``analyze --json``).
 
     The same quantities :func:`repro.obs.reports.render_profile_report`
-    prints, as one JSON-ready dict that ``analyze diff`` and the ATTR
-    baseline check (:func:`repro.bench.compare.mismatches`, the bench
-    gate's rule) read without scraping tables.
+    prints, as one JSON-ready dict that ``analyze diff`` reads without
+    scraping tables; the committed ATTR baseline is this dict, and its
+    check compares the file byte for byte.
     """
     out: dict[str, Any] = {
         "requests": attr.count,

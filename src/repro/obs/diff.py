@@ -1,13 +1,13 @@
 """Differential attribution: explain *why* two runs differ.
 
-The bench-trajectory gate (``repro.bench compare``) can say that a
-run's numbers changed; this module says where the time went.  Given two
-attribution summaries — the ``analyze --json`` output of a baseline and
-a current run — it produces a phase-by-phase delta report with a
-**conservation check**: phase deltas plus the residual delta sum to the
-mean-response delta exactly (each side's attribution already telescopes
-to its measured mean, so the difference telescopes too; any residue is
-float noise).
+The bench-trajectory gate (``git diff`` of the regenerated
+``benchmarks/results/``) can say that a run's numbers changed; this
+module says where the time went.  Given two attribution summaries — the
+``analyze --json`` output of a baseline and a current run — it produces
+a phase-by-phase delta report with a **conservation check**: phase
+deltas plus the residual delta sum to the mean-response delta exactly
+(each side's attribution already telescopes to its measured mean, so
+the difference telescopes too; any residue is float noise).
 
 Inputs are deliberately flexible: :func:`load_attribution` accepts
 either an attribution JSON summary (preferred — small, CI-archivable)

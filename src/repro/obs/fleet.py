@@ -277,7 +277,8 @@ def fleet_report(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
     """Build the ``"fleet"`` report over the latest sweep's ledger slice.
 
     Raises :class:`ValueError` when that sweep was recorded under
-    another :data:`~repro.obs.ledger.LEDGER_VERSION`, or when one of its
+    another :data:`~repro.obs.ledger.LEDGER_VERSION`, when its
+    ``elapsed_s`` is not a finite number or null, or when one of its
     cell rows lacks a key or holds a value the report cannot read.
     """
     sweep, rows = select_sweep(records)
@@ -287,6 +288,11 @@ def fleet_report(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
             f"sweep {sweep.get('run_id')} has ledger version {version!r}; "
             f"this build reads version {LEDGER_VERSION} (re-run the sweep)"
         )
+    elapsed_s = sweep.get("elapsed_s")
+    if not _number_or_null(elapsed_s):
+        raise ValueError(f"sweep row {sweep.get('run_id')}: elapsed_s must "
+                         f"be a finite number or null, got "
+                         f"{reprlib.repr(elapsed_s)}")
     for row in rows:
         _check_row(row)
     rows.sort(key=lambda r: r["index"])
@@ -297,7 +303,7 @@ def fleet_report(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
           "error")}
         for r in rows if r["status"] != "ok"
     ]
-    elapsed = float(sweep.get("elapsed_s") or 0.0)
+    elapsed = float(elapsed_s or 0.0)
     payload: dict[str, Any] = {
         "sweep": {
             "run_id": sweep.get("run_id"),

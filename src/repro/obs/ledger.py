@@ -152,8 +152,10 @@ def _format_row(rec: dict[str, Any]) -> str:
     )
     wall = rec.get("wall_s")
     wall_txt = f"{wall:8.2f}s" if isinstance(wall, (int, float)) else " " * 9
-    return (f"{rec.get('run_id', '?'):<16} {rec.get('kind', '?'):<6} "
-            f"{rec.get('status', '?'):<7} {wall_txt}  {coords}")
+    # str() first: a row is outside input, and only a str pads.
+    return (f"{str(rec.get('run_id', '?')):<16} "
+            f"{str(rec.get('kind', '?')):<6} "
+            f"{str(rec.get('status', '?')):<7} {wall_txt}  {coords}")
 
 
 def _cmd_list(args: argparse.Namespace) -> int:

@@ -115,50 +115,29 @@ class ThroughputMeter:
 
 
 class RunningStats:
-    """Streaming mean/variance/min/max (Welford's algorithm)."""
+    """Streaming mean (Welford's update)."""
 
-    __slots__ = ("n", "_mean", "_m2", "min", "max")
+    __slots__ = ("n", "_mean")
 
     def __init__(self) -> None:
         self.n = 0
         self._mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
 
     def record(self, x: float) -> None:
         """Add one observation."""
         self.n += 1
         delta = x - self._mean
         self._mean += delta / self.n
-        self._m2 += delta * (x - self._mean)
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
 
     def reset(self) -> None:
         """Discard all observations."""
         self.n = 0
         self._mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
 
     @property
     def mean(self) -> float:
         """Sample mean (0.0 when empty)."""
         return self._mean if self.n else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (n-1 denominator; 0.0 for n < 2)."""
-        return self._m2 / (self.n - 1) if self.n > 1 else 0.0
-
-    @property
-    def stdev(self) -> float:
-        """Sample standard deviation."""
-        return math.sqrt(self.variance)
 
 
 class ReservoirQuantiles:
@@ -324,21 +303,6 @@ class CounterSet:
         simulation hot path.
         """
         registry.register_collector(prefix, self.as_dict)
-
-    def ratio(self, numerator: str, *denominator_parts: str) -> float:
-        """``numerator / sum(denominator_parts)`` with a 0-safe denominator.
-
-        With no ``denominator_parts``, the denominator is the sum of every
-        counter (useful for hit-rate style fractions).
-        """
-        if denominator_parts:
-            denom = sum(self.get(p) for p in denominator_parts)
-        else:
-            # simlint: ordered -- integer counter sum; order-independent.
-            denom = sum(self._counts.values())
-        if denom == 0:
-            return 0.0
-        return self.get(numerator) / denom
 
 
 def block_hit_rates(counters: CounterSet) -> dict[str, float]:

@@ -200,11 +200,6 @@ class TestFileLayout:
         assert layout.extent_of(BlockId(0, 7)) == 0
         assert layout.extent_of(BlockId(0, 8)) == 1
 
-    def test_totals(self):
-        layout = self.make([8.0, 16.0])
-        assert layout.total_blocks() == 3
-        assert layout.total_size_kb() == pytest.approx(24.0)
-
     def test_non_positive_size_rejected(self):
         with pytest.raises(ValueError):
             self.make([8.0, 0.0])
@@ -234,4 +229,3 @@ class TestFileLayout:
             for bad in (nblocks, -1):
                 with pytest.raises(IndexError):
                     layout.block_size_kb(BlockId(f, bad))
-        assert layout.total_blocks() == sum(layout_arithmetic(s)[0] for s in sizes)

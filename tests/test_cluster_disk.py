@@ -231,7 +231,6 @@ class TestDiskStats:
         sim, disk, _ = run_requests(reqs, SCAN)
         disk.reset_stats()
         assert disk.seeks == 0 and disk.reads_kb == 0.0
-        assert disk.service_stats.n == 0
 
     def test_queue_limit_drop(self):
         sim = Simulator()

@@ -15,7 +15,6 @@ from repro.experiments import (
     ExperimentConfig,
     banner,
     defaults,
-    format_kv,
     format_table,
     run_experiment,
     run_figures,
@@ -61,10 +60,6 @@ class TestReport:
     def test_format_table_empty_rows(self):
         out = format_table(["a", "b"], [])
         assert "a" in out and "b" in out
-
-    def test_format_kv(self):
-        out = format_kv({"alpha": 1.23456, "b": "x"}, title="K")
-        assert "alpha" in out and "1.235" in out and out.startswith("K")
 
     def test_banner(self):
         out = banner("hello")

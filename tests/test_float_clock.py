@@ -30,7 +30,6 @@ def test_layout_answers_in_python_floats():
             assert type(layout.block_size_kb(blk)) is float
         for run in layout.extent_runs(f):
             assert type(run.size_kb) is float
-    assert type(layout.total_size_kb()) is float
 
 
 @pytest.mark.parametrize("system", ["press", "cc-basic", "cc-sched", "cc-kmc"])

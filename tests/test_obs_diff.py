@@ -9,7 +9,6 @@ import sys
 
 import pytest
 
-from repro.bench import mismatches
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.obs import Observability
 from repro.obs.analyze import attribute, attribution_to_dict
@@ -171,14 +170,11 @@ class TestLoadAttribution:
 class TestAttrBaseline:
     def test_explain_recipe_reproduces_committed_baseline(self, tmp_path):
         """The nightly explain step diffs against the committed ATTR
-        baseline, so the recipe must reproduce it: the same request
-        counts, classes and binding resource, every float within 1e-9,
-        by the rule the bench gate applies to its records.  The
+        baseline, so the recipe must reproduce it byte for byte.  The
         analysis adds floats left to right (builtin ``sum()``
         compensates rounding from Python 3.12 on), so the attribution
-        of one trace is byte-identical on every interpreter; the 1e-9
-        is the gate's margin, not a known rounding difference.
-        Re-bless it on purpose (README "Explaining a regression") when
+        of one trace is byte-identical on every interpreter.  Re-bless
+        it on purpose (README "Explaining a regression") when
         attribution changes.  Workload knobs from the environment must
         not leak into the recipe."""
         env = {k: v for k, v in os.environ.items()
@@ -199,10 +195,8 @@ class TestAttrBaseline:
                                   capture_output=True, text=True,
                                   timeout=300)
             assert proc.returncode == 0, proc.stderr
-        assert mismatches(
-            json.loads((tmp_path / "attr.json").read_text()),
-            json.loads(ATTR_BASELINE.read_text()),
-        ) == []
+        assert ((tmp_path / "attr.json").read_bytes()
+                == ATTR_BASELINE.read_bytes())
 
 
 class TestRenderDiff:

@@ -377,6 +377,34 @@ class TestLedgerVersion:
 
 
 # ---------------------------------------------------------------------------
+# a malformed sweep row is a usage error naming the row
+# ---------------------------------------------------------------------------
+class TestMalformedSweepRow:
+    def _ledger(self, tmp_path, elapsed_s):
+        path = tmp_path / "ledger.jsonl"
+        _rewrite(path, [{"kind": "sweep", "run_id": "s",
+                         "ledger_version": LEDGER_VERSION,
+                         "elapsed_s": elapsed_s}])
+        return path
+
+    @pytest.mark.parametrize("value", [[1], float("nan"), float("inf"),
+                                       "10", True],
+                             ids=["list", "nan", "inf", "str", "bool"])
+    def test_bad_elapsed_is_a_one_line_error(self, tmp_path, capsys, value):
+        path = self._ledger(tmp_path, value)
+        with pytest.raises(ValueError, match="^sweep row s: elapsed_s must "
+                                             "be a finite number or null, "):
+            fleet_report(load_ledger(str(path)))
+        _assert_usage_error(path, capsys,
+                            "analyze fleet: sweep row s: elapsed_s must be ")
+
+    def test_null_elapsed_has_zero_rate(self, tmp_path):
+        sweep = fleet_report(load_ledger(str(self._ledger(tmp_path, None))))
+        assert sweep["sweep"]["elapsed_s"] == 0.0
+        assert sweep["sweep"]["cells_per_s"] == 0.0
+
+
+# ---------------------------------------------------------------------------
 # a malformed cell row is a usage error naming the row
 # ---------------------------------------------------------------------------
 class TestMalformedCellRow:

@@ -128,3 +128,14 @@ class TestCli:
         assert "(no records)" in capsys.readouterr().out
         assert ledger_main(["list", str(tmp_path / "absent.jsonl")]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_list_prints_any_json_value(self, tmp_path, capsys):
+        """A ledger is outside input: a non-string ``run_id``, ``kind``
+        or ``status`` is printed as its ``str()``, not a crash."""
+        path = tmp_path / "l.jsonl"
+        path.write_text('{"kind": "sweep", "run_id": [1]}\n'
+                        '{"kind": 7, "run_id": null, "status": {"a": 1}}\n')
+        assert ledger_main(["list", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split()[:3] == ["[1]", "sweep", "?"]
+        assert lines[2].split()[:4] == ["None", "7", "{'a':", "1}"]

@@ -19,8 +19,9 @@ import math
 
 import pytest
 
-from repro.bench.schema import params_digest
+from repro.bench.schema import dump_record, params_digest, wrap_result
 from repro.experiments import cli, defaults, parallel
+from repro.experiments.figures import run_figures
 from repro.experiments.parallel import (
     SweepCellError,
     run_cells,
@@ -308,6 +309,49 @@ class TestObservedSweepEndToEnd:
         assert len(matrix["memories_mb"]) == 2
         rendered = capsys.readouterr().out
         assert "conservation check [OK]" in rendered
+
+    def test_sweep_record_is_the_fig2_bench_record(
+        self, sweep_defaults, tmp_path, monkeypatch, capsys
+    ):
+        """With every flag at its default, ``sweep --bench-out`` writes
+        the record the figure bench writes for fig2, byte for byte, so
+        ``cmp`` against the committed record is its gate."""
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        sweep = tmp_path / "sweep.json"
+        assert cli.main(["sweep", "--bench-out", str(sweep)]) == 0
+        memories = defaults.memory_points_mb(defaults.BENCH_MEMORY_MB)
+        bench = tmp_path / "fig2.json"
+        dump_record(wrap_result(
+            "fig2", run_figures(["fig2"], memories_mb=memories)["fig2"],
+            seed=0, params=defaults.bench_params(),
+        ), bench)
+        assert sweep.read_bytes() == bench.read_bytes()
+        capsys.readouterr()
+
+    def test_paper_axis_record_names_its_axis(
+        self, sweep_defaults, tmp_path, monkeypatch, capsys
+    ):
+        """A paper-axis record carries the paper's axis in its params,
+        and so its own digest, next to the data of its own points."""
+        monkeypatch.setattr(defaults, "PAPER_MEMORY_MB", [10, 20, 100])
+        records = {}
+        for axis in ("bench", "paper"):
+            path = tmp_path / f"{axis}.json"
+            assert cli.main([
+                "sweep", "--workload", "rutgers", "--nodes", "4",
+                "--workers", "1", "--memory-axis", axis,
+                "--bench-out", str(path),
+            ]) == 0
+            records[axis] = json.loads(path.read_text())
+        capsys.readouterr()
+        for axis, points in (("bench", [20, 100]), ("paper", [10, 20, 100])):
+            rec = records[axis]
+            assert rec["params"]["memory_mb"] == points
+            assert rec["params_digest"] == params_digest(rec["params"])
+            assert rec["data"]["rutgers"]["memories_mb"] == [
+                m * _SCALE for m in points]
+        assert (records["paper"]["params_digest"]
+                != records["bench"]["params_digest"])
 
     def test_failed_cells_are_named_recorded_and_skip_the_bench(
         self, sweep_defaults, tmp_path, monkeypatch, capsys
