@@ -23,6 +23,7 @@ job does (see :mod:`repro.sim.servicecenter`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -60,8 +61,10 @@ class DiskRequest:
     def __post_init__(self) -> None:
         if self.nblocks < 1:
             raise ValueError("run must contain at least one block")
-        if self.size_kb <= 0:
-            raise ValueError("run must read a positive number of KB")
+        if not 0 < self.size_kb < math.inf:  # NaN fails both comparisons
+            raise ValueError(
+                f"run must read a finite, positive number of KB, "
+                f"got {self.size_kb!r}")
 
     @property
     def end_block(self) -> int:

@@ -11,6 +11,7 @@ Receive-side protocol work is charged to the receiver's CPU by the caller
 
 from __future__ import annotations
 
+import math
 from collections.abc import Generator
 from typing import TYPE_CHECKING
 
@@ -52,8 +53,9 @@ class Network:
         caller's to charge.  ``prof``/``parent`` attribute the NIC and
         wire-latency waits to phase spans when profiling is on.
         """
-        if size_kb < 0:
-            raise ValueError("size_kb must be >= 0")
+        if not 0 <= size_kb < math.inf:  # NaN fails both comparisons
+            raise ValueError(
+                f"transfer size must be finite and >= 0 KB, got {size_kb!r}")
         self.bytes_kb += size_kb
         self.messages += 1
         if src is not None:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Callable, Generator
+from functools import partial
 from typing import TYPE_CHECKING
 
 from ..cache.block import BlockId, FileLayout
@@ -42,7 +43,7 @@ from ..cluster.disk import DiskRequest
 from ..cluster.node import Node
 from ..obs.cachestats import NULL_CACHESCOPE
 from ..obs.profile import NULL_PROFILER
-from ..obs.tracing import NULL_TRACER, Span
+from ..obs.tracing import NULL_SPAN, NULL_TRACER, Span
 from ..sim.engine import Event
 from ..sim.faults import NULL_FAULTS, FaultInjector, NullFaultInjector, RequestAborted
 from ..sim.stats import CounterSet, block_hit_rates
@@ -56,6 +57,12 @@ __all__ = ["CoopCacheLayer", "REQUEST_MSG_KB"]
 
 #: Size of a control message (block request, forward notice), KB.
 REQUEST_MSG_KB = 0.1
+
+
+def _untrack(table: dict[BlockId, Event], blocks: list[BlockId]) -> None:
+    """Clear ``blocks`` from a node's in-flight fetch table."""
+    for blk in blocks:
+        table.pop(blk, None)
 
 
 class CoopCacheLayer:
@@ -179,12 +186,13 @@ class CoopCacheLayer:
 
         local, joined, by_peer, by_home = self._classify(node, blocks, span)
 
-        # The cache probe's outcome, as one point event on the trace.
-        self.tracer.point(
-            "probe", parent=span, node=node.node_id,
-            n=len(blocks), local=len(local), joined=len(joined),
-            peers=len(by_peer), homes=len(by_home),
-        )
+        if self.tracer.enabled:
+            # The cache probe's outcome, as one point event on the trace.
+            self.tracer.point(
+                "probe", parent=span, node=node.node_id,
+                n=len(blocks), local=len(local), joined=len(joined),
+                peers=len(by_peer), homes=len(by_home),
+            )
 
         for blk in local:
             self.counters.incr("local_hit")
@@ -222,12 +230,18 @@ class CoopCacheLayer:
                 )
             fetches.append(proc)
         if fetches:
-            # Parallel fan-out: the analyzer refines this wait by walking
-            # the child fetch spans backward along the critical path.
-            yield self.prof.wait(
-                span, node.node_id, "fetch", self.sim.all_of(fetches),
-                d=len(by_home), pe=len(by_peer), j=len(joined),
-            )
+            fanout = self.sim.all_of(fetches)
+            prof = self.prof
+            if prof.enabled:
+                # Parallel fan-out: the analyzer refines this wait by
+                # walking the child fetch spans backward along the
+                # critical path.
+                yield prof.wait(
+                    span, node.node_id, "fetch", fanout,
+                    d=len(by_home), pe=len(by_peer), j=len(joined),
+                )
+            else:
+                yield prof.wait(span, node.node_id, "fetch", fanout)
         if self.faults.active and self.faults.is_down(node.node_id):
             # The serving node crashed while this request was in flight:
             # fail-stop took its connection state with it, so the request
@@ -258,24 +272,17 @@ class CoopCacheLayer:
         self, node: Node, blocks: list[BlockId],
         gen: Generator[Event, object, None],
     ) -> Event:
-        """Start a fetch coroutine and register its blocks as in flight."""
-        proc = self.sim.process(self._tracked(node.node_id, blocks, gen))
+        """Start a fetch coroutine and register its blocks as in flight.
+
+        The entries clear the instant the coroutine returns or raises,
+        before its completion is scheduled (the process's ``on_exit``).
+        """
+        proc = self.sim.process(gen)
         table = self._inflight[node.node_id]
         for blk in blocks:
             table[blk] = proc
+        proc.on_exit = partial(_untrack, table, blocks)
         return proc
-
-    def _tracked(
-        self, node_id: int, blocks: list[BlockId],
-        gen: Generator[Event, object, None],
-    ) -> Generator[Event, object, None]:
-        """Run ``gen`` and clear the in-flight entries when it finishes."""
-        try:
-            yield from gen
-        finally:
-            table = self._inflight[node_id]
-            for blk in blocks:
-                table.pop(blk, None)
 
     # ------------------------------------------------------------------
     # fault handling (fail-stop model; DESIGN.md S14)
@@ -481,11 +488,12 @@ class CoopCacheLayer:
                 # request is processed (pin semantics, as on the read
                 # path) so no concurrent eviction can race the removal.
                 was_dirty = old_cache.is_dirty(blk)
-                self.scope.on_evict(
-                    holder, blk, old_cache.is_master(blk),
-                    old_cache.num_nonmasters, "ownership",
-                    dest=node.node_id,
-                )
+                if self.scope.active:
+                    self.scope.on_evict(
+                        holder, blk, old_cache.is_master(blk),
+                        old_cache.num_nonmasters, "ownership",
+                        dest=node.node_id,
+                    )
                 old_cache.remove(blk)
                 yield old.cpu.submit(self.params.cpu.serve_peer_block_ms)
                 yield from self.cluster.network.transfer(
@@ -507,14 +515,16 @@ class CoopCacheLayer:
         writer wins, and any master a racing writer installed meanwhile
         is stale data and is dropped (single-master invariant).
         """
+        scope = self.scope
         other = self.directory.lookup(blk)
         if other is not None and other != node.node_id:
             other_cache = self.caches[other]
             if blk in other_cache and other_cache.is_master(blk):
-                self.scope.on_evict(
-                    other, blk, True, other_cache.num_nonmasters,
-                    "write_race",
-                )
+                if scope.active:
+                    scope.on_evict(
+                        other, blk, True, other_cache.num_nonmasters,
+                        "write_race",
+                    )
                 other_cache.remove(blk)
                 self.counters.incr("write_race_invalidations")
         cache = self.caches[node.node_id]
@@ -526,8 +536,9 @@ class CoopCacheLayer:
                 self._evict_one(node.node_id)
             cache.insert(blk, master=True, age=self.sim.now)
         self.directory.set_master(blk, node.node_id)
-        # The writer's copy is now canonical: hop chain restarts here.
-        self.scope.on_master_reset(blk)
+        if scope.active:
+            # The writer's copy is now canonical: hop chain restarts here.
+            scope.on_master_reset(blk)
         if dirty:
             cache.mark_dirty(blk)
 
@@ -541,15 +552,19 @@ class CoopCacheLayer:
             self.params.cpu.invalidate_block_ms * len(blocks)
         )
         peer_cache = self.caches[peer_id]
+        scope = self.scope
         for blk in blocks:
             if blk in peer_cache:
-                nm_held = peer_cache.num_nonmasters
-                is_m = peer_cache.is_master(blk)
-                self.scope.on_evict(peer_id, blk, is_m, nm_held, "invalidate")
+                if scope.active:
+                    scope.on_evict(
+                        peer_id, blk, peer_cache.is_master(blk),
+                        peer_cache.num_nonmasters, "invalidate",
+                    )
                 was_master = peer_cache.remove(blk)
                 self.counters.incr("invalidations")
                 if was_master and self.directory.lookup(blk) == peer_id:
-                    self.scope.on_master_exit(blk)
+                    if scope.active:
+                        scope.on_master_exit(blk)
                     self.directory.clear_master(blk)
 
     def _flush(
@@ -557,9 +572,10 @@ class CoopCacheLayer:
         parent: Span | None = None,
     ) -> Generator[Event, object, None]:
         """Write dirty blocks back to their home disks."""
+        traced = self.tracer.enabled
         span = self.tracer.start(
             "writeback", parent=parent, node=node.node_id, n=len(blocks)
-        )
+        ) if traced else NULL_SPAN
         cache = self.caches[node.node_id]
         by_home: dict[int, list[BlockId]] = defaultdict(list)
         for blk in blocks:
@@ -583,7 +599,8 @@ class CoopCacheLayer:
             for blk in blks:
                 if blk in cache:
                     cache.clear_dirty(blk)
-        span.finish()
+        if traced:
+            span.finish()
 
     def sync(self, node: Node) -> Generator[Event, object, None]:
         """Coroutine: flush every dirty master at ``node`` (write-back)."""
@@ -623,7 +640,10 @@ class CoopCacheLayer:
             if pending is not None:
                 # Another request at this node is already fetching it.
                 self.counters.incr("coalesced")
-                self.tracer.point("coalesce", parent=span, node=node.node_id)
+                if self.tracer.enabled:
+                    self.tracer.point(
+                        "coalesce", parent=span, node=node.node_id
+                    )
                 joined.append(pending)
                 continue
             holder = self._route(blk)
@@ -636,9 +656,10 @@ class CoopCacheLayer:
                 # in flight: wait for it, then reclassify (usually a
                 # remote hit on the fresh master).
                 self.counters.incr("waited_master")
-                self.tracer.point(
-                    "wait_master", parent=span, node=node.node_id
-                )
+                if self.tracer.enabled:
+                    self.tracer.point(
+                        "wait_master", parent=span, node=node.node_id
+                    )
                 joined.append(
                     self._spawn_fetch(
                         node, [blk],
@@ -721,82 +742,80 @@ class CoopCacheLayer:
         allows under its "instantaneous directory" assumption.
         """
         peer = self.cluster.nodes[peer_id]
+        peer_cache = self.caches[peer_id]
+        net = self.cluster.network
+        faults = self.faults
+        prof = self.prof
+        traced = self.tracer.enabled
         span = self.tracer.start(
             "peer_fetch", parent=parent, node=node.node_id,
             peer=peer_id, n=len(blocks),
-        )
+        ) if traced else NULL_SPAN
         try:
-            yield from self._peer_fetch_body(
-                node, peer, peer_id, blocks, span
-            )
+            if faults.active and not self._peer_ok(node, peer_id):
+                # Peer already down (or the link is): pay the detection
+                # timeout once, then re-route every block past it.
+                yield from self._detect_fault(node, span)
+                faults.counters.incr("peer_fetch_failovers")
+                yield from self._reresolve(node, blocks, peer_id, parent=span)
+                span.finish(hits=0, misses=len(blocks), failover=True)
+                return
+
+            # Request message: n -> m.
+            yield from net.transfer(node, peer, self._msg_kb, prof, span)
+
+            if faults.active and not self._peer_ok(node, peer_id):
+                # Peer crashed while the request message was in flight:
+                # the reply will never come.  Same failover as above — a
+                # crash purged the directory, so re-resolution cannot
+                # loop back.
+                yield from self._detect_fault(node, span)
+                faults.counters.incr("peer_fetch_failovers")
+                yield from self._reresolve(node, blocks, peer_id, parent=span)
+                span.finish(hits=0, misses=len(blocks), failover=True)
+                return
+
+            present = [blk for blk in blocks if blk in peer_cache]
+            missing = [blk for blk in blocks if blk not in peer_cache]
+
+            if present:
+                # The peer pins the blocks it is about to serve: presence
+                # and recency are decided the instant the request is
+                # processed, so a concurrent eviction cannot yank them
+                # mid-serve.
+                for blk in present:
+                    peer_cache.touch(blk, self.sim.now)
+                # Peer CPU: "serve peer block request" per block.
+                yield prof.wait(
+                    span, peer_id, "cpu",
+                    peer.cpu.submit(
+                        self.params.cpu.serve_peer_block_ms * len(present)
+                    ),
+                )
+                reply_kb = sum(
+                    self.layout.block_size_kb(blk) for blk in present
+                )
+                yield from net.transfer(peer, node, reply_kb, prof, span)
+                for blk in present:
+                    self.counters.incr("remote_hit")
+                yield from self._install(node, present, master=False,
+                                         parent=span)
+
+            if missing:
+                self.counters.incr("peer_miss", len(missing))
+                if self.scope.active:
+                    # The directory's answer was one hop stale: the peer
+                    # evicted (or forwarded) these blocks while our
+                    # request was in flight.
+                    self.scope.on_stale(len(missing))
+                yield from self._reresolve(node, missing, peer_id, parent=span)
+            if traced:
+                span.finish(hits=len(present), misses=len(missing))
         except RequestAborted:
             # An abort below (home unreachable on the fallback path)
             # still closes this span so the trace stays well-formed.
             span.finish(error=True, aborted=True)
             raise
-
-    def _peer_fetch_body(
-        self, node: Node, peer: Node, peer_id: int, blocks: list[BlockId],
-        span: Span,
-    ) -> Generator[Event, object, None]:
-        """The peer-fetch protocol proper (span lifecycle in the caller)."""
-        peer_cache = self.caches[peer_id]
-        net = self.cluster.network
-        faults = self.faults
-
-        if faults.active and not self._peer_ok(node, peer_id):
-            # Peer already down (or the link is): pay the detection
-            # timeout once, then re-route every block past it.
-            yield from self._detect_fault(node, span)
-            faults.counters.incr("peer_fetch_failovers")
-            yield from self._reresolve(node, blocks, peer_id, parent=span)
-            span.finish(hits=0, misses=len(blocks), failover=True)
-            return
-
-        # Request message: n -> m.
-        yield from net.transfer(node, peer, self._msg_kb,
-                                prof=self.prof, parent=span)
-
-        if faults.active and not self._peer_ok(node, peer_id):
-            # Peer crashed while the request message was in flight: the
-            # reply will never come.  Same failover as above — a crash
-            # purged the directory, so re-resolution cannot loop back.
-            yield from self._detect_fault(node, span)
-            faults.counters.incr("peer_fetch_failovers")
-            yield from self._reresolve(node, blocks, peer_id, parent=span)
-            span.finish(hits=0, misses=len(blocks), failover=True)
-            return
-
-        present = [blk for blk in blocks if blk in peer_cache]
-        missing = [blk for blk in blocks if blk not in peer_cache]
-
-        if present:
-            # The peer pins the blocks it is about to serve: presence and
-            # recency are decided the instant the request is processed,
-            # so a concurrent eviction cannot yank them mid-serve.
-            for blk in present:
-                peer_cache.touch(blk, self.sim.now)
-            # Peer CPU: "serve peer block request" per block.
-            yield self.prof.wait(
-                span, peer_id, "cpu",
-                peer.cpu.submit(
-                    self.params.cpu.serve_peer_block_ms * len(present)
-                ),
-            )
-            reply_kb = sum(self.layout.block_size_kb(blk) for blk in present)
-            yield from net.transfer(peer, node, reply_kb,
-                                    prof=self.prof, parent=span)
-            for blk in present:
-                self.counters.incr("remote_hit")
-            yield from self._install(node, present, master=False, parent=span)
-
-        if missing:
-            self.counters.incr("peer_miss", len(missing))
-            # The directory's answer was one hop stale: the peer evicted
-            # (or forwarded) these blocks while our request was in flight.
-            self.scope.on_stale(len(missing))
-            yield from self._reresolve(node, missing, peer_id, parent=span)
-        span.finish(hits=len(present), misses=len(missing))
 
     def _peer_ok(self, node: Node, peer_id: int) -> bool:
         """The peer is up and the link to it carries traffic."""
@@ -844,10 +863,15 @@ class CoopCacheLayer:
             # simlint: ordered -- same classification pass as chase.
             for h, blks in by_home.items()
         ]
-        yield self.prof.wait(
-            parent, node.node_id, "fetch", self.sim.all_of(fallback),
-            d=len(by_home), pe=len(chase), j=0,
-        )
+        fanout = self.sim.all_of(fallback)
+        prof = self.prof
+        if prof.enabled:
+            yield prof.wait(
+                parent, node.node_id, "fetch", fanout,
+                d=len(by_home), pe=len(chase), j=0,
+            )
+        else:
+            yield prof.wait(parent, node.node_id, "fetch", fanout)
 
     # ------------------------------------------------------------------
     # disk path (miss)
@@ -860,11 +884,13 @@ class CoopCacheLayer:
         ``node``; update the directory."""
         home = self.cluster.nodes[home_id]
         net = self.cluster.network
+        prof = self.prof
         remote_home = home_id != node.node_id
+        traced = self.tracer.enabled
         span = self.tracer.start(
             "disk_read", parent=parent, node=node.node_id,
             home=home_id, n=len(blocks),
-        )
+        ) if traced else NULL_SPAN
 
         done = self.sim.event()
         registered = [
@@ -883,8 +909,7 @@ class CoopCacheLayer:
                         node, home_id, attempt, span
                     )
                 if remote_home:
-                    yield from net.transfer(node, home, self._msg_kb,
-                                            prof=self.prof, parent=span)
+                    yield from net.transfer(node, home, self._msg_kb, prof, span)
                     if faults.active and (
                         faults.is_down(home_id)
                         or not faults.link_ok(node.node_id, home_id)
@@ -904,7 +929,7 @@ class CoopCacheLayer:
                 runs = self._runs(blocks)
                 for run in runs:
                     ev = home.disk.submit(run)
-                    yield self.prof.disk_wait(span, home_id, ev, (ev,))
+                    yield prof.disk_wait(span, home_id, ev, (ev,))
                 if faults.active and faults.is_down(home_id):
                     # Home crashed after the head moved but before the
                     # data left the node: the read is lost, retry it.
@@ -917,24 +942,24 @@ class CoopCacheLayer:
 
             total_kb = sum(self.layout.block_size_kb(blk) for blk in blocks)
             # Move the data across the home's bus (disk -> memory/NIC).
-            yield self.prof.wait(
+            yield prof.wait(
                 span, home_id, "bus",
                 home.bus.submit(self.params.bus.transfer_ms(total_kb)),
             )
 
             if remote_home:
                 # Home CPU forwards the freshly read master copies.
-                yield self.prof.wait(
+                yield prof.wait(
                     span, home_id, "cpu",
                     home.cpu.submit(
                         self.params.cpu.serve_peer_block_ms * len(blocks)
                     ),
                 )
-                yield from net.transfer(home, node, total_kb,
-                                        prof=self.prof, parent=span)
+                yield from net.transfer(home, node, total_kb, prof, span)
 
             yield from self._install(node, blocks, master=True, parent=span)
-            span.finish(runs=len(runs))
+            if traced:
+                span.finish(runs=len(runs))
         finally:
             for blk in registered:
                 if self._pending_master.get(blk) is done:
@@ -988,6 +1013,7 @@ class CoopCacheLayer:
             parent, node.node_id, "cpu",
             node.cpu.submit(self.params.cpu.cache_block_ms * len(blocks)),
         )
+        scope = self.scope
         for blk in blocks:
             # If some other node (re-)mastered the block while our fetch
             # was in flight, install ours as a plain replica: the cluster
@@ -1001,15 +1027,18 @@ class CoopCacheLayer:
                 if as_master and not cache.is_master(blk):
                     cache.promote_to_master(blk)
                     self.directory.set_master(blk, node.node_id)
-                    self.scope.on_master_reset(blk)
+                    if scope.active:
+                        scope.on_master_reset(blk)
                 continue
             if cache.is_full:
                 self._evict_one(node.node_id)
             cache.insert(blk, master=as_master, age=self.sim.now)
             if as_master:
                 self.directory.set_master(blk, node.node_id)
-                # Fresh master off the disk: its forward-hop chain restarts.
-                self.scope.on_master_reset(blk)
+                if scope.active:
+                    # Fresh master off the disk: its forward-hop chain
+                    # restarts.
+                    scope.on_master_reset(blk)
 
     def _has_other_master(self, blk: BlockId, node_id: int) -> bool:
         """True if the directory records a master at some other node."""
@@ -1024,44 +1053,47 @@ class CoopCacheLayer:
             raise RuntimeError("eviction requested on empty cache")
         blk, age, is_master = victim
         was_dirty = cache.is_dirty(blk)
+        traced = self.tracer.enabled
+        scope = self.scope
         # Captured before removal so it reflects the state the policy
         # decided on — the CC-KMC invariant test (and CacheScope's
         # violation counter) read exactly this.
-        nm_held = cache.num_nonmasters
-        self.tracer.point(
-            "evict", node=node_id, master=is_master,
-            nonmasters=nm_held, policy=self.config.policy,
-        )
+        nm_held = cache.num_nonmasters if traced or scope.active else 0
+        if traced:
+            self.tracer.point(
+                "evict", node=node_id, master=is_master,
+                nonmasters=nm_held, policy=self.config.policy,
+            )
         cache.remove(blk)
         self.counters.incr("evictions")
+        target = None
         if not is_master:
             self.counters.incr("evict_drop_nonmaster")
-            self.scope.on_evict(node_id, blk, False, nm_held, "drop")
-            return
-        if not self.config.forward_on_evict:
-            self.scope.on_evict(node_id, blk, True, nm_held, "drop")
+        elif self.config.forward_on_evict:
+            # None if this master is the globally oldest block.
+            target = self._oldest_peer(node_id, age)
+        if scope.active:
+            scope.on_evict(node_id, blk, is_master, nm_held,
+                           "drop" if target is None else "forward",
+                           dest=target)
+        if target is not None:
+            # Optimistic instantaneous directory: point at the
+            # destination as soon as the block is in flight.
+            self.directory.set_master(blk, target)
+            self.counters.incr("forwards")
+            self.sim.process(
+                self._forward_master(node_id, target, blk, age,
+                                     dirty=was_dirty)
+            )
+        elif is_master:
+            # Dropped: the master leaves cluster memory.
             self._drop_master(node_id, blk, was_dirty)
-            return
-        target = self._oldest_peer(node_id, age)
-        if target is None:
-            # Globally oldest: drop, master leaves cluster memory.
-            self.scope.on_evict(node_id, blk, True, nm_held, "drop")
-            self._drop_master(node_id, blk, was_dirty)
-            return
-        self.scope.on_evict(node_id, blk, True, nm_held, "forward",
-                            dest=target)
-        # Optimistic instantaneous directory: point at the destination
-        # as soon as the block is in flight.
-        self.directory.set_master(blk, target)
-        self.counters.incr("forwards")
-        self.sim.process(
-            self._forward_master(node_id, target, blk, age, dirty=was_dirty)
-        )
 
     def _drop_master(self, node_id: int, blk: BlockId, dirty: bool) -> None:
         """A master leaves cluster memory; flush it first if dirty."""
         self.counters.incr("evict_drop_master")
-        self.scope.on_master_exit(blk)
+        if self.scope.active:
+            self.scope.on_master_exit(blk)
         self.directory.clear_master(blk)
         if dirty:
             self.sim.process(self._writeback_evicted(node_id, [blk]))
@@ -1071,9 +1103,12 @@ class CoopCacheLayer:
     ) -> Generator[Event, object, None]:
         """Asynchronously write evicted dirty blocks to their homes."""
         node = self.cluster.nodes[node_id]
+        traced = self.tracer.enabled
         # Background cluster activity: a new root span, not tied to the
         # request whose eviction triggered it (it outlives the request).
-        span = self.tracer.start("writeback", node=node_id, n=len(blocks))
+        span = self.tracer.start(
+            "writeback", node=node_id, n=len(blocks)
+        ) if traced else NULL_SPAN
         by_home: dict[int, list[BlockId]] = defaultdict(list)
         for blk in blocks:
             by_home[self.homes.home_of(blk.file_id)].append(blk)
@@ -1092,7 +1127,8 @@ class CoopCacheLayer:
             for run in self._runs(blks):
                 yield home.disk.submit(run)
             self.counters.incr("flushed_blocks", len(blks))
-        span.finish()
+        if traced:
+            span.finish()
 
     def _oldest_peer(self, node_id: int, victim_age: float) -> int | None:
         """Peer holding the oldest block strictly older than the victim.
@@ -1128,14 +1164,20 @@ class CoopCacheLayer:
         src = self.cluster.nodes[src_id]
         dst = self.cluster.nodes[dst_id]
         size_kb = self.layout.block_size_kb(blk)
+        traced = self.tracer.enabled
         # Background activity: its own root span (outlives the evicting
         # request), closed with the forward's outcome.
-        span = self.tracer.start("forward", node=src_id, dst=dst_id)
+        span = self.tracer.start(
+            "forward", node=src_id, dst=dst_id
+        ) if traced else NULL_SPAN
         yield from self.cluster.network.transfer(src, dst, size_kb)
         # "Process an evicted master block" at the destination.
         yield dst.cpu.submit(self.params.cpu.evicted_master_ms)
 
         cache = self.caches[dst_id]
+        scope = self.scope
+        # A forward that does not land leaves a dirty copy to flush.
+        flush = False
         if self.directory.lookup(blk) != dst_id:
             # While the block was in flight some node re-mastered it
             # (e.g. re-read it from disk after a racing miss): this copy
@@ -1143,12 +1185,9 @@ class CoopCacheLayer:
             # re-mastered block was re-read from disk, so a stale dirty
             # copy would carry *newer* data: flush it.
             self.counters.incr("forward_stale")
-            self.scope.on_forward(blk, "stale")
-            span.finish(outcome="stale")
-            if dirty:
-                self.sim.process(self._writeback_evicted(dst_id, [blk]))
-            return
-        if blk in cache:
+            outcome = "stale"
+            flush = dirty
+        elif blk in cache:
             # Destination already holds a replica: absorb master status.
             if not cache.is_master(blk):
                 cache.promote_to_master(blk)
@@ -1156,40 +1195,45 @@ class CoopCacheLayer:
             if dirty:
                 cache.mark_dirty(blk)
             self.counters.incr("forward_merged")
-            self.scope.on_forward(blk, "merged")
-            span.finish(outcome="merged")
-            return
-        if cache.oldest_age() >= age:
+            outcome = "merged"
+        elif cache.oldest_age() >= age:
             # Everything here is younger: the forwarded block is dropped.
             self.counters.incr("forward_dropped")
-            self.scope.on_forward(blk, "dropped")
-            span.finish(outcome="dropped")
+            outcome = "dropped"
             if self.directory.lookup(blk) == dst_id:
                 self.directory.clear_master(blk)
+            flush = dirty
+        else:
+            if cache.is_full:
+                old_blk, _old_age, was_master = cache.oldest()  # type: ignore[misc]
+                displaced_dirty = cache.is_dirty(old_blk)
+                if scope.active:
+                    scope.on_evict(
+                        dst_id, old_blk, was_master, cache.num_nonmasters,
+                        "displaced",
+                    )
+                cache.remove(old_blk)
+                self.counters.incr("forward_displaced")
+                if was_master and self.directory.lookup(old_blk) == dst_id:
+                    if scope.active:
+                        scope.on_master_exit(old_blk)
+                    self.directory.clear_master(old_blk)
+                if displaced_dirty:
+                    self.sim.process(
+                        self._writeback_evicted(dst_id, [old_blk])
+                    )
+            cache.insert(blk, master=True, age=age)
+            self.directory.set_master(blk, dst_id)
             if dirty:
-                self.sim.process(self._writeback_evicted(dst_id, [blk]))
-            return
-        if cache.is_full:
-            old_blk, _old_age, was_master = cache.oldest()  # type: ignore[misc]
-            displaced_dirty = cache.is_dirty(old_blk)
-            self.scope.on_evict(
-                dst_id, old_blk, was_master, cache.num_nonmasters,
-                "displaced",
-            )
-            cache.remove(old_blk)
-            self.counters.incr("forward_displaced")
-            if was_master and self.directory.lookup(old_blk) == dst_id:
-                self.scope.on_master_exit(old_blk)
-                self.directory.clear_master(old_blk)
-            if displaced_dirty:
-                self.sim.process(self._writeback_evicted(dst_id, [old_blk]))
-        cache.insert(blk, master=True, age=age)
-        self.directory.set_master(blk, dst_id)
-        if dirty:
-            cache.mark_dirty(blk)
-        self.counters.incr("forward_installed")
-        self.scope.on_forward(blk, "installed")
-        span.finish(outcome="installed")
+                cache.mark_dirty(blk)
+            self.counters.incr("forward_installed")
+            outcome = "installed"
+        if scope.active:
+            scope.on_forward(blk, outcome)
+        if traced:
+            span.finish(outcome=outcome)
+        if flush:
+            self.sim.process(self._writeback_evicted(dst_id, [blk]))
 
     # ------------------------------------------------------------------
     # introspection

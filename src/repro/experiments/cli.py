@@ -105,6 +105,8 @@ ARTIFACTS: dict[str, Callable[..., str]] = {
 
 #: The figure ``sweep`` runs: its BENCH record name and ledger tag.
 _SWEEP_FIGURE = "fig2"
+#: Fig 2's cluster size, the default of ``sweep --nodes``.
+_SWEEP_NODES = 8
 
 
 def _positive(convert):
@@ -274,7 +276,7 @@ def _sweep_parser() -> argparse.ArgumentParser:
     p.add_argument("--workload", action="append", dest="workloads",
                    choices=list(TRACE_NAMES), default=None,
                    help="restrict to this trace (repeatable; default: all)")
-    p.add_argument("--nodes", type=_positive(int), default=8,
+    p.add_argument("--nodes", type=_positive(int), default=_SWEEP_NODES,
                    help="cluster size")
     p.add_argument("--workers", type=_positive(int), default=None,
                    help="worker processes to shard cells across "
@@ -285,8 +287,10 @@ def _sweep_parser() -> argparse.ArgumentParser:
                         "fig2 bench's) or the paper's full 8-point axis")
     p.add_argument("--bench-out", metavar="FILE", default=None,
                    help="write the trajectory record (JSON, repro.bench "
-                        "schema; params.memory_mb names the axis) to FILE; "
-                        "with every flag and knob at its default it is "
+                        "schema; params.memory_mb names the axis, and "
+                        "params.nodes and params.traces a non-default "
+                        "--nodes and --workload) to FILE; with every flag "
+                        "and knob at its default it is "
                         "benchmarks/results/fig2.json byte for byte")
     p.add_argument("--ledger", metavar="FILE", default=None,
                    help="profile every cell and append a provenance-stamped "
@@ -377,9 +381,17 @@ def sweep_command(argv) -> int:
               file=sys.stderr)
         return 1
     if opts.bench_out:
+        params = dict(defaults.bench_params(), memory_mb=list(axis))
+        # The record names every flag that shaped its data.  Fig 2's own
+        # cluster size and trace set stay implicit, so the default record
+        # is the figure bench's byte for byte.
+        if opts.nodes != _SWEEP_NODES:
+            params["nodes"] = opts.nodes
+        if trace_names != TRACE_NAMES:
+            params["traces"] = trace_names
         record = wrap_result(
             _SWEEP_FIGURE, spec.view(dict(zip(spec.cells, results))), seed=0,
-            params=dict(defaults.bench_params(), memory_mb=list(axis)),
+            params=params,
         )
         dump_record(record, opts.bench_out)
         print(f"trajectory record -> {opts.bench_out} "

@@ -2,8 +2,11 @@
 
 The subsystem is strictly opt-in: every cluster component accepts an
 optional :class:`Observability` and, when none is given, falls back to
-no-op instruments (:data:`~repro.obs.tracing.NULL_TRACER`), so the
-simulation hot path is unchanged when observability is off.
+no-op instruments (:data:`~repro.obs.tracing.NULL_TRACER`, the null
+profiler and cache scope), which change no event.  The per-request
+sites read ``tracer.enabled`` and ``scope.active`` and skip the null
+tracer, span and scope rather than call them; only ``prof.wait`` stays,
+and the null profiler returns its event.
 
 Typical use::
 
@@ -58,8 +61,8 @@ __all__ = [
 class Observability:
     """Bundle of one registry, one tracer and an invariant-sampling knob.
 
-    ``trace=False`` substitutes the null tracer, so span calls cost a
-    no-op method dispatch; the registry always exists (it is only read at
+    ``trace=False`` substitutes the null tracer, which the request paths
+    skip; the registry always exists (it is only read at
     snapshot time).  ``invariant_every=0`` disables sampling entirely;
     any N >= 1 makes the experiment runner attach an
     :class:`InvariantSampler` over the middleware's ``check_invariants``.

@@ -3,7 +3,7 @@
 The protocol coroutines are *serial*: between two ``yield``\\ s no
 simulated time passes, so the intervals a request spends blocked on
 events tile its span exactly.  The profiler exploits this by wrapping
-each wait in a zero-overhead-when-off phase span (name ``"ph"``), which
+each wait in a phase span (name ``"ph"``), which
 lets :mod:`repro.obs.analyze` decompose measured response time into
 exhaustive, non-overlapping phases offline — router, CPU queue/service,
 NIC, wire, disk queue/seek/transfer, peer/master/coalesce waits.
@@ -14,9 +14,12 @@ off:
 * Call sites always read ``yield prof.wait(...)``: a wait is a plain
   call that returns the event to yield.  The :class:`NullProfiler`
   returns the event it is given, so the kernel sees the same event
-  sequence either way.  The :class:`Profiler` builds the phase span, a
-  slotted :class:`~repro.obs.tracing.Span` that holds the event it waits
-  on, and appends the span's bound ``close`` to that event's callbacks.
+  sequence either way.  That one call is all a wait costs when
+  profiling is off: the fan-out waits build their keyword attributes
+  only when ``prof.enabled``.  The :class:`Profiler` builds the phase
+  span, a slotted :class:`~repro.obs.tracing.Span` that holds the event
+  it waits on, and appends the span's bound ``close`` to that event's
+  callbacks.
   The waiting process appends its own resume callback right after, so
   the span closes at the instant the process resumes, just before it:
   ``close`` reads the event's outcome and stamps and writes the record

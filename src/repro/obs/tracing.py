@@ -10,9 +10,12 @@ golden-trace regression harness snapshots.
 
 Design constraints:
 
-* **Near-zero cost when off** — protocol code calls the tracer
-  unconditionally; the :data:`NULL_TRACER` singleton makes every call a
-  no-op returning the shared :data:`NULL_SPAN`.
+* **No calls when off** — a per-request site reads ``tracer.enabled``
+  once and, when it is False, skips ``start``, ``point`` and ``finish``
+  together with the arguments they take; its span is :data:`NULL_SPAN`.
+  Rare paths (crash repair, restart, retries, aborted requests) still
+  call the :data:`NULL_TRACER` singleton, whose every call is a no-op
+  returning :data:`NULL_SPAN`.
 * **Deterministic output** — span/trace ids are a simple monotone
   sequence, records are emitted in finish order (which the kernel makes
   deterministic), and JSON is serialized with sorted keys.

@@ -36,7 +36,7 @@ from ..cache.block import FileLayout
 from ..cluster.cluster import Cluster
 from ..cluster.node import Node
 from ..obs.profile import NULL_PROFILER
-from ..obs.tracing import NULL_TRACER, Span
+from ..obs.tracing import NULL_SPAN, NULL_TRACER, Span
 from ..params import SimParams
 from ..sim.engine import Event
 from ..sim.faults import NULL_FAULTS
@@ -119,7 +119,7 @@ class PressServer:
         cpu = self.params.cpu
         span = self.tracer.start(
             "request", parent=parent, node=node.node_id, file=file_id
-        )
+        ) if self.tracer.enabled else NULL_SPAN
         yield self.prof.wait(span, node.node_id, "cpu",
                              node.cpu.submit(cpu.parse_ms))
         service_class = yield from self._dispatch(node, file_id, span)
@@ -171,9 +171,11 @@ class PressServer:
             # at the adopting node and serve once the read lands.
             target_id, done = pending
             self.counters.incr("coalesced", nblocks)
-            self.tracer.point(
-                "coalesce", parent=span, node=node.node_id, target=target_id
-            )
+            if self.tracer.enabled:
+                self.tracer.point(
+                    "coalesce", parent=span, node=node.node_id,
+                    target=target_id,
+                )
             target = self.cluster.nodes[target_id]
             if target_id != node.node_id:
                 self.counters.incr("forwarded_requests")
@@ -182,8 +184,7 @@ class PressServer:
                     node.cpu.submit(cpu.forward_request_ms),
                 )
                 yield from self.cluster.network.transfer(
-                    node, target, FORWARD_MSG_KB,
-                    prof=self.prof, parent=span,
+                    node, target, FORWARD_MSG_KB, self.prof, span,
                 )
             if not done.processed:
                 yield self.prof.wait(
@@ -235,7 +236,8 @@ class PressServer:
 
     def _finish(self, span: Span, service_class: str) -> str:
         """Close a request span and count its class in the registry."""
-        span.finish(cls=service_class)
+        if self.tracer.enabled:
+            span.finish(cls=service_class)
         if self._registry is not None:
             self._registry.counter(f"requests_{service_class}").incr()
         return service_class
@@ -246,16 +248,17 @@ class PressServer:
     ) -> Generator[Event, object, None]:
         """Hand the request from ``entry`` to ``target`` and serve it."""
         cpu = self.params.cpu
+        traced = self.tracer.enabled
         span = self.tracer.start(
             "forward", parent=parent, node=entry.node_id,
             target=target.node_id,
-        )
+        ) if traced else NULL_SPAN
         yield self.prof.wait(
             span, entry.node_id, "cpu",
             entry.cpu.submit(cpu.forward_request_ms),
         )
         yield from self.cluster.network.transfer(
-            entry, target, FORWARD_MSG_KB, prof=self.prof, parent=span
+            entry, target, FORWARD_MSG_KB, self.prof, span
         )
         if self.faults.active and (
             self.faults.is_down(target.node_id)
@@ -272,7 +275,8 @@ class PressServer:
         # Relay: the serving node sends to the entry node, which replies.
         yield from self._serve_from_memory(target, entry, file_id,
                                            parent=span)
-        span.finish()
+        if traced:
+            span.finish()
 
     # ------------------------------------------------------------------
     # data paths
@@ -293,7 +297,7 @@ class PressServer:
         )
         if reply_via.node_id != server.node_id:
             yield from self.cluster.network.transfer(
-                server, reply_via, size_kb, prof=prof, parent=parent
+                server, reply_via, size_kb, prof, parent
             )
             yield prof.wait(
                 parent, reply_via.node_id, "cpu",
@@ -311,9 +315,10 @@ class PressServer:
         """Whole-file read from ``node``'s local disk + cache adoption."""
         done = self.sim.event()
         self._adopting[file_id] = (node.node_id, done)
+        traced = self.tracer.enabled
         span = self.tracer.start(
             "disk_read", parent=parent, node=node.node_id, file=file_id
-        )
+        ) if traced else NULL_SPAN
         try:
             size_kb = self.layout.size_kb(file_id)
             runs = self.layout.extent_runs(file_id)
@@ -328,7 +333,8 @@ class PressServer:
                 node.bus.submit(self.params.bus.transfer_ms(size_kb)),
             )
             self._cache_file(node.node_id, file_id)
-            span.finish(runs=len(runs))
+            if traced:
+                span.finish(runs=len(runs))
         finally:
             self._adopting.pop(file_id, None)
             done.succeed()
@@ -349,8 +355,9 @@ class PressServer:
             self.counters.incr("uncacheable")
             return
         evicted = cache.insert(file_id, size_kb)
-        for victim in evicted:
-            self.scope.on_evict(node_id, victim, False, 0, "drop")
+        if self.scope.active:
+            for victim in evicted:
+                self.scope.on_evict(node_id, victim, False, 0, "drop")
         self.counters.incr("evictions", len(evicted))
 
     # ------------------------------------------------------------------
@@ -387,17 +394,19 @@ class PressServer:
         """Background copy of a hot file to a lightly loaded node."""
         dst = self.cluster.nodes[dst_id]
         size_kb = self.layout.size_kb(file_id)
+        traced = self.tracer.enabled
         # Background activity: its own root span, like middleware forwards.
         span = self.tracer.start(
             "replicate", node=src.node_id, dst=dst_id, file=file_id
-        )
+        ) if traced else NULL_SPAN
         yield src.cpu.submit(self.params.cpu.serve_peer_block_ms)
         yield from self.cluster.network.transfer(src, dst, size_kb)
         yield dst.cpu.submit(self.params.cpu.cache_block_ms
                              * self.layout.num_blocks(file_id))
         if file_id not in self.caches[dst_id]:
             self._cache_file(dst_id, file_id)
-        span.finish()
+        if traced:
+            span.finish()
 
     # ------------------------------------------------------------------
     # fault handling (fail-stop; DESIGN.md S14)

@@ -213,9 +213,12 @@ class Process(Event):
     The generator yields :class:`Event` objects; the process resumes with
     the event's value when it fires (or has the failure exception thrown
     into it).  The process's own value is the generator's return value.
+    ``on_exit``, if set, is called with no arguments the instant the
+    generator returns or raises, before the process's own completion is
+    scheduled.
     """
 
-    __slots__ = ("_gen",)
+    __slots__ = ("_gen", "on_exit")
 
     def __init__(self, sim: "Simulator", gen: Generator[Event, Any, Any]) -> None:
         self.sim = sim
@@ -225,6 +228,7 @@ class Process(Event):
         self._triggered = False
         self._processed = False
         self._gen = gen
+        self.on_exit: Callable[[], None] | None = None
         # Bootstrap on the next kernel step so creation order == start
         # order.  The process itself is the one pushed entry: it fires
         # untriggered, which _fire reads as "start the generator".
@@ -248,11 +252,15 @@ class Process(Event):
             else:
                 target = self._gen.throw(ev._value)
         except StopIteration as stop:
+            if self.on_exit is not None:
+                self.on_exit()
             self.succeed(stop.value)
             return
         except BaseException as exc:  # propagate model bugs loudly
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
+            if self.on_exit is not None:
+                self.on_exit()
             self.fail(exc)
             return
         if not isinstance(target, Event):

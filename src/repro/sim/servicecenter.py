@@ -21,6 +21,7 @@ are unchanged.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import TYPE_CHECKING, Any
 
@@ -44,19 +45,10 @@ class QueueFullError(RuntimeError):
 class _Job(Event):
     """One accepted job: its own service-completion event and the event
     its waiters wait on.  Service demand is ``svc_ms``; ``svc_start`` is
-    stamped when it enters service."""
+    stamped when it enters service.  :meth:`ServiceCenter.submit` builds
+    it (there is no ``__init__``)."""
 
     __slots__ = ("_center",)
-
-    def __init__(self, center: "ServiceCenter", demand_ms: float, value: Any) -> None:
-        self.sim = center.sim
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._triggered = False
-        self._processed = False
-        self._center = center
-        self.svc_ms = demand_ms
 
     def _fire(self) -> None:
         if not self._triggered:
@@ -123,19 +115,31 @@ class ServiceCenter:
         """Enqueue a job needing ``demand_ms`` of service.
 
         The returned event fires with ``value`` when service completes.
+        ``demand_ms`` must be finite and >= 0.
         """
-        if not demand_ms >= 0:  # also rejects NaN, which passes "demand_ms < 0"
-            raise ValueError(f"negative service demand (or NaN): {demand_ms!r}")
-        if self._in_service < self.capacity:
-            job = _Job(self, demand_ms, value)
+        if not 0 <= demand_ms < math.inf:  # NaN fails both comparisons
+            raise ValueError(
+                f"service demand must be finite and >= 0 ms, got {demand_ms!r}")
+        free = self._in_service < self.capacity
+        if not free and len(self._queue) >= self.queue_limit:
+            self.dropped += 1
+            return Event(self.sim).fail(QueueFullError(self))
+        # The job's slots are set here, flat: calling the class would run
+        # an __init__ frame, once per job.
+        job = _Job.__new__(_Job)
+        job.sim = self.sim
+        job.callbacks = []
+        job._value = value
+        job._ok = True
+        job._triggered = False
+        job._processed = False
+        job._center = self
+        job.svc_ms = demand_ms
+        if free:
             self._start(job)
-            return job
-        if len(self._queue) < self.queue_limit:
-            job = _Job(self, demand_ms, value)
+        else:
             self._queue.append(job)
-            return job
-        self.dropped += 1
-        return Event(self.sim).fail(QueueFullError(self))
+        return job
 
     @property
     def queue_length(self) -> int:

@@ -150,17 +150,14 @@ class ClosedLoopDriver:
         self.failed_requests = 0
 
     def _pick_node(self) -> Generator[Event, object, Node | None]:
-        """DNS pick with a bounded retry loop when the cluster is dark.
+        """The bounded DNS retry loop, entered when the cluster is dark.
 
-        Fault-free, :meth:`~repro.cluster.dns.RoundRobinDNS.pick` never
-        returns None and this adds zero kernel events.  Under fault
-        injection an all-nodes-down instant costs detection timeouts and
-        capped backoffs, and past the retry budget returns None — the
+        :meth:`_client` asks :meth:`~repro.cluster.router.RoundRobinDNS.pick`
+        first, and only a None answer (every node down, which needs fault
+        injection) lands here: each round costs a detection timeout and a
+        capped backoff, and past the retry budget this returns None — the
         request then fails instead of hanging.
         """
-        node = self.cluster.dns.pick()
-        if node is not None:
-            return node
         fparams = self.cluster.params.faults
         for attempt in range(fparams.max_retries):
             yield self.sim.timeout(fparams.detect_timeout_ms)
@@ -181,7 +178,9 @@ class ClosedLoopDriver:
                 return
             measured = self._warmed
             start = self.sim.now
-            node = yield from self._pick_node()
+            node = self.cluster.dns.pick()
+            if node is None:
+                node = yield from self._pick_node()
             if node is None:
                 # Every node stayed down past the retry budget.
                 self._record(measured, start, "failed")

@@ -27,7 +27,7 @@ from ..cache.block import FileLayout
 from ..cluster.node import Node
 from ..core.middleware import CoopCacheLayer
 from ..obs.profile import NULL_PROFILER
-from ..obs.tracing import NULL_TRACER
+from ..obs.tracing import NULL_SPAN, NULL_TRACER
 from ..sim.engine import Event
 from ..sim.faults import RequestAborted
 
@@ -56,9 +56,10 @@ class CoopCacheWebServer:
         """
         cpu = self.params.cpu
         prof = self.prof
+        traced = self.tracer.enabled
         span = self.tracer.start(
             "request", parent=parent, node=node.node_id, file=file_id
-        )
+        ) if traced else NULL_SPAN
         yield prof.wait(span, node.node_id, "cpu",
                         node.cpu.submit(cpu.parse_ms))
         try:
@@ -80,7 +81,8 @@ class CoopCacheWebServer:
             span, node.node_id, "nic",
             node.nic.submit(self.params.network.transfer_ms(size_kb)),
         )
-        span.finish(cls=service_class)
+        if traced:
+            span.finish(cls=service_class)
         if self._registry is not None:
             self._registry.counter(f"requests_{service_class}").incr()
         return service_class

@@ -56,6 +56,11 @@ class TestDiskRequest:
         with pytest.raises(ValueError):
             DiskRequest(1, 0, 0, 1, 0.0)
 
+    @pytest.mark.parametrize("size_kb", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_size_rejected(self, size_kb):
+        with pytest.raises(ValueError, match=repr(size_kb)):
+            DiskRequest(0, 0, 0, 1, size_kb)
+
     def test_sort_key_order(self):
         a = DiskRequest(1, 0, 0, 1, 8.0)
         b = DiskRequest(1, 1, 8, 1, 8.0)

@@ -95,6 +95,18 @@ class TestNetwork:
         # The generator raises on first resume; the process event fails.
         assert not p.ok and isinstance(p.value, ValueError)
 
+    @pytest.mark.parametrize("size_kb", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_size_rejected(self, size_kb):
+        sim = Simulator()
+        net = Network(sim, DEFAULT_PARAMS)
+        node = Node(sim, 0, DEFAULT_PARAMS)
+        p = sim.process(net.transfer(None, node, size_kb))
+        sim.run()
+        assert not p.ok and isinstance(p.value, ValueError)
+        assert repr(size_kb) in str(p.value)
+        # Nothing was counted: the accounting stays finite.
+        assert net.bytes_kb == 0.0 and net.messages == 0
+
     def test_nic_serializes_sends(self):
         sim = Simulator()
         params = DEFAULT_PARAMS

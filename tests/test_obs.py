@@ -7,6 +7,8 @@ import pytest
 
 from repro.cache.block import BlockId
 from repro.cache.blockcache import BlockCache
+from repro.experiments.ablations import ABLATIONS
+from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.obs import (
     DEFAULT_BUCKETS_MS,
     Counter,
@@ -16,10 +18,13 @@ from repro.obs import (
     MetricsRegistry,
     NULL_SPAN,
     NULL_TRACER,
+    NullCacheScope,
+    NullTracer,
     Observability,
     Tracer,
 )
 from repro.sim.engine import Simulator
+from repro.traces import datasets
 
 
 class TestCounter:
@@ -379,6 +384,63 @@ class TestNullTracer:
         # Writes nothing; returns the digest of the empty export.
         assert (NULL_TRACER.dump_jsonl("/nonexistent/never-written")
                 == NULL_TRACER.digest() == hashlib.sha256(b"").hexdigest())
+
+
+#: Every disabled hook a per-request site could call.
+_NULL_HOOKS = [(NullTracer, "start"), (NullTracer, "point"),
+               (type(NULL_SPAN), "finish")] + [
+    (NullCacheScope, name)
+    for name in ("on_insert", "on_remove", "on_promote", "on_evict",
+                 "on_forward", "on_master_exit", "on_master_reset",
+                 "on_stale")
+]
+
+
+class TestUnobservedRunCallsNoDisabledHook:
+    """With observability off, the request paths skip the null tracer,
+    the null span and the inactive cache scope instead of calling them;
+    only ``prof.wait`` stays.  Each hook is replaced by a counter that
+    still does the no-op's work, so a regression shows as a count."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {f"{cls.__name__}.{name}": 0 for cls, name in _NULL_HOOKS}
+        for cls, name in _NULL_HOOKS:
+            key, hook = f"{cls.__name__}.{name}", getattr(cls, name)
+
+            def counted(*args, _key=key, _hook=hook, **kwargs):
+                counts[_key] += 1
+                return _hook(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+        return counts
+
+    @staticmethod
+    def _config(system):
+        # The golden-trace workload: eviction-heavy on four nodes.
+        return ExperimentConfig(
+            system=system,
+            trace=datasets.scaled("rutgers", 0.01, num_requests=400),
+            num_nodes=4, mem_mb_per_node=0.5, num_clients=8, seed=0,
+        )
+
+    @pytest.mark.parametrize("system",
+                             ["press", "cc-basic", "cc-sched", "cc-kmc"])
+    def test_fault_free_run(self, calls, system):
+        res = run_experiment(self._config(system))
+        assert res.counters["evictions"] > 0
+        if system == "cc-basic":
+            assert res.counters["forwards"] > 0
+        assert calls == dict.fromkeys(calls, 0)
+
+    def test_write_back_run(self, calls):
+        """An A7 write-back run: ownership transfers, invalidations,
+        flushes of evicted dirty masters."""
+        res = ABLATIONS["a7"].variants["write-back"](
+            self._config("cc-kmc"), 0.3)
+        assert res.counters["invalidations"] > 0
+        assert res.counters["flushed_blocks"] > 0
+        assert calls == dict.fromkeys(calls, 0)
 
 
 class TestInvariantSampler:

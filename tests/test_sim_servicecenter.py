@@ -83,6 +83,16 @@ class TestServiceCenter:
         with pytest.raises(ValueError):
             sc.submit(-0.5)
 
+    @pytest.mark.parametrize("demand", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_demand_rejected(self, demand):
+        sim, sc = make()
+        with pytest.raises(ValueError, match=repr(demand)):
+            sc.submit(demand)
+        # The center took no job and the clock cannot be driven anywhere.
+        assert sc.load == 0
+        sim.run()
+        assert sim.now == 0.0
+
     def test_load_counts_queued_and_in_service(self):
         sim, sc = make(capacity=1)
         sc.submit(5.0)

@@ -353,6 +353,27 @@ class TestObservedSweepEndToEnd:
         assert (records["paper"]["params_digest"]
                 != records["bench"]["params_digest"])
 
+    def test_record_names_its_cluster_size_and_traces(
+        self, sweep_defaults, tmp_path, capsys
+    ):
+        """Two cluster sizes give two params digests: a record names a
+        non-default ``--nodes`` and ``--workload`` in its params."""
+        records = {}
+        for nodes in (2, 4):
+            path = tmp_path / f"n{nodes}.json"
+            assert cli.main([
+                "sweep", "--workload", "rutgers", "--nodes", str(nodes),
+                "--workers", "1", "--bench-out", str(path),
+            ]) == 0
+            records[nodes] = json.loads(path.read_text())
+        capsys.readouterr()
+        for nodes, rec in records.items():
+            assert rec["params"]["nodes"] == nodes
+            assert rec["params"]["traces"] == ["rutgers"]
+            assert rec["params_digest"] == params_digest(rec["params"])
+        assert records[2]["data"] != records[4]["data"]
+        assert records[2]["params_digest"] != records[4]["params_digest"]
+
     def test_failed_cells_are_named_recorded_and_skip_the_bench(
         self, sweep_defaults, tmp_path, monkeypatch, capsys
     ):
